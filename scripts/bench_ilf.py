@@ -13,7 +13,6 @@ import random
 import statistics
 import time
 
-from csq.cli import _ilf_stored_integers
 from csq.rlbwt_ilf import build_ilf_index, ilf_query
 from csq.text_core import Text
 
@@ -66,7 +65,7 @@ def main() -> int:
                 query_times.append((time.perf_counter() - t0) * 1e6 / len(queries))
             print(
                 f"{family:>10} {n:>8} {index.r_original:>6} {index.r_shifted:>8} "
-                f"{_ilf_stored_integers(index):>8} "
+                f"{index.stored_integers:>8} "
                 f"{statistics.median(build_times):>9.2f} "
                 f"{statistics.median(query_times):>9.3f}"
             )

@@ -26,13 +26,8 @@ from typing import Callable, Sequence
 
 from . import gadgets
 from .grammar_lcp_rmq import build_lcp_rmq_index, lce_query, lcp_rmq
-from .measures import (
-    bwt_run_count,
-    lz77_factorize,
-    run_length_encode,
-    substring_complexity,
-)
-from .rlbwt_ilf import IlfIndex, build_ilf_index, ilf_query
+from .measures import bwt_run_count, run_length_encode, text_measures
+from .rlbwt_ilf import build_ilf_index, ilf_query
 from .text_core import Text, build_bundle
 
 _SCHEMA_VERSION = 1
@@ -176,9 +171,8 @@ def _cmd_measures(config: RunConfig, report: Report) -> int:
     text = _load_text(config)
     n = text.n
     runs = run_length_encode(text).run_count
-    z = lz77_factorize(text).phrase_count
-    r = bwt_run_count(text)
-    delta = substring_complexity(text)
+    factorization, r, delta = text_measures(text)
+    z = factorization.phrase_count
     value = delta.numerator / delta.denominator
     report.add("n", n)
     report.add("sigma", len(set(text.symbols)))
@@ -197,17 +191,6 @@ def _cmd_measures(config: RunConfig, report: Report) -> int:
     return 0
 
 
-def _ilf_stored_integers(index: IlfIndex) -> int:
-    """Integers the index retains, counting both predecessor flavors' keys."""
-    stored = len(index.boundary_keys) + len(index.ilf_at_boundary)
-    stored += len(index.pred_keys.keys)
-    if index.trie is not None:
-        stored += len(index.trie.reps)
-        stored += sum(len(bucket) for bucket in index.trie.buckets)
-        stored += 2 * sum(len(level) for level in index.trie.levels)
-    return stored
-
-
 def _cmd_ilf(config: RunConfig, report: Report) -> int:
     text = _load_text(config)
     index = build_ilf_index(text, use_yfast=config.flavor == "yfast")
@@ -220,7 +203,7 @@ def _cmd_ilf(config: RunConfig, report: Report) -> int:
     report.add("boundary_count", index.boundary_count)
     report.add("r_original", index.r_original)
     report.add("r_shifted", index.r_shifted)
-    report.add("stored_integers", _ilf_stored_integers(index))
+    report.add("stored_integers", index.stored_integers)
     report.add("oracle_mismatches", mismatches)
     if config.queries_path is not None:
         for (i,) in _load_queries(config.queries_path, pairs=False, label="ilf"):

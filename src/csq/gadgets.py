@@ -730,7 +730,9 @@ def verify_reduction(
     sentinels just outside the domain — is checked; otherwise a seeded
     sample of at most ``sample_limit`` queries is.  The report also
     compares the stored anchors against freshly recomputed ones and
-    validates the closed-form LZ-like certificate of the text.
+    validates the closed-form LZ-like certificate of the text.  Raises
+    AssertionError if the certificate has fewer phrases than the greedy
+    factorization, which the optimality of greedy LZ77 rules out.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown gadget kind {kind!r}")
@@ -750,6 +752,11 @@ def verify_reduction(
                 first = (query, got, want)
     certificate, bound = proof_certificate(instance)
     cert_size = validate_lz_like(instance.text, certificate)
+    z = lz77_factorize(instance.text).phrase_count
+    if z > cert_size:
+        raise AssertionError(
+            f"greedy LZ77 has {z} phrases, more than the {cert_size}-phrase certificate"
+        )
     return ReductionReport(
         kind=kind,
         instances=1,
@@ -757,7 +764,7 @@ def verify_reduction(
         mismatch_count=mismatches,
         text_length=instance.text.n,
         rl_runs=run_length_encode(instance.text).run_count,
-        lz_phrases=lz77_factorize(instance.text).phrase_count,
+        lz_phrases=z,
         cert_phrases=cert_size,
         cert_bound=bound,
         anchors_consistent=recompute_anchors(instance) == dict(instance.anchors),

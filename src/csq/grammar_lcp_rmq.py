@@ -33,7 +33,7 @@ from math import ceil, log2
 from typing import Iterable, Mapping, Sequence, Union
 
 from .predecessor import SmallSet, smallset_build, smallset_pred
-from .text_core import Text, build_bundle
+from .text_core import Text, suffix_core
 
 __all__ = [
     "DiffLcpArray",
@@ -42,7 +42,6 @@ __all__ = [
     "RuleStats",
     "Slg",
     "SparseRmq",
-    "build_diff_lcp_slg",
     "build_lcp_rmq_index",
     "build_rule_stats",
     "diff_lcp_from_bundle",
@@ -629,31 +628,6 @@ def _widening_depth(n: int, epsilon: float) -> int:
     return max(1, ceil(epsilon * log2(log2(n))))
 
 
-def build_diff_lcp_slg(text: Text, epsilon: float = 0.5) -> tuple[Slg, RuleStats]:
-    """Grammar (with statistics) expanding to the text's differential LCP array.
-
-    The pairing construction is widened by k = ceil(epsilon * log2 log2 n)
-    levels, so every right-hand side has at most l = 2*2^k symbols.  The
-    expansion is verified against the array on every build.
-    """
-    if text.n == 0:
-        raise ValueError("cannot build a grammar for an empty text")
-    bundle = build_bundle(text)
-    diff = diff_lcp_from_bundle(bundle)
-    k = _widening_depth(text.n, epsilon)
-    raw_rules, raw_start = _pairing_slp(diff.values)
-    slp = make_slg(raw_rules, raw_start)
-    _, slp_height = validate_slg(slp)
-    widened = widen_slg(slp, k)
-    _, height = validate_slg(widened)
-    assert height <= -(-slp_height // k) + 1
-    ell = 2 * (1 << k)
-    assert all(len(r) <= ell for r in widened.rules)
-    assert expand(widened, widened.start) == list(diff.values)
-    assert diff.prefix_sums() == list(bundle.lcp[1:])
-    return widened, build_rule_stats(widened)
-
-
 @dataclass(frozen=True)
 class LcpRmqIndex:
     """Grammar-backed LCP RMQ / LCE structure for one text.
@@ -677,12 +651,19 @@ class LcpRmqIndex:
 
 
 def build_lcp_rmq_index(text: Text, epsilon: float = 0.5) -> LcpRmqIndex:
-    if text.n == 0:
+    """Grammar (with statistics) expanding to the text's differential LCP
+    array, plus the text's ISA for LCE queries.
+
+    The pairing construction is widened by k = ceil(epsilon * log2 log2 n)
+    levels, so every right-hand side has at most l = 2*2^k symbols.
+    """
+    n = text.n
+    if n == 0:
         raise ValueError("cannot index an empty text")
-    bundle = build_bundle(text)
-    diff = diff_lcp_from_bundle(bundle)
-    k = _widening_depth(text.n, epsilon)
-    raw_rules, raw_start = _pairing_slp(diff.values)
+    k = _widening_depth(n, epsilon)
+    _, isa0, lcp0 = suffix_core(text.symbols)
+    diff = [lcp0[0]] + [lcp0[i] - lcp0[i - 1] for i in range(1, n)]
+    raw_rules, raw_start = _pairing_slp(diff)
     slp = make_slg(raw_rules, raw_start)
     slp_size, slp_height = validate_slg(slp)
     widened = widen_slg(slp, k)
@@ -691,13 +672,13 @@ def build_lcp_rmq_index(text: Text, epsilon: float = 0.5) -> LcpRmqIndex:
     ell = 2 * (1 << k)
     assert all(len(r) <= ell for r in widened.rules)
     stats = build_rule_stats(widened)
-    assert stats.exp_len[widened.start] == text.n
+    assert stats.exp_len[widened.start] == n
     return LcpRmqIndex(
         text=text,
         slg=widened,
         stats=stats,
-        isa=bundle.isa,
-        n=text.n,
+        isa=(0, *(r + 1 for r in isa0)),
+        n=n,
         k_widen=k,
         ell=ell,
         slp_size=slp_size,

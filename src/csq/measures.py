@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .text_core import Text, _lcp_kasai, suffix_array_prefix_doubling
+from .text_core import Text, suffix_core
 
 __all__ = [
     "DeltaValue",
@@ -33,16 +33,9 @@ __all__ = [
     "run_length_encode",
     "run_length_factorization",
     "substring_complexity",
+    "text_measures",
     "validate_lz_like",
 ]
-
-
-def _sa_isa_lcp(symbols: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
-    sa0 = suffix_array_prefix_doubling(symbols)
-    isa0 = [0] * len(sa0)
-    for r, j in enumerate(sa0):
-        isa0[j] = r
-    return sa0, isa0, _lcp_kasai(symbols, sa0, isa0)
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +90,14 @@ def lpf_with_sources(text: Text) -> tuple[list[int], list[int]]:
     once, and a pop resolves that position against its nearest smaller
     position on either side in suffix order.
     """
-    n = text.n
-    if n == 0:
+    if text.n == 0:
         raise ValueError("cannot compute LPF of an empty text")
-    sa0, _, lcp0 = _sa_isa_lcp(text.symbols)
+    sa0, _, lcp0 = suffix_core(text.symbols)
+    return _lpf_from_core(sa0, lcp0)
+
+
+def _lpf_from_core(sa0: Sequence[int], lcp0: Sequence[int]) -> tuple[list[int], list[int]]:
+    n = len(sa0)
     lpf = [0] * n
     src = [0] * n
     # Stack entries (pos, l): l is the LCE of pos's suffix with the suffix
@@ -162,10 +159,13 @@ def lz77_factorize(text: Text) -> LZFactorization:
     no such prefix exists.  The greedy factorization has the minimum phrase
     count among all factorizations accepted by validate_lz_like.
     """
-    n = text.n
-    if n == 0:
+    if text.n == 0:
         raise ValueError("cannot factorize an empty text")
-    lpf, src = lpf_with_sources(text)
+    return _lz77_from_lpf(text, *lpf_with_sources(text))
+
+
+def _lz77_from_lpf(text: Text, lpf: Sequence[int], src: Sequence[int]) -> LZFactorization:
+    n = text.n
     phrases: list[tuple[int, int]] = []
     j = 1
     while j <= n:
@@ -186,7 +186,8 @@ def validate_lz_like(text: Text, factorization: LZFactorization | Iterable[tuple
     a source position strictly before the phrase, and the text matches the
     source for the phrase's full length (overlap allowed).  Raises ValueError
     naming the first offending phrase index otherwise.  The returned size k
-    always satisfies z(T) <= k, which is asserted.
+    satisfies z(T) <= k because the greedy factorization is optimal; this
+    check runs in linear time and does not recompute z.
     """
     phrases = (
         factorization.phrases
@@ -222,9 +223,7 @@ def validate_lz_like(text: Text, factorization: LZFactorization | Iterable[tuple
             j += length
     if j != n + 1:
         raise ValueError(f"factorization covers {j - 1} of {n} symbols")
-    k = len(phrases)
-    assert lz77_factorize(text).phrase_count <= k
-    return k
+    return len(phrases)
 
 
 def run_length_factorization(text: Text) -> LZFactorization:
@@ -251,15 +250,17 @@ def run_length_factorization(text: Text) -> LZFactorization:
 
 def bwt_run_count(text: Text) -> int:
     """Number of maximal equal-symbol runs in the BWT of the text."""
-    n = text.n
-    if n == 0:
+    if text.n == 0:
         raise ValueError("cannot compute BWT runs of an empty text")
-    sa0, _, _ = _sa_isa_lcp(text.symbols)
-    syms = text.symbols
+    sa0, _, _ = suffix_core(text.symbols)
+    return _bwt_runs_from_sa(text.symbols, sa0)
+
+
+def _bwt_runs_from_sa(syms: Sequence[int], sa0: Sequence[int]) -> int:
     runs = 1
     prev = syms[sa0[0] - 1]  # index -1 wraps to the last symbol
-    for r in range(1, n):
-        c = syms[sa0[r] - 1]
+    for j in sa0:
+        c = syms[j - 1]
         if c != prev:
             runs += 1
             prev = c
@@ -294,10 +295,14 @@ def distinct_substring_counts(text: Text) -> list[int]:
     distinct substring is counted by dropping every suffix-array position
     whose LCP with its predecessor is at least l.
     """
-    n = text.n
-    if n == 0:
+    if text.n == 0:
         raise ValueError("cannot count substrings of an empty text")
-    _, _, lcp0 = _sa_isa_lcp(text.symbols)
+    _, _, lcp0 = suffix_core(text.symbols)
+    return _distinct_counts_from_lcp(lcp0)
+
+
+def _distinct_counts_from_lcp(lcp0: Sequence[int]) -> list[int]:
+    n = len(lcp0)
     hist = [0] * (n + 2)
     for r in range(1, n):
         hist[lcp0[r]] += 1
@@ -312,15 +317,29 @@ def distinct_substring_counts(text: Text) -> list[int]:
 
 def substring_complexity(text: Text) -> DeltaValue:
     """Exact substring complexity delta = max over l in [1..n] of d_l / l."""
-    counts = distinct_substring_counts(text)
+    return _delta_from_counts(distinct_substring_counts(text))
+
+
+def _delta_from_counts(counts: Sequence[int]) -> DeltaValue:
     best = Fraction(counts[0], 1)
     arg_len = 1
-    for length in range(2, text.n + 1):
+    for length in range(2, len(counts) + 1):
         value = Fraction(counts[length - 1], length)
         if value > best:
             best = value
             arg_len = length
     return DeltaValue(best.numerator, best.denominator, arg_len)
+
+
+def text_measures(text: Text) -> tuple[LZFactorization, int, DeltaValue]:
+    """The greedy LZ77 factorization, the BWT run count r, and delta, all
+    read off one suffix sort of the text."""
+    if text.n == 0:
+        raise ValueError("cannot measure an empty text")
+    sa0, _, lcp0 = suffix_core(text.symbols)
+    factorization = _lz77_from_lpf(text, *_lpf_from_core(sa0, lcp0))
+    runs = _bwt_runs_from_sa(text.symbols, sa0)
+    return factorization, runs, _delta_from_counts(_distinct_counts_from_lcp(lcp0))
 
 
 def delta_append_check(text: Text, symbol: int) -> tuple[DeltaValue, DeltaValue]:

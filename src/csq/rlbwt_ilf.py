@@ -7,12 +7,14 @@ predecessor search over J, a one-step successor adjustment, and O(1)
 arithmetic.  Space is therefore proportional to the BWT run count r rather
 than the text length.
 
-Three layers make the index work for arbitrary texts:
+Two layers make the index work for arbitrary texts:
 
-* effective-alphabet remap — symbols are replaced by their ranks, which
-  preserves the suffix order and hence every array involved;
-* termination — a unique smallest symbol 0 is appended after shifting all
-  symbols up by one, which appends at most 3 BWT runs;
+* termination — conceptually, all symbols are shifted up by one and a
+  unique smallest 0 is appended, which appends at most 3 BWT runs.  The
+  terminator suffix sorts first and leaves every other suffix in order,
+  so the terminated text's SA, BWT and LF are read off the original
+  text's single suffix sort, one rank further down; no symbol is
+  rewritten and any alphabet works;
 * unwrapping — inverse-LF answers for the terminated text are mapped back
   to the original text, with the lexicographically last suffix handled by
   the defining wrap-around i_last -> i_first.
@@ -20,7 +22,8 @@ Three layers make the index work for arbitrary texts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 from .predecessor import StaticKeySet, YFastTrie, pred, yfast_build, yfast_pred
 from .text_core import Text, suffix_array_prefix_doubling
@@ -51,11 +54,25 @@ class TerminatedText:
     i_last: int
 
 
-def _terminated_core(text: Text):
-    """One suffix sort of the terminated text, plus everything read off it.
+def _terminated_ranks(symbols: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The original text's 0-based SA, and the terminated text's 1-based
+    ranks indexed by 0-based position (the terminator at position n has
+    rank 1; every other suffix ranks one below its original rank)."""
+    sa0 = suffix_array_prefix_doubling(symbols)
+    rank1 = [1] * (len(sa0) + 1)
+    for r, j in enumerate(sa0):
+        rank1[j] = r + 2
+    return sa0, rank1
 
-    Returns (shifted symbols, sa1, isa1, bwt1, lf1, i_first, i_last,
-    r_original, r_shifted); the arrays are 1-based with a placeholder at 0.
+
+def append_terminator(text: Text) -> TerminatedText:
+    """Shift the alphabet up by one and append a unique smallest 0.
+
+    The terminator suffix sorts first and leaves the relative order of all
+    other suffixes unchanged, so the shifted text's suffix array is [n+1]
+    followed by the original one, and i_first/i_last are read off one sort
+    of the original text.  Appending costs at most 3 extra BWT runs, which
+    build_ilf_index checks on every build.
     """
     n = text.n
     if n == 0:
@@ -64,69 +81,23 @@ def _terminated_core(text: Text):
         raise ValueError(
             f"alphabet size {text.sigma} leaves no room to shift within the symbol width"
         )
-    shifted = [c + 1 for c in text.symbols]
-    shifted.append(0)
-    n1 = n + 1
-    sa0 = suffix_array_prefix_doubling(shifted)
-    sa1 = [0] + [p + 1 for p in sa0]
-    assert sa1[1] == n1  # the terminator suffix sorts first
-    isa1 = [0] * (n1 + 1)
-    for i in range(1, n1 + 1):
-        isa1[sa1[i]] = i
-    bwt1 = [0] * (n1 + 1)
-    lf1 = [0] * (n1 + 1)
-    for i in range(1, n1 + 1):
-        j = sa1[i]
-        if j > 1:
-            bwt1[i] = shifted[j - 2]
-            lf1[i] = isa1[j - 1]
-        else:
-            bwt1[i] = shifted[n1 - 1]
-            lf1[i] = isa1[n1]
-    r_shifted = 1 + sum(1 for i in range(2, n1 + 1) if bwt1[i] != bwt1[i - 1])
-    # BWT runs of the original text, read off the tail of the same sort:
-    # dropping the terminator suffix leaves the original suffix order.
-    orig = text.symbols
-    prev = None
-    r_original = 0
-    for i in range(2, n1 + 1):
-        j = sa1[i]
-        c = orig[j - 2] if j > 1 else orig[n - 1]
-        if c != prev:
-            r_original += 1
-            prev = c
-    assert r_shifted <= r_original + 3
-    i_first = isa1[1] - 1
-    i_last = isa1[n] - 1
-    return shifted, sa1, isa1, bwt1, lf1, i_first, i_last, r_original, r_shifted
-
-
-def append_terminator(text: Text) -> TerminatedText:
-    """Shift the alphabet up by one and append a unique smallest 0.
-
-    The terminator suffix sorts first and leaves the relative order of all
-    other suffixes unchanged, so the shifted text's suffix array is [n+1]
-    followed by the original one.  Appending costs at most 3 extra BWT runs,
-    which is asserted on every call.
-    """
-    shifted, _, _, _, _, i_first, i_last, _, _ = _terminated_core(text)
+    _, rank1 = _terminated_ranks(text.symbols)
     return TerminatedText(
         original=text,
-        shifted=Text.from_symbols(shifted, text.sigma + 1),
-        i_first=i_first,
-        i_last=i_last,
+        shifted=Text.from_symbols([c + 1 for c in text.symbols] + [0], text.sigma + 1),
+        i_first=rank1[0] - 1,
+        i_last=rank1[n - 1] - 1,
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class IlfIndex:
     """Run-boundary samples answering inverse-LF queries on the original text.
 
     boundary_keys holds J = {LF[i] : i a BWT run head of the terminated
     text}; ilf_at_boundary[k] is ILF at boundary_keys[k].  pred_keys is the
     binary-search flavor of the predecessor structure and trie the y-fast
-    flavor; queries use the trie unless it was built disabled.  pred_queries
-    counts predecessor searches, one per non-wrap query.
+    flavor; queries use the trie unless it was built disabled.
     """
 
     n: int
@@ -138,44 +109,67 @@ class IlfIndex:
     trie: YFastTrie | None
     r_original: int
     r_shifted: int
-    pred_queries: int = field(default=0, compare=False)
 
     @property
     def boundary_count(self) -> int:
         return len(self.boundary_keys)
 
+    @property
+    def stored_integers(self) -> int:
+        """Integers the index retains, counting both predecessor flavors.
+
+        Each y-fast level entry keeps a prefix and a (first, last) pair.
+        """
+        stored = len(self.boundary_keys) + len(self.ilf_at_boundary)
+        stored += len(self.pred_keys.keys)
+        if self.trie is not None:
+            stored += len(self.trie.reps)
+            stored += sum(len(bucket) for bucket in self.trie.buckets)
+            stored += 3 * sum(len(level) for level in self.trie.levels)
+        return stored
+
 
 def build_ilf_index(text: Text, use_yfast: bool = True) -> IlfIndex:
     """Build the O(r)-entry inverse-LF index for an arbitrary-alphabet text.
 
-    Symbols are first remapped to their ranks (an order-preserving step that
-    leaves every suffix-order array unchanged), the remapped text is
-    terminated, and one boundary entry is stored per BWT run of the result.
-    use_yfast selects the default y-fast predecessor flavor; the fallback
-    answers predecessor queries by binary search over the same keys.
+    One suffix sort of the original text gives the terminated text's BWT
+    and LF (see the module docstring), and one boundary entry is stored per
+    BWT run of the terminated text.  use_yfast selects the default y-fast
+    predecessor flavor; the fallback answers predecessor queries by binary
+    search over the same keys.
     """
-    if text.n == 0:
+    n = text.n
+    if n == 0:
         raise ValueError("cannot index an empty text")
-    ranks = {c: t for t, c in enumerate(sorted(set(text.symbols)))}
-    remapped = Text.from_symbols([ranks[c] for c in text.symbols], len(ranks))
-    (_, _, _, bwt1, lf1, i_first, i_last, r_original, r_shifted) = _terminated_core(
-        remapped
-    )
-    n1 = remapped.n + 1
-    heads = [1] + [i for i in range(2, n1 + 1) if bwt1[i] != bwt1[i - 1]]
-    pairs = sorted((lf1[i], i) for i in heads)
+    syms = text.symbols
+    sa0, rank1 = _terminated_ranks(syms)
+    bwt = [syms[j - 1] for j in sa0]  # index -1 wraps to T[n]
+    r_original = 1 + sum(1 for t in range(1, n) if bwt[t] != bwt[t - 1])
+    # Terminated BWT by 0-based rank: T[n] precedes the terminator suffix,
+    # and the terminator (None, unequal to every symbol; runs only compare
+    # equality, so the +1 shift is not applied) precedes the full text.
+    i_first = rank1[0] - 1
+    bwt1: list[int | None] = [syms[-1], *bwt]
+    bwt1[i_first] = None
+    heads = [0] + [t for t in range(1, n + 1) if bwt1[t] != bwt1[t - 1]]
+    r_shifted = len(heads)
+    if r_shifted > r_original + 3:
+        raise AssertionError(
+            f"terminating added {r_shifted - r_original} BWT runs, more than 3"
+        )
+    # LF at terminated rank t + 1 is the rank of the position before its
+    # suffix start; index -1 wraps from the full text to the terminator.
+    pairs = sorted((rank1[(sa0[t - 1] if t else n) - 1], t + 1) for t in heads)
     boundary_keys = tuple(p for p, _ in pairs)
     ilf_at_boundary = tuple(i for _, i in pairs)
-    assert len(boundary_keys) == r_shifted
-    assert boundary_keys[0] == 1
     return IlfIndex(
-        n=text.n,
+        n=n,
         i_first=i_first,
-        i_last=i_last,
+        i_last=rank1[n - 1] - 1,
         boundary_keys=boundary_keys,
         ilf_at_boundary=ilf_at_boundary,
-        pred_keys=StaticKeySet.build(boundary_keys, u=n1),
-        trie=yfast_build(boundary_keys, u=n1) if use_yfast else None,
+        pred_keys=StaticKeySet.build(boundary_keys, u=n + 1),
+        trie=yfast_build(boundary_keys, u=n + 1) if use_yfast else None,
         r_original=r_original,
         r_shifted=r_shifted,
     )
@@ -194,7 +188,6 @@ def ilf_query(index: IlfIndex, i: int) -> int:
     if i == index.i_last:
         return index.i_first
     j = i + 1
-    index.pred_queries += 1
     if index.trie is not None:
         k = yfast_pred(index.trie, j)
     else:

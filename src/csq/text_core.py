@@ -7,7 +7,9 @@ Conventions used throughout the package:
 * every public array is 1-indexed and stored with an unused placeholder at
   index 0, so that ``arr[i]`` reads exactly like the textbook definition.
 
-The bundle collects nine arrays:
+suffix_core sorts a text once and returns its 0-based SA, ISA and LCP; the
+bundle, the measures and the grammar all derive from it.  The bundle
+collects nine arrays:
 
     SA       suffix array: SA[i] = start of the i-th suffix in sorted order
     ISA      inverse permutation of SA
@@ -23,7 +25,7 @@ The bundle collects nine arrays:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 
 @dataclass(frozen=True)
@@ -147,6 +149,20 @@ def _lcp_kasai(symbols: Sequence[int], sa0: list[int], isa0: list[int]) -> list[
     return lcp0
 
 
+def suffix_core(symbols: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """0-based (SA, ISA, LCP) of a text: one prefix-doubling sort, its
+    inverse, and Kasai's LCP pass.
+
+    Every structure of a text derives from these three rows; deriving them
+    here once keeps each text to a single suffix sort.
+    """
+    sa0 = suffix_array_prefix_doubling(symbols)
+    isa0 = [0] * len(sa0)
+    for r, j in enumerate(sa0):
+        isa0[j] = r
+    return sa0, isa0, _lcp_kasai(symbols, sa0, isa0)
+
+
 @dataclass(frozen=True)
 class SuffixArrayBundle:
     """The nine arrays of a text, each 1-indexed with a placeholder at 0."""
@@ -167,33 +183,16 @@ class SuffixArrayBundle:
         return self.text.n
 
 
-def build_bundle(
-    text: Text,
-    sorter: Callable[[Sequence[int]], list[int]] = suffix_array_prefix_doubling,
-) -> SuffixArrayBundle:
-    """Compute all nine arrays of ``text``.
-
-    ``sorter`` may be swapped for :func:`suffix_array_naive` to cross-check
-    the default prefix-doubling sort.
-    """
+def build_bundle(text: Text) -> SuffixArrayBundle:
+    """Compute all nine arrays of ``text`` from its suffix core."""
     n = text.n
     if n == 0:
         raise ValueError("cannot build a suffix-array bundle for an empty text")
     syms = text.symbols
-    sa0 = sorter(syms)
-    isa0 = [0] * n
-    for r, j in enumerate(sa0):
-        isa0[j] = r
-    lcp0 = _lcp_kasai(syms, sa0, isa0)
-
-    sa = [0] * (n + 1)
-    isa = [0] * (n + 1)
-    lcp = [0] * (n + 1)
-    for r in range(n):
-        sa[r + 1] = sa0[r] + 1
-        lcp[r + 1] = lcp0[r]
-    for j in range(n):
-        isa[j + 1] = isa0[j] + 1
+    sa0, isa0, lcp0 = suffix_core(syms)
+    sa = [0] + [j + 1 for j in sa0]
+    isa = [0] + [r + 1 for r in isa0]
+    lcp = [0] + lcp0
 
     plcp = [0] * (n + 1)
     for r in range(1, n + 1):

@@ -26,7 +26,6 @@ from csq.gadgets import (
     verify_reduction,
 )
 from csq.grammar_lcp_rmq import (
-    build_diff_lcp_slg,
     build_lcp_rmq_index,
     diff_lcp_from_bundle,
     expand,
@@ -233,7 +232,7 @@ def test_c06_lcp_rmq_and_lce_exhaustive_ranges_within_sixty_seconds():
         text = random_text(rng, n, sigma)
         bundle = build_bundle(text)
         diff = diff_lcp_from_bundle(bundle)
-        slg, _ = build_diff_lcp_slg(text)
+        slg = build_lcp_rmq_index(text).slg
         values = expand(slg, slg.start)
         assert values == list(diff.values)
         assert list(accumulate(values)) == list(bundle.lcp[1:])

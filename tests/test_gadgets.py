@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from csq import gadgets
 from csq.gadgets import (
     KINDS,
     all_inputs,
@@ -29,7 +30,7 @@ from csq.gadgets import (
     verify_many,
     verify_reduction,
 )
-from csq.measures import run_length_encode
+from csq.measures import LZFactorization, run_length_encode
 from csq.text_core import Text
 
 from conftest import FIG_ASCII, FIG_INV_PHI, FIG_PHI
@@ -288,6 +289,16 @@ def test_negative_control_corrupted_anchor():
     assert not report.ok
     query, got, want = report.first_mismatch
     assert got != want
+
+
+def test_certificate_beating_greedy_raises(monkeypatch):
+    """Greedy LZ77 is optimal, so no certificate may have fewer phrases."""
+    g = plcp_pred_gadget([2, 5, 9])
+    cert_size = proof_certificate(g)[0].phrase_count
+    worse = LZFactorization(((0, 0),) * (cert_size + 1), g.text.n)
+    monkeypatch.setattr(gadgets, "lz77_factorize", lambda text: worse)
+    with pytest.raises(AssertionError, match="certificate"):
+        verify_reduction("plcp-pred", g)
 
 
 def test_recompute_anchors_is_idempotent():

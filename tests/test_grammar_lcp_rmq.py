@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from csq.grammar_lcp_rmq import (
     Nt,
     Slg,
-    build_diff_lcp_slg,
     build_lcp_rmq_index,
     build_rule_stats,
     diff_lcp_from_bundle,
@@ -233,11 +232,11 @@ def test_interval_argmin_errors():
 
 
 def test_diff_lcp_small_examples(fig_text):
-    _, stats = build_diff_lcp_slg(Text.from_ascii("aaaa"))
+    stats = build_lcp_rmq_index(Text.from_ascii("aaaa")).stats
     assert expand(stats.slg, stats.slg.start) == [0, 1, 1, 1]
-    slg, _ = build_diff_lcp_slg(fig_text)
+    slg = build_lcp_rmq_index(fig_text).slg
     assert expand(slg, slg.start) == FIG_DIFF
-    slg1, _ = build_diff_lcp_slg(Text.from_ascii("q"))
+    slg1 = build_lcp_rmq_index(Text.from_ascii("q")).slg
     assert expand(slg1, slg1.start) == [0]
 
 
@@ -245,7 +244,8 @@ def test_diff_lcp_small_examples(fig_text):
 @settings(max_examples=40, deadline=None)
 def test_diff_lcp_grammar_properties(symbols):
     t = Text.from_symbols(symbols, 4)
-    slg, stats = build_diff_lcp_slg(t)
+    index = build_lcp_rmq_index(t)
+    slg, stats = index.slg, index.stats
     b = build_bundle(t)
     diff = diff_lcp_from_bundle(b)
     assert expand(slg, slg.start) == list(diff.values)
@@ -274,9 +274,9 @@ def test_widen_slg_direct():
 
 def test_epsilon_validation(fig_text):
     with pytest.raises(ValueError):
-        build_diff_lcp_slg(fig_text, epsilon=0.0)
+        build_lcp_rmq_index(fig_text, epsilon=0.0)
     with pytest.raises(ValueError):
-        build_diff_lcp_slg(fig_text, epsilon=1.0)
+        build_lcp_rmq_index(fig_text, epsilon=1.0)
 
 
 # ---------------------------------------------------------------------------

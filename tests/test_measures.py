@@ -16,6 +16,7 @@ from csq.measures import (
     run_length_encode,
     run_length_factorization,
     substring_complexity,
+    text_measures,
     validate_lz_like,
 )
 from csq.text_core import Text, build_bundle, lce_naive
@@ -290,6 +291,22 @@ def test_delta_append_bound(symbols, c):
     t = Text.from_symbols(symbols, 2)
     before, after = delta_append_check(t, c)
     assert after.value <= before.value + 1
+
+
+# ---------------------------------------------------------------------------
+# All three measures from one sort
+
+
+@given(small_texts)
+@settings(max_examples=60, deadline=None)
+def test_text_measures_equal_separate_measures(symbols):
+    t = Text.from_symbols(symbols, 4)
+    assert text_measures(t) == (lz77_factorize(t), bwt_run_count(t), substring_complexity(t))
+
+
+def test_text_measures_empty_text_errors():
+    with pytest.raises(ValueError):
+        text_measures(Text.from_symbols([]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csq import rlbwt_ilf
 from csq.measures import bwt_run_count
 from csq.rlbwt_ilf import append_terminator, build_ilf_index, ilf_query
 from csq.text_core import Text, build_bundle
@@ -165,10 +166,49 @@ def test_ilf_query_larger_random_sweep():
         assert all(ilf_query(idx, i) == b.ilf[i] for i in range(1, n + 1))
 
 
-def test_one_predecessor_query_per_lookup(fig_text):
-    idx = build_ilf_index(fig_text)
-    assert idx.pred_queries == 0
-    for i in range(1, 20):
-        ilf_query(idx, i)
-    # Every position except the wrap-around i_last costs one search.
-    assert idx.pred_queries == 19 - 1
+def test_one_predecessor_query_per_lookup(fig_text, monkeypatch):
+    calls = []
+
+    def counting(name):
+        search = getattr(rlbwt_ilf, name)
+
+        def counted(keys, x):
+            calls.append(name)
+            return search(keys, x)
+
+        return counted
+
+    for name in ("yfast_pred", "pred"):
+        monkeypatch.setattr(rlbwt_ilf, name, counting(name))
+    for use_yfast, flavor in ((True, "yfast_pred"), (False, "pred")):
+        idx = build_ilf_index(fig_text, use_yfast=use_yfast)
+        calls.clear()
+        for i in range(1, 20):
+            ilf_query(idx, i)
+        # Every position except the wrap-around i_last costs one search.
+        assert calls == [flavor] * (19 - 1)
+
+
+def test_stored_integers_figure(fig_text):
+    # 8 boundary keys, 8 samples and the 8 binary-search keys; the y-fast
+    # trie adds 10 representatives and bucket keys plus 10 level entries of
+    # 3 integers each.
+    assert build_ilf_index(fig_text, use_yfast=False).stored_integers == 24
+    assert build_ilf_index(fig_text, use_yfast=True).stored_integers == 64
+
+
+@pytest.mark.parametrize("sigma", [2, 5, 40])
+def test_wide_alphabet_matches_bundle(sigma):
+    """Symbols past the terminator's width limit index without any remap."""
+    rng = random.Random(sigma)
+    base = 2**31
+    for _ in range(20):
+        n = rng.randint(1, 200)
+        symbols = [base + 7919 * rng.randrange(sigma) for _ in range(n)]
+        t = Text.from_symbols(symbols)
+        with pytest.raises(ValueError):
+            append_terminator(t)
+        b = build_bundle(t)
+        idx = build_ilf_index(t, use_yfast=bool(n % 2))
+        assert idx.r_original == bwt_run_count(t)
+        assert [ilf_query(idx, i) for i in range(1, n + 1)] == list(b.ilf[1:])

@@ -1,9 +1,15 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csq import cli
+from csq.gadgets import KINDS, build_gadget, random_input, verify_reduction
+from csq.grammar_lcp_rmq import build_lcp_rmq_index
+from csq.measures import lz77_factorize, validate_lz_like
+from csq.rlbwt_ilf import build_ilf_index
 from csq.text_core import (
     PatternRange,
     Text,
@@ -140,6 +146,39 @@ def test_bundle_matches_naive_sort_random():
         sigma = rng.choice([2, 4, 26])
         syms = [rng.randrange(sigma) for _ in range(n)]
         assert suffix_array_prefix_doubling(syms) == suffix_array_naive(syms)
+
+
+def test_one_suffix_sort_per_entry_point(monkeypatch, tmp_path, fig_text):
+    """Every structure of a text derives from a single suffix sort."""
+    sorts = []
+
+    def counted(symbols):
+        sorts.append(len(symbols))
+        return suffix_array_prefix_doubling(symbols)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "csq" and hasattr(module, "suffix_array_prefix_doubling"):
+            monkeypatch.setattr(module, "suffix_array_prefix_doubling", counted)
+
+    def sort_count(call):
+        sorts.clear()
+        call()
+        return len(sorts)
+
+    path = tmp_path / "fig.txt"
+    path.write_text(FIG_ASCII)
+    assert sort_count(lambda: cli.main(["measures", "--input", str(path)])) == 1
+    assert sort_count(lambda: build_bundle(fig_text)) == 1
+    assert sort_count(lambda: build_ilf_index(fig_text)) == 1
+    assert sort_count(lambda: build_lcp_rmq_index(fig_text)) == 1
+    factorization = lz77_factorize(fig_text)
+    assert sort_count(lambda: validate_lz_like(fig_text, factorization)) == 0
+    rng = random.Random(0x50)
+    for kind in KINDS:
+        if kind == "phi-inverse":
+            continue  # its oracles also sort the original, a second text
+        gadget = build_gadget(kind, random_input(kind, 3, rng))
+        assert sort_count(lambda: verify_reduction(kind, gadget)) == 1, kind
 
 
 def test_isa_counts_smaller_suffixes(fig_text, fig_bundle):
