@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from . import gadgets
 from .grammar_lcp_rmq import build_lcp_rmq_index, lce_query, lcp_rmq
-from .measures import bwt_run_count, run_length_encode, text_measures
+from .measures import bwt_run_count_from_isa, run_length_encode, text_measures
 from .rlbwt_ilf import build_ilf_index, ilf_query
 from .text_core import Text, build_bundle
 
@@ -255,7 +255,7 @@ def _grammar_report(config: RunConfig, report: Report, text: Text, index) -> Non
     report.add("slp_height", index.slp_height)
     report.add("size", index.size)
     report.add("height", index.height)
-    r = bwt_run_count(text)
+    r = bwt_run_count_from_isa(text, index.isa)
     report.add("bwt_runs", r)
     if text.n >= 2:
         log = math.log2(text.n)

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .measures import (
     LZFactorization,
-    lz77_factorize,
+    lz77_from_bundle,
     run_length_encode,
     run_length_factorization,
     validate_lz_like,
@@ -730,9 +730,14 @@ def verify_reduction(
     sentinels just outside the domain — is checked; otherwise a seeded
     sample of at most ``sample_limit`` queries is.  The report also
     compares the stored anchors against freshly recomputed ones and
-    validates the closed-form LZ-like certificate of the text.  Raises
-    AssertionError if the certificate has fewer phrases than the greedy
-    factorization, which the optimality of greedy LZ77 rules out.
+    validates the closed-form LZ-like certificate of the text.
+
+    The greedy phrase count ``z`` is read off the instance's stored
+    bundle, so verification sorts nothing, and the parse is validated
+    against the text itself.  Greedy LZ77 is optimal, so a faulty bundle
+    can only overstate ``z`` (or yield a parse that fails validation with
+    ValueError).  Raises AssertionError if the certificate has fewer
+    phrases than the greedy factorization, which optimality rules out.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown gadget kind {kind!r}")
@@ -752,7 +757,7 @@ def verify_reduction(
                 first = (query, got, want)
     certificate, bound = proof_certificate(instance)
     cert_size = validate_lz_like(instance.text, certificate)
-    z = lz77_factorize(instance.text).phrase_count
+    z = validate_lz_like(instance.text, lz77_from_bundle(instance.bundle))
     if z > cert_size:
         raise AssertionError(
             f"greedy LZ77 has {z} phrases, more than the {cert_size}-phrase certificate"

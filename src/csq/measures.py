@@ -16,19 +16,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .text_core import Text, suffix_core
+from .text_core import SuffixArrayBundle, Text, suffix_core
 
 __all__ = [
     "DeltaValue",
     "LZFactorization",
     "RunLengthEncoding",
     "bwt_run_count",
+    "bwt_run_count_from_isa",
     "delta_append_check",
     "lpf_array",
     "lpf_with_sources",
     "lz77_factorize",
+    "lz77_from_bundle",
     "morphism_expand",
     "run_length_encode",
     "run_length_factorization",
@@ -100,22 +104,26 @@ def _lpf_from_core(sa0: Sequence[int], lcp0: Sequence[int]) -> tuple[list[int], 
     n = len(sa0)
     lpf = [0] * n
     src = [0] * n
-    # Stack entries (pos, l): l is the LCE of pos's suffix with the suffix
-    # directly below it on the stack (0 for the bottom entry).
-    stack: list[tuple[int, int]] = []
-    for t in range(n + 1):
-        cur_pos = sa0[t] if t < n else -1
-        cur_lcp = lcp0[t] if t < n else 0
-        while stack and stack[-1][0] > cur_pos:
-            pos, l = stack.pop()
+    # Two parallel stacks: poss holds positions and lces[i] the LCE of the
+    # suffix at poss[i] with the one directly below it.  The -2 sentinel
+    # sits below every position, so it is never popped, and an entry pushed
+    # onto the bare sentinel always carries LCE 0.
+    poss = [-2]
+    lces = [0]
+    for cur_pos, cur_lcp in zip(chain(sa0, (-1,)), chain(lcp0, (0,))):
+        while poss[-1] > cur_pos:
+            pos = poss.pop()
+            l = lces.pop()
             if l >= cur_lcp:
                 lpf[pos] = l
-                src[pos] = stack[-1][0] + 1 if l > 0 else 0
+                if l:
+                    src[pos] = poss[-1] + 1
             else:
                 lpf[pos] = cur_lcp
                 src[pos] = cur_pos + 1
-            cur_lcp = min(l, cur_lcp)
-        stack.append((cur_pos, cur_lcp if stack else 0))
+                cur_lcp = l
+        poss.append(cur_pos)
+        lces.append(cur_lcp)
     return lpf, src
 
 
@@ -162,6 +170,15 @@ def lz77_factorize(text: Text) -> LZFactorization:
     if text.n == 0:
         raise ValueError("cannot factorize an empty text")
     return _lz77_from_lpf(text, *lpf_with_sources(text))
+
+
+def lz77_from_bundle(bundle: SuffixArrayBundle) -> LZFactorization:
+    """Greedy LZ77 factorization read off a text's stored bundle, with no
+    suffix sort: the same LPF pass as lz77_factorize over the bundle's SA
+    and LCP rows.  Pair it with validate_lz_like to check the parse against
+    the text itself rather than trust the bundle."""
+    sa0 = [j - 1 for j in bundle.sa[1:]]
+    return _lz77_from_lpf(bundle.text, *_lpf_from_core(sa0, bundle.lcp[1:]))
 
 
 def _lz77_from_lpf(text: Text, lpf: Sequence[int], src: Sequence[int]) -> LZFactorization:
@@ -215,11 +232,15 @@ def validate_lz_like(text: Text, factorization: LZFactorization | Iterable[tuple
                 )
             if j + length - 1 > n:
                 raise ValueError(f"phrase {idx}: copy runs past the end of the text")
-            for t in range(length):
-                if syms[j - 1 + t] != syms[a - 1 + t]:
-                    raise ValueError(
-                        f"phrase {idx}: source {a} matches only {t} < {length} symbols"
-                    )
+            # Comparing the two text slices is the overlap-allowed definition:
+            # T[a..a+length) must equal T[j..j+length) as written in the text.
+            if syms[j - 1 : j - 1 + length] != syms[a - 1 : a - 1 + length]:
+                t = next(
+                    t for t in range(length) if syms[j - 1 + t] != syms[a - 1 + t]
+                )
+                raise ValueError(
+                    f"phrase {idx}: source {a} matches only {t} < {length} symbols"
+                )
             j += length
     if j != n + 1:
         raise ValueError(f"factorization covers {j - 1} of {n} symbols")
@@ -253,6 +274,15 @@ def bwt_run_count(text: Text) -> int:
     if text.n == 0:
         raise ValueError("cannot compute BWT runs of an empty text")
     sa0, _, _ = suffix_core(text.symbols)
+    return _bwt_runs_from_sa(text.symbols, sa0)
+
+
+def bwt_run_count_from_isa(text: Text, isa: Sequence[int]) -> int:
+    """BWT run count read off a stored 1-indexed ISA (placeholder at 0),
+    such as a bundle's or an LCP-RMQ index's, with no suffix sort."""
+    sa0 = [0] * text.n
+    for j in range(1, text.n + 1):
+        sa0[isa[j] - 1] = j - 1
     return _bwt_runs_from_sa(text.symbols, sa0)
 
 
@@ -321,14 +351,14 @@ def substring_complexity(text: Text) -> DeltaValue:
 
 
 def _delta_from_counts(counts: Sequence[int]) -> DeltaValue:
-    best = Fraction(counts[0], 1)
-    arg_len = 1
-    for length in range(2, len(counts) + 1):
-        value = Fraction(counts[length - 1], length)
-        if value > best:
-            best = value
-            arg_len = length
-    return DeltaValue(best.numerator, best.denominator, arg_len)
+    # Integer scan: c / length beats num / den exactly when
+    # c * den > num * length; the strict test keeps the smallest arg_len.
+    num, den = counts[0], 1
+    for length, c in enumerate(counts[1:], start=2):
+        if c * den > num * length:
+            num, den = c, length
+    g = gcd(num, den)
+    return DeltaValue(num // g, den // g, den)
 
 
 def text_measures(text: Text) -> tuple[LZFactorization, int, DeltaValue]:

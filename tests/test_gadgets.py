@@ -295,10 +295,28 @@ def test_certificate_beating_greedy_raises(monkeypatch):
     """Greedy LZ77 is optimal, so no certificate may have fewer phrases."""
     g = plcp_pred_gadget([2, 5, 9])
     cert_size = proof_certificate(g)[0].phrase_count
-    worse = LZFactorization(((0, 0),) * (cert_size + 1), g.text.n)
-    monkeypatch.setattr(gadgets, "lz77_factorize", lambda text: worse)
+    # The all-literal parse is valid, so only the phrase-count check fails.
+    literals = LZFactorization(tuple((c, 0) for c in g.text.symbols), g.text.n)
+    assert literals.phrase_count > cert_size
+    monkeypatch.setattr(gadgets, "lz77_from_bundle", lambda bundle: literals)
     with pytest.raises(AssertionError, match="certificate"):
         verify_reduction("plcp-pred", g)
+
+
+def test_verify_rejects_bundle_with_faulty_lcp():
+    """A faulty stored bundle never passes silently: zeroed LCPs overstate z
+    and fail the certificate check, and inflated LCPs give a parse that does
+    not spell the text, which validation rejects."""
+    g = plcp_pred_gadget([2, 5, 9])
+
+    def with_lcp(lcp):
+        return dataclasses.replace(g, bundle=dataclasses.replace(g.bundle, lcp=lcp))
+
+    with pytest.raises(AssertionError, match="certificate"):
+        verify_reduction("plcp-pred", with_lcp((0,) * len(g.bundle.lcp)))
+    n = g.text.n
+    with pytest.raises(ValueError, match="phrase"):
+        verify_reduction("plcp-pred", with_lcp((0, 0) + (n,) * (n - 1)))
 
 
 def test_recompute_anchors_is_idempotent():

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from csq.measures import (
     DeltaValue,
     bwt_run_count,
+    bwt_run_count_from_isa,
     delta_append_check,
     distinct_substring_counts,
     lpf_array,
     lpf_with_sources,
     lz77_factorize,
+    lz77_from_bundle,
     morphism_expand,
     run_length_encode,
     run_length_factorization,
@@ -168,6 +170,13 @@ def test_lz77_decodes_and_validates(symbols):
     assert validate_lz_like(t, f) == f.phrase_count
 
 
+@given(small_texts)
+@settings(max_examples=60, deadline=None)
+def test_lz77_from_bundle_equals_lz77_factorize(symbols):
+    t = Text.from_symbols(symbols, 4)
+    assert lz77_from_bundle(build_bundle(t)) == lz77_factorize(t)
+
+
 # ---------------------------------------------------------------------------
 # validate_lz_like
 
@@ -187,6 +196,13 @@ def test_validate_rejects_bad_phrases(fig_text):
         validate_lz_like(t, [(ord("a"), 0), (1, 9)])  # runs past the end
     with pytest.raises(ValueError, match="covers"):
         validate_lz_like(t, [(ord("a"), 0), (ord("b"), 0)])
+
+
+def test_validate_reports_matched_prefix_of_overlapping_copy():
+    """A self-overlapping copy that fails names how many symbols matched."""
+    t = Text.from_ascii("aaaab")
+    with pytest.raises(ValueError, match=r"^phrase 2: source 1 matches only 3 < 4 symbols$"):
+        validate_lz_like(t, [(ord("a"), 0), (1, 4)])
 
 
 def _random_valid_factorization(rng, t: Text) -> list[tuple[int, int]]:
@@ -248,6 +264,7 @@ def test_bwt_run_count_matches_bundle(symbols):
     bwt = build_bundle(t).bwt[1:]
     runs = 1 + sum(1 for a, b in zip(bwt, bwt[1:]) if a != b)
     assert bwt_run_count(t) == runs
+    assert bwt_run_count_from_isa(t, build_bundle(t).isa) == runs
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,8 @@ def test_one_suffix_sort_per_entry_point(monkeypatch, tmp_path, fig_text):
     path = tmp_path / "fig.txt"
     path.write_text(FIG_ASCII)
     assert sort_count(lambda: cli.main(["measures", "--input", str(path)])) == 1
+    assert sort_count(lambda: cli.main(["lcp-rmq", "--input", str(path)])) == 1
+    assert sort_count(lambda: cli.main(["lce", "--input", str(path)])) == 1
     assert sort_count(lambda: build_bundle(fig_text)) == 1
     assert sort_count(lambda: build_ilf_index(fig_text)) == 1
     assert sort_count(lambda: build_lcp_rmq_index(fig_text)) == 1
@@ -178,7 +180,7 @@ def test_one_suffix_sort_per_entry_point(monkeypatch, tmp_path, fig_text):
         if kind == "phi-inverse":
             continue  # its oracles also sort the original, a second text
         gadget = build_gadget(kind, random_input(kind, 3, rng))
-        assert sort_count(lambda: verify_reduction(kind, gadget)) == 1, kind
+        assert sort_count(lambda: verify_reduction(kind, gadget)) == 0, kind
 
 
 def test_isa_counts_smaller_suffixes(fig_text, fig_bundle):
