@@ -16,12 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import statistics
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Sequence
 
 from . import gadgets
@@ -320,28 +321,25 @@ def _cmd_gadget_verify(config: RunConfig, report: Report) -> int:
     kind = config.kind
     size = config.size
     assert kind is not None and size is not None
+    if config.workers < 1:
+        raise CliError("--workers must be at least 1")
+    trials = config.trials if config.trials is not None else 20
     try:
-        if config.exhaustive:
-            inputs = list(gadgets.all_inputs(kind, size))
-        else:
-            trials = config.trials if config.trials is not None else 20
-            if trials < 1:
-                raise CliError("--trials must be at least 1")
-            rng = random.Random(config.seed)
-            inputs = [gadgets.random_input(kind, size, rng) for _ in range(trials)]
+        count, inputs = gadgets.instance_inputs(
+            kind, size, exhaustive=config.exhaustive, trials=trials, seed=config.seed
+        )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    if config.workers > 1:
+    workers = min(config.workers, os.cpu_count() or 1, count)
+    verify = partial(_verify_one, kind)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(inputs) // (config.workers * 4))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(partial(_verify_one, kind), inputs, chunksize=chunk))
+        chunk = max(1, count // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            merged = reduce(gadgets.merge_reports, pool.map(verify, inputs, chunksize=chunk))
     else:
-        results = [_verify_one(kind, data) for data in inputs]
-    merged = results[0]
-    for one in results[1:]:
-        merged = gadgets.merge_reports(merged, one)
+        merged = reduce(gadgets.merge_reports, map(verify, inputs))
     report.add("kind", kind)
     report.add("size", size)
     report.add("mode", "exhaustive" if config.exhaustive else "trials")
@@ -358,9 +356,8 @@ def _cmd_gadget_verify(config: RunConfig, report: Report) -> int:
     report.add("anchors_consistent", merged.anchors_consistent)
     if merged.first_mismatch is not None:
         report.add("first_mismatch", repr(merged.first_mismatch))
-    ok = merged.mismatch_count == 0 and merged.anchors_consistent
-    report.add("ok", ok)
-    return 0 if ok else 1
+    report.add("ok", merged.ok)
+    return 0 if merged.ok else 1
 
 
 _HANDLERS: dict[str, Callable[[RunConfig, Report], int]] = {
@@ -477,7 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="shard instances across this many processes (default single-threaded)",
+        help="shard instances across up to this many processes, at most one per CPU (default 1)",
     )
     return parser
 

@@ -8,34 +8,35 @@ index mapping.  ``verify_reduction`` replays every in-contract query
 through both the mapping and the direct definition and reports
 disagreements, together with run-length and LZ-like phrase-count
 certificates of the gadget text's compressibility.
+
+One table, ``_TABLE``, holds what each kind is: its input family, its
+builder and anchor derivation, its closed-form text length and run
+count, its query replay, and its certificate.  The closed-form contracts
+raise AssertionError explicitly, so they hold under ``python -O``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from functools import reduce
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .measures import (
     LZFactorization,
+    RunLengthEncoding,
     lz77_from_bundle,
+    repeat_factorization,
     run_length_encode,
-    run_length_factorization,
     validate_lz_like,
 )
 from .text_core import SuffixArrayBundle, Text, build_bundle, pattern_range
 
-KINDS = (
-    "lcp-select",
-    "isa-count",
-    "bwt-color",
-    "plcp-pred",
-    "phi-pred",
-    "ilf-pred",
-    "phi-inverse",
-)
+EXHAUSTIVE_BUDGET = 10**6
+"""The most inputs ``all_inputs`` enumerates; larger families are rejected."""
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ def merge_reports(a: ReductionReport, b: ReductionReport) -> ReductionReport:
 
 
 # ---------------------------------------------------------------------------
-# Input validation and binary block codes
+# Input validation, binary block codes, and repeated-unit texts
 
 
 def _checked_permutation(values: Sequence[int]) -> tuple[int, ...]:
@@ -141,13 +142,57 @@ def _ebin(x: int, k: int) -> list[int]:
     return [1] * (k + 1) + [0] + _bits(x, k) + [0]
 
 
+def _owned_counts(keys: Sequence[int]) -> list[int]:
+    """For i in 0..m, how many x in [1..m^2] have exactly i elements below them."""
+    m = len(keys)
+    bounds = (0,) + tuple(keys) + (m * m,)
+    return [bounds[i + 1] - bounds[i] for i in range(m + 1)]
+
+
+Blocks = list[tuple[Sequence[int], int]]
+
+
+def _spell(blocks: Blocks) -> list[int]:
+    """The text of (unit, copies) blocks: each unit repeated copies times."""
+    symbols: list[int] = []
+    for unit, copies in blocks:
+        symbols += list(unit) * copies
+    return symbols
+
+
 def _expect_kind(gadget: GadgetInstance, kind: str) -> None:
     if gadget.kind != kind:
         raise ValueError(f"expected a {kind} gadget, got {gadget.kind}")
 
 
+def _instance(kind: str, data: tuple[int, ...], text: Text) -> GadgetInstance:
+    """Check the closed-form length, then sort once and derive the anchors."""
+    spec = _TABLE[kind]
+    want = spec.length(data)
+    if text.n != want:
+        raise AssertionError(f"{kind} text has length {text.n}, not the closed-form {want}")
+    bundle = build_bundle(text)
+    return GadgetInstance(kind, data, text, spec.anchors(data, text, bundle.sa), bundle)
+
+
 # ---------------------------------------------------------------------------
-# Range selection via LCP
+# Range selection via LCP and range counting via ISA
+
+
+def _threshold_blocks(perm: tuple[int, ...]) -> list[int]:
+    """Blocks 0^{A[i]} 1^i per position i, then the separator 0^{n+1} 1^{n+1}."""
+    n = len(perm)
+    symbols: list[int] = []
+    for i, a in enumerate(perm, start=1):
+        symbols += [0] * a + [1] * i
+    return symbols + [0] * (n + 1) + [1] * (n + 1)
+
+
+def _threshold_anchors(perm: tuple[int, ...], text: Text, sa: Sequence[int]) -> dict[str, object]:
+    """n and the rank anchors R[v] = RangeBeg(0^v 1), with R[0] = 0."""
+    n = len(perm)
+    ranks = tuple(pattern_range(text, sa, [0] * v + [1]).range_beg for v in range(1, n + 1))
+    return {"n": n, "R": (0,) + ranks}
 
 
 def lcp_select_gadget(values: Sequence[int]) -> GadgetInstance:
@@ -160,21 +205,7 @@ def lcp_select_gadget(values: Sequence[int]) -> GadgetInstance:
     LCP entry r steps in reveals the r-th qualifying index.
     """
     perm = _checked_permutation(values)
-    n = len(perm)
-    symbols: list[int] = []
-    for i, a in enumerate(perm, start=1):
-        symbols += [0] * a + [1] * i
-    symbols += [0] * (n + 1) + [1] * (n + 1)
-    text = Text.from_symbols(symbols, 2)
-    assert text.n == (n + 2) * (n + 1)
-    assert run_length_encode(text).run_count == 2 * (n + 1)
-    bundle = build_bundle(text)
-    ranks = tuple(
-        pattern_range(text, bundle.sa, [0] * v + [1]).range_beg
-        for v in range(1, n + 1)
-    )
-    anchors = {"n": n, "R": (0,) + ranks}
-    return GadgetInstance("lcp-select", perm, text, anchors, bundle)
+    return _instance("lcp-select", perm, Text.from_symbols(_threshold_blocks(perm), 2))
 
 
 def select_via_lcp(gadget: GadgetInstance, v: int, r: int) -> int:
@@ -196,10 +227,6 @@ def select_via_lcp(gadget: GadgetInstance, v: int, r: int) -> int:
     return gadget.bundle.lcp[anchor + r + 1] - v
 
 
-# ---------------------------------------------------------------------------
-# Range counting via ISA
-
-
 def isa_count_gadget(values: Sequence[int]) -> GadgetInstance:
     """Encode a permutation so ISA entries answer range counting.
 
@@ -210,27 +237,10 @@ def isa_count_gadget(values: Sequence[int]) -> GadgetInstance:
     """
     perm = _checked_permutation(values)
     n = len(perm)
-    symbols: list[int] = []
-    for i, a in enumerate(perm, start=1):
-        symbols += [0] * a + [1] * i
-    symbols += [0] * (n + 1) + [1] * (n + 1)
+    symbols = _threshold_blocks(perm)
     for i in range(1, n + 2):
         symbols += [0] * (n + 1) + [1] * i
-    text = Text.from_symbols(symbols, 2)
-    assert text.n == (5 * n + 8) * (n + 1) // 2
-    assert run_length_encode(text).run_count == 4 * (n + 1)
-    bundle = build_bundle(text)
-    ranks = tuple(
-        pattern_range(text, bundle.sa, [0] * v + [1]).range_beg
-        for v in range(1, n + 1)
-    )
-    anchors = {
-        "n": n,
-        "R": (0,) + ranks,
-        "ell1": n * (n + 1),
-        "ell2": 2 * (n + 1),
-    }
-    return GadgetInstance("isa-count", perm, text, anchors, bundle)
+    return _instance("isa-count", perm, Text.from_symbols(symbols, 2))
 
 
 def count_via_isa(gadget: GadgetInstance, j: int, v: int) -> int:
@@ -256,6 +266,22 @@ def count_via_isa(gadget: GadgetInstance, j: int, v: int) -> int:
 # Colored predecessor via BWT
 
 
+def _code_anchors(keys: tuple[int, ...], text: Text, sa: Sequence[int], **heads: int) -> dict:
+    """m, the code width k, and per name the rank anchor RangeBeg(1^{k+head} 0)."""
+    m = len(keys)
+    k = m.bit_length()
+    anchors: dict[str, object] = {"m": m, "k": k}
+    for name, head in heads.items():
+        anchors[name] = pattern_range(text, sa, [1] * (k + head) + [0]).range_beg
+    return anchors
+
+
+def _bwt_color_blocks(keys: tuple[int, ...]) -> Blocks:
+    """Per rank i, the parity bit and framed code of i, once per owned x."""
+    k = len(keys).bit_length()
+    return [([i % 2] + _ebin(i, k), c) for i, c in enumerate(_owned_counts(keys))]
+
+
 def bwt_color_gadget(values: Sequence[int], m: int | None = None) -> GadgetInstance:
     """Encode a sorted m-set from [1..m^2] so BWT symbols answer
     colored-predecessor queries.
@@ -266,20 +292,8 @@ def bwt_color_gadget(values: Sequence[int], m: int | None = None) -> GadgetInsta
     is exactly the parity of the predecessor's rank.
     """
     keys = _checked_sorted_set(values, m)
-    m = len(keys)
-    k = m.bit_length()
-    bounds = (0,) + keys + (m * m,)
-    symbols: list[int] = []
-    for i in range(m + 1):
-        copies = bounds[i + 1] - bounds[i]
-        block = [i % 2] + _ebin(i, k)
-        symbols += block * copies
-    text = Text.from_symbols(symbols, 2)
-    assert text.n == (2 * k + 4) * m * m
-    bundle = build_bundle(text)
-    anchor = pattern_range(text, bundle.sa, [1] * (k + 1) + [0]).range_beg
-    anchors = {"m": m, "k": k, "b": anchor}
-    return GadgetInstance("bwt-color", keys, text, anchors, bundle)
+    text = Text.from_symbols(_spell(_bwt_color_blocks(keys)), 2)
+    return _instance("bwt-color", keys, text)
 
 
 def color_via_bwt(gadget: GadgetInstance, x: int) -> int:
@@ -312,12 +326,7 @@ def plcp_pred_gadget(values: Sequence[int], m: int | None = None) -> GadgetInsta
         symbols += [0] * a + [1] * (m - i + 2)
     symbols += [0] * (m * m + 1) + [1]
     symbols += [0] * (m * m) + [1] * (m + 2)
-    text = Text.from_symbols(symbols, 2)
-    assert text.n == sum(keys) + ((m + 1) * (m + 2) // 2 - 1) + 2 * m * m + m + 4
-    assert run_length_encode(text).run_count == 2 * (m + 2)
-    bundle = build_bundle(text)
-    anchors = {"m": m, "delta": text.n - (m * m + m + 2)}
-    return GadgetInstance("plcp-pred", keys, text, anchors, bundle)
+    return _instance("plcp-pred", keys, Text.from_symbols(symbols, 2))
 
 
 def phi_pred_gadget(values: Sequence[int], m: int | None = None) -> GadgetInstance:
@@ -336,12 +345,18 @@ def phi_pred_gadget(values: Sequence[int], m: int | None = None) -> GadgetInstan
         symbols += [0] * a + [1] * (m * m - a + 2)
     symbols += [0] * (m * m + 1) + [1]
     symbols += [0] * (m * m) + [1] * (m * m + 2)
-    text = Text.from_symbols(symbols, 2)
-    assert text.n == m**3 + 3 * m * m + 2 * m + 4
-    assert run_length_encode(text).run_count == 2 * (m + 2)
-    bundle = build_bundle(text)
-    anchors = {"m": m, "delta": text.n - 2 * (m * m + 1)}
-    return GadgetInstance("phi-pred", keys, text, anchors, bundle)
+    return _instance("phi-pred", keys, Text.from_symbols(symbols, 2))
+
+
+def _ilf_pred_blocks(keys: tuple[int, ...]) -> Blocks:
+    """Per rank i, c_i marked and m^2 - c_i unmarked framed codes of i."""
+    m = len(keys)
+    k = m.bit_length()
+    blocks: Blocks = []
+    for i, copies in enumerate(_owned_counts(keys)):
+        code = _ebin(i, k)
+        blocks += [([1] + code, copies), (code, m * m - copies)]
+    return blocks
 
 
 def ilf_pred_gadget(values: Sequence[int], m: int | None = None) -> GadgetInstance:
@@ -355,26 +370,8 @@ def ilf_pred_gadget(values: Sequence[int], m: int | None = None) -> GadgetInstan
     the predecessor's block, in a band of width m^2.
     """
     keys = _checked_sorted_set(values, m)
-    m = len(keys)
-    k = m.bit_length()
-    bounds = (0,) + keys + (m * m,)
-    symbols: list[int] = []
-    for i in range(m + 1):
-        copies = bounds[i + 1] - bounds[i]
-        code = _ebin(i, k)
-        symbols += ([1] + code) * copies
-        symbols += code * (m * m - copies)
-    text = Text.from_symbols(symbols, 2)
-    assert text.n == m * m + (2 * k + 3) * (m + 1) * m * m
-    bundle = build_bundle(text)
-    alpha = pattern_range(text, bundle.sa, [1] * (k + 2) + [0]).range_beg
-    beta = pattern_range(text, bundle.sa, [1] * (k + 1) + [0]).range_beg
-    anchors = {"m": m, "k": k, "alpha": alpha, "beta": beta}
-    return GadgetInstance("ilf-pred", keys, text, anchors, bundle)
-
-
-def _pred_result(gadget: GadgetInstance, rank: int) -> tuple[int, int | None]:
-    return (rank, gadget.input[rank - 1] if rank >= 1 else None)
+    text = Text.from_symbols(_spell(_ilf_pred_blocks(keys)), 2)
+    return _instance("ilf-pred", keys, text)
 
 
 def _pred_frame(
@@ -383,9 +380,8 @@ def _pred_frame(
     m = gadget.anchors["m"]
     if x < 1:
         return (0, None)
-    if x > m * m:
-        return _pred_result(gadget, m)
-    return _pred_result(gadget, rank_fn(gadget, x))
+    rank = m if x > m * m else rank_fn(gadget, x)
+    return (rank, gadget.input[rank - 1] if rank >= 1 else None)
 
 
 def _plcp_pred_rank(gadget: GadgetInstance, x: int) -> int:
@@ -460,17 +456,22 @@ def phi_inverse_transform(text: Text, sigma: int | None = None) -> GadgetInstanc
     for a in text.symbols:
         symbols += [0, 0, 1, sigma - 1 - a, 1]
     symbols.append(1)
-    prime = Text.from_symbols(symbols, max(2, sigma))
-    assert prime.n == 5 * text.n + 1
-    source = build_bundle(text)
-    bundle = build_bundle(prime)
-    anchors = {
-        "n": text.n,
-        "sigma": sigma,
-        "j_lexfirst": source.sa[1],
-        "j_lexlast": source.sa[text.n],
-    }
-    return GadgetInstance("phi-inverse", text.symbols, prime, anchors, bundle)
+    return _instance("phi-inverse", text.symbols, Text.from_symbols(symbols, max(2, sigma)))
+
+
+def _phi_inverse_anchors(data: tuple[int, ...], text: Text, sa: Sequence[int]) -> dict[str, object]:
+    """n, sigma read off the first block, and the original text's
+    lexicographically first and last suffixes from a sort of the original."""
+    n = len(data)
+    sigma = text.symbols[3] + 1 + data[0]
+    source = build_bundle(Text.from_symbols(data, sigma))
+    return {"n": n, "sigma": sigma, "j_lexfirst": source.sa[1], "j_lexlast": source.sa[n]}
+
+
+def _block_start_to_position(landed: int) -> int:
+    if landed % 5 != 1:
+        raise AssertionError(f"transform position {landed} is not a block start")
+    return (landed - 1) // 5 + 1
 
 
 def phi_via_invphi(gadget: GadgetInstance, j: int) -> int:
@@ -481,9 +482,7 @@ def phi_via_invphi(gadget: GadgetInstance, j: int) -> int:
         raise IndexError(f"position {j} out of [1..{n}]")
     if j == gadget.anchors["j_lexfirst"]:
         return gadget.anchors["j_lexlast"]
-    landed = gadget.bundle.inv_phi[5 * j - 4]
-    assert landed % 5 == 1
-    return (landed - 1) // 5 + 1
+    return _block_start_to_position(gadget.bundle.inv_phi[5 * j - 4])
 
 
 def invphi_via_phi(gadget: GadgetInstance, j: int) -> int:
@@ -494,13 +493,11 @@ def invphi_via_phi(gadget: GadgetInstance, j: int) -> int:
         raise IndexError(f"position {j} out of [1..{n}]")
     if j == gadget.anchors["j_lexlast"]:
         return gadget.anchors["j_lexfirst"]
-    landed = gadget.bundle.phi[5 * j - 4]
-    assert landed % 5 == 1
-    return (landed - 1) // 5 + 1
+    return _block_start_to_position(gadget.bundle.phi[5 * j - 4])
 
 
 # ---------------------------------------------------------------------------
-# Definitional oracles
+# Definitional oracles and query replay
 
 
 def _definition_select(perm: Sequence[int], v: int, r: int) -> int:
@@ -518,8 +515,50 @@ def _definition_pred(keys: Sequence[int], x: int) -> tuple[int, int | None]:
     return (rank, keys[rank - 1] if rank >= 1 else None)
 
 
+Replay = Callable[[GadgetInstance], Iterator[tuple]]
+
+
+def _replay(
+    via: Callable[..., object],
+    definition: Callable[..., object],
+    domain: Callable[[int], Iterator[tuple]],
+) -> Replay:
+    """Yield (query, via(gadget, *query), definition(input, *query)) for
+    every query of the domain of the input's size."""
+
+    def replay(gadget: GadgetInstance) -> Iterator[tuple]:
+        data = gadget.input
+        for query in domain(len(data)):
+            yield query, via(gadget, *query), definition(data, *query)
+
+    return replay
+
+
+def _universe_queries(m: int) -> Iterator[tuple]:
+    return ((x,) for x in range(0, m * m + 2))
+
+
+def _replay_phi_inverse(gadget: GadgetInstance) -> Iterator[tuple]:
+    source = build_bundle(Text.from_symbols(gadget.input, gadget.anchors["sigma"]))
+    n = len(gadget.input)
+    for j in range(1, n + 1):
+        yield ("phi", j), phi_via_invphi(gadget, j), source.phi[j]
+    for j in range(1, n + 1):
+        yield ("invphi", j), invphi_via_phi(gadget, j), source.inv_phi[j]
+
+
 # ---------------------------------------------------------------------------
 # Compressibility certificates
+
+
+def _run_certificate(gadget: GadgetInstance, rle: RunLengthEncoding) -> tuple[Blocks, int]:
+    """One block per run: at most twice the run count phrases."""
+    return [((symbol,), length) for symbol, length in rle.runs], 2 * rle.run_count
+
+
+def _certificate(gadget: GadgetInstance, rle: RunLengthEncoding) -> tuple[LZFactorization, int]:
+    blocks, bound = _spec(gadget.kind).certificate(gadget, rle)
+    return repeat_factorization(blocks, gadget.text.n), bound
 
 
 def proof_certificate(gadget: GadgetInstance) -> tuple[LZFactorization, int]:
@@ -530,55 +569,173 @@ def proof_certificate(gadget: GadgetInstance) -> tuple[LZFactorization, int]:
     self-overlapping copy, giving (m+1)(2k+5) phrases for bwt-color and
     (m+1)(4k+9) for ilf-pred; every other kind is covered by the
     run-length factorization with at most twice the run count.
+    ``verify_reduction`` checks the phrase count against the bound.
     """
-    kind, text = gadget.kind, gadget.text
-    if kind == "bwt-color":
-        m, k = gadget.anchors["m"], gadget.anchors["k"]
-        bounds = (0,) + gadget.input + (m * m,)
-        unit = 2 * k + 4
-        phrases: list[tuple[int, int]] = []
-        pos = 1
-        for i in range(m + 1):
-            copies = bounds[i + 1] - bounds[i]
-            if copies == 0:
-                continue
-            phrases += [(s, 0) for s in [i % 2] + _ebin(i, k)]
-            if copies >= 2:
-                phrases.append((pos, (copies - 1) * unit))
-            pos += copies * unit
-        bound = (m + 1) * (2 * k + 5)
-    elif kind == "ilf-pred":
-        m, k = gadget.anchors["m"], gadget.anchors["k"]
-        bounds = (0,) + gadget.input + (m * m,)
-        phrases = []
-        pos = 1
-        for i in range(m + 1):
-            copies = bounds[i + 1] - bounds[i]
-            rest = m * m - copies
-            code = _ebin(i, k)
-            if copies >= 1:
-                phrases += [(s, 0) for s in [1] + code]
-                if copies >= 2:
-                    phrases.append((pos, (copies - 1) * (2 * k + 4)))
-                pos += copies * (2 * k + 4)
-            if rest >= 1:
-                phrases += [(s, 0) for s in code]
-                if rest >= 2:
-                    phrases.append((pos, (rest - 1) * (2 * k + 3)))
-                pos += rest * (2 * k + 3)
-        bound = (m + 1) * (4 * k + 9)
-    else:
-        factorization = run_length_factorization(text)
-        bound = 2 * run_length_encode(text).run_count
-        assert factorization.phrase_count <= bound
-        return factorization, bound
-    factorization = LZFactorization(tuple(phrases), text.n)
-    assert factorization.phrase_count <= bound
-    return factorization, bound
+    return _certificate(gadget, run_length_encode(gadget.text))
+
+
+# ---------------------------------------------------------------------------
+# Input families
+
+
+@dataclass(frozen=True)
+class _Family:
+    """The valid inputs of one size: all of them, a seeded draw, and their count."""
+
+    every: Callable[[int], Iterator[tuple[int, ...]]]
+    draw: Callable[[int, random.Random], tuple[int, ...]]
+    count: Callable[[int], int]
+
+
+def _draw_permutation(n: int, rng: random.Random) -> tuple[int, ...]:
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return tuple(perm)
+
+
+_PERMUTATIONS = _Family(
+    every=lambda n: itertools.permutations(range(1, n + 1)),
+    draw=_draw_permutation,
+    count=math.factorial,
+)
+_SETS = _Family(
+    every=lambda m: itertools.combinations(range(1, m * m + 1), m),
+    draw=lambda m, rng: tuple(sorted(rng.sample(range(1, m * m + 1), m))),
+    count=lambda m: math.comb(m * m, m),
+)
+_BITS = _Family(
+    every=lambda n: itertools.product((0, 1), repeat=n),
+    draw=lambda n, rng: tuple(rng.randrange(2) for _ in range(n)),
+    count=lambda n: 2**n,
+)
+
+
+# ---------------------------------------------------------------------------
+# The kind table
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """Everything the module knows about one gadget kind.
+
+    ``anchors`` derives the anchors from the input, the text and its suffix
+    array; ``length`` and ``runs`` give an input's closed-form text length
+    and, where one exists, run count.
+    """
+
+    family: _Family
+    build: Callable[[Sequence[int]], GadgetInstance]
+    anchors: Callable[[tuple[int, ...], Text, Sequence[int]], dict[str, object]]
+    length: Callable[[tuple[int, ...]], int]
+    replay: Replay
+    runs: Callable[[tuple[int, ...]], int] | None = None
+    certificate: Callable[[GadgetInstance, RunLengthEncoding], tuple[Blocks, int]] = (
+        _run_certificate
+    )
+
+
+_TABLE: dict[str, _Kind] = {
+    "lcp-select": _Kind(
+        family=_PERMUTATIONS,
+        build=lcp_select_gadget,
+        anchors=_threshold_anchors,
+        length=lambda p: (len(p) + 2) * (len(p) + 1),
+        runs=lambda p: 2 * (len(p) + 1),
+        replay=_replay(
+            select_via_lcp,
+            _definition_select,
+            lambda n: ((v, r) for v in range(0, n + 1) for r in range(1, n - max(v, 1) + 2)),
+        ),
+    ),
+    "isa-count": _Kind(
+        family=_PERMUTATIONS,
+        build=isa_count_gadget,
+        anchors=lambda p, text, sa: {
+            **_threshold_anchors(p, text, sa),
+            "ell1": len(p) * (len(p) + 1),
+            "ell2": 2 * (len(p) + 1),
+        },
+        length=lambda p: (5 * len(p) + 8) * (len(p) + 1) // 2,
+        runs=lambda p: 4 * (len(p) + 1),
+        replay=_replay(
+            count_via_isa,
+            _definition_count,
+            lambda n: ((j, v) for j in range(0, n + 1) for v in range(0, n + 2)),
+        ),
+    ),
+    "bwt-color": _Kind(
+        family=_SETS,
+        build=bwt_color_gadget,
+        anchors=lambda a, text, sa: _code_anchors(a, text, sa, b=1),
+        length=lambda a: (2 * len(a).bit_length() + 4) * len(a) ** 2,
+        replay=_replay(color_via_bwt, lambda a, x: bisect_left(a, x) % 2, _universe_queries),
+        certificate=lambda g, rle: (
+            _bwt_color_blocks(g.input),
+            (g.anchors["m"] + 1) * (2 * g.anchors["k"] + 5),
+        ),
+    ),
+    "plcp-pred": _Kind(
+        family=_SETS,
+        build=plcp_pred_gadget,
+        anchors=lambda a, text, sa: {"m": len(a), "delta": text.n - (len(a) ** 2 + len(a) + 2)},
+        length=lambda a: (
+            sum(a) + ((len(a) + 1) * (len(a) + 2) // 2 - 1) + 2 * len(a) ** 2 + len(a) + 4
+        ),
+        runs=lambda a: 2 * (len(a) + 2),
+        replay=_replay(pred_via_plcp, _definition_pred, _universe_queries),
+    ),
+    "phi-pred": _Kind(
+        family=_SETS,
+        build=phi_pred_gadget,
+        anchors=lambda a, text, sa: {"m": len(a), "delta": text.n - 2 * (len(a) ** 2 + 1)},
+        length=lambda a: len(a) ** 3 + 3 * len(a) ** 2 + 2 * len(a) + 4,
+        runs=lambda a: 2 * (len(a) + 2),
+        replay=_replay(pred_via_phi, _definition_pred, _universe_queries),
+    ),
+    "ilf-pred": _Kind(
+        family=_SETS,
+        build=ilf_pred_gadget,
+        anchors=lambda a, text, sa: _code_anchors(a, text, sa, alpha=2, beta=1),
+        length=lambda a: len(a) ** 2 * (1 + (2 * len(a).bit_length() + 3) * (len(a) + 1)),
+        replay=_replay(pred_via_ilf, _definition_pred, _universe_queries),
+        certificate=lambda g, rle: (
+            _ilf_pred_blocks(g.input),
+            (g.anchors["m"] + 1) * (4 * g.anchors["k"] + 9),
+        ),
+    ),
+    "phi-inverse": _Kind(
+        family=_BITS,
+        build=lambda s: phi_inverse_transform(Text.from_symbols(s, max(2, max(s, default=1) + 1))),
+        anchors=_phi_inverse_anchors,
+        length=lambda s: 5 * len(s) + 1,
+        replay=_replay_phi_inverse,
+    ),
+}
+
+KINDS = tuple(_TABLE)
+
+
+def _spec(kind: str) -> _Kind:
+    try:
+        return _TABLE[kind]
+    except KeyError:
+        raise ValueError(f"unknown gadget kind {kind!r}") from None
+
+
+def _family(kind: str, size: int) -> _Family:
+    family = _spec(kind).family
+    if size < 1:
+        raise ValueError("size must be at least 1")
+    return family
 
 
 # ---------------------------------------------------------------------------
 # Verification harness
+
+
+def build_gadget(kind: str, data: Sequence[int]) -> GadgetInstance:
+    """Construct a gadget of the given kind from its raw input."""
+    return _spec(kind).build(data)
 
 
 def recompute_anchors(gadget: GadgetInstance) -> dict[str, object]:
@@ -586,178 +743,54 @@ def recompute_anchors(gadget: GadgetInstance) -> dict[str, object]:
 
     Rank anchors are recomputed with pattern_range over the gadget's
     suffix array; offsets follow their closed forms.  For phi-inverse
-    the boundary positions come from re-sorting the original text, and
-    sigma is a transform parameter copied as stored.
+    sigma is read off the transform's first block and the boundary
+    positions come from re-sorting the original text.
     """
-    kind, text, sa = gadget.kind, gadget.text, gadget.bundle.sa
-    if kind in ("lcp-select", "isa-count"):
-        n = len(gadget.input)
-        ranks = (0,) + tuple(
-            pattern_range(text, sa, [0] * v + [1]).range_beg for v in range(1, n + 1)
-        )
-        anchors: dict[str, object] = {"n": n, "R": ranks}
-        if kind == "isa-count":
-            anchors["ell1"] = n * (n + 1)
-            anchors["ell2"] = 2 * (n + 1)
-        return anchors
-    if kind == "bwt-color":
-        m = len(gadget.input)
-        k = m.bit_length()
-        anchor = pattern_range(text, sa, [1] * (k + 1) + [0]).range_beg
-        return {"m": m, "k": k, "b": anchor}
-    if kind == "plcp-pred":
-        m = len(gadget.input)
-        return {"m": m, "delta": text.n - (m * m + m + 2)}
-    if kind == "phi-pred":
-        m = len(gadget.input)
-        return {"m": m, "delta": text.n - 2 * (m * m + 1)}
-    if kind == "ilf-pred":
-        m = len(gadget.input)
-        k = m.bit_length()
-        return {
-            "m": m,
-            "k": k,
-            "alpha": pattern_range(text, sa, [1] * (k + 2) + [0]).range_beg,
-            "beta": pattern_range(text, sa, [1] * (k + 1) + [0]).range_beg,
-        }
-    if kind == "phi-inverse":
-        sigma = gadget.anchors["sigma"]
-        n = len(gadget.input)
-        source = build_bundle(Text.from_symbols(gadget.input, sigma))
-        return {
-            "n": n,
-            "sigma": sigma,
-            "j_lexfirst": source.sa[1],
-            "j_lexlast": source.sa[n],
-        }
-    raise ValueError(f"unknown gadget kind {kind!r}")
+    spec = _spec(gadget.kind)
+    return spec.anchors(gadget.input, gadget.text, gadget.bundle.sa)
 
 
-def _query_domain(gadget: GadgetInstance) -> list[tuple]:
-    kind = gadget.kind
-    if kind == "lcp-select":
-        n = len(gadget.input)
-        return [
-            (v, r) for v in range(0, n + 1) for r in range(1, n - max(v, 1) + 2)
-        ]
-    if kind == "isa-count":
-        n = len(gadget.input)
-        return [(j, v) for j in range(0, n + 1) for v in range(0, n + 2)]
-    if kind in ("bwt-color", "plcp-pred", "phi-pred", "ilf-pred"):
-        m = len(gadget.input)
-        return [(x,) for x in range(0, m * m + 2)]
-    if kind == "phi-inverse":
-        n = gadget.anchors["n"]
-        return [("phi", j) for j in range(1, n + 1)] + [
-            ("invphi", j) for j in range(1, n + 1)
-        ]
-    raise ValueError(f"unknown gadget kind {kind!r}")
-
-
-def _run_lcp_select(gadget: GadgetInstance) -> Callable[[tuple], tuple]:
-    def run(query: tuple) -> tuple:
-        v, r = query
-        return select_via_lcp(gadget, v, r), _definition_select(gadget.input, v, r)
-
-    return run
-
-
-def _run_isa_count(gadget: GadgetInstance) -> Callable[[tuple], tuple]:
-    def run(query: tuple) -> tuple:
-        j, v = query
-        return count_via_isa(gadget, j, v), _definition_count(gadget.input, j, v)
-
-    return run
-
-
-def _run_bwt_color(gadget: GadgetInstance) -> Callable[[tuple], tuple]:
-    def run(query: tuple) -> tuple:
-        (x,) = query
-        return color_via_bwt(gadget, x), _definition_pred(gadget.input, x)[0] % 2
-
-    return run
-
-
-def _make_pred_runner(
-    query_fn: Callable[[GadgetInstance, int], tuple[int, int | None]],
-) -> Callable[[GadgetInstance], Callable[[tuple], tuple]]:
-    def factory(gadget: GadgetInstance) -> Callable[[tuple], tuple]:
-        def run(query: tuple) -> tuple:
-            (x,) = query
-            return query_fn(gadget, x), _definition_pred(gadget.input, x)
-
-        return run
-
-    return factory
-
-
-def _run_phi_inverse(gadget: GadgetInstance) -> Callable[[tuple], tuple]:
-    source = build_bundle(
-        Text.from_symbols(gadget.input, gadget.anchors["sigma"])
-    )
-
-    def run(query: tuple) -> tuple:
-        direction, j = query
-        if direction == "phi":
-            return phi_via_invphi(gadget, j), source.phi[j]
-        return invphi_via_phi(gadget, j), source.inv_phi[j]
-
-    return run
-
-
-_QUERY_RUNNERS: dict[str, Callable[[GadgetInstance], Callable[[tuple], tuple]]] = {
-    "lcp-select": _run_lcp_select,
-    "isa-count": _run_isa_count,
-    "bwt-color": _run_bwt_color,
-    "plcp-pred": _make_pred_runner(pred_via_plcp),
-    "phi-pred": _make_pred_runner(pred_via_phi),
-    "ilf-pred": _make_pred_runner(pred_via_ilf),
-    "phi-inverse": _run_phi_inverse,
-}
-
-
-def verify_reduction(
-    kind: str,
-    instance: GadgetInstance,
-    exhaustive: bool = True,
-    *,
-    sample_limit: int = 256,
-    seed: int = 0,
-) -> ReductionReport:
+def verify_reduction(kind: str, instance: GadgetInstance) -> ReductionReport:
     """Replay a gadget's query domain against the direct definitions.
 
-    With ``exhaustive`` every in-contract query — plus the out-of-band
-    sentinels just outside the domain — is checked; otherwise a seeded
-    sample of at most ``sample_limit`` queries is.  The report also
-    compares the stored anchors against freshly recomputed ones and
-    validates the closed-form LZ-like certificate of the text.
+    Every in-contract query — plus the out-of-band sentinels just outside
+    the domain — is checked.  The report also compares the stored anchors
+    against freshly recomputed ones and validates the closed-form LZ-like
+    certificate of the text.
 
     The greedy phrase count ``z`` is read off the instance's stored
     bundle, so verification sorts nothing, and the parse is validated
     against the text itself.  Greedy LZ77 is optimal, so a faulty bundle
     can only overstate ``z`` (or yield a parse that fails validation with
-    ValueError).  Raises AssertionError if the certificate has fewer
-    phrases than the greedy factorization, which optimality rules out.
+    ValueError).  Raises AssertionError if the text's run count differs
+    from its closed form, if the certificate exceeds its closed-form
+    bound, or if the certificate has fewer phrases than the greedy
+    factorization, which optimality rules out.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown gadget kind {kind!r}")
+    spec = _spec(kind)
     if instance.kind != kind:
         raise ValueError(f"instance kind {instance.kind!r} does not match {kind!r}")
-    queries = _query_domain(instance)
-    if not exhaustive and len(queries) > sample_limit:
-        queries = random.Random(seed).sample(queries, sample_limit)
-    run = _QUERY_RUNNERS[kind](instance)
-    mismatches = 0
+    text = instance.text
+    rle = run_length_encode(text)
+    if spec.runs is not None and rle.run_count != spec.runs(instance.input):
+        raise AssertionError(
+            f"{kind} text has {rle.run_count} runs, not the closed-form {spec.runs(instance.input)}"
+        )
+    queries = mismatches = 0
     first: tuple | None = None
-    for query in queries:
-        got, want = run(query)
+    for query, got, want in spec.replay(instance):
+        queries += 1
         if got != want:
             mismatches += 1
             if first is None:
                 first = (query, got, want)
-    certificate, bound = proof_certificate(instance)
-    cert_size = validate_lz_like(instance.text, certificate)
-    z = validate_lz_like(instance.text, lz77_from_bundle(instance.bundle))
+    certificate, bound = _certificate(instance, rle)
+    cert_size = validate_lz_like(text, certificate)
+    if cert_size > bound:
+        raise AssertionError(
+            f"{kind} certificate has {cert_size} phrases, over its closed-form bound {bound}"
+        )
+    z = validate_lz_like(text, lz77_from_bundle(instance.bundle))
     if z > cert_size:
         raise AssertionError(
             f"greedy LZ77 has {z} phrases, more than the {cert_size}-phrase certificate"
@@ -765,10 +798,10 @@ def verify_reduction(
     return ReductionReport(
         kind=kind,
         instances=1,
-        query_count=len(queries),
+        query_count=queries,
         mismatch_count=mismatches,
-        text_length=instance.text.n,
-        rl_runs=run_length_encode(instance.text).run_count,
+        text_length=text.n,
+        rl_runs=rle.run_count,
         lz_phrases=z,
         cert_phrases=cert_size,
         cert_bound=bound,
@@ -781,56 +814,53 @@ def verify_reduction(
 # Instance enumeration
 
 
-_BUILDERS: dict[str, Callable[[Sequence[int]], GadgetInstance]] = {
-    "lcp-select": lcp_select_gadget,
-    "isa-count": isa_count_gadget,
-    "bwt-color": bwt_color_gadget,
-    "plcp-pred": plcp_pred_gadget,
-    "phi-pred": phi_pred_gadget,
-    "ilf-pred": ilf_pred_gadget,
-}
-
-
-def build_gadget(kind: str, data: Sequence[int]) -> GadgetInstance:
-    """Construct a gadget of the given kind from its raw input."""
-    if kind == "phi-inverse":
-        symbols = tuple(int(s) for s in data)
-        sigma = max(2, (max(symbols) + 1) if symbols else 2)
-        return phi_inverse_transform(Text.from_symbols(symbols, sigma))
-    try:
-        builder = _BUILDERS[kind]
-    except KeyError:
-        raise ValueError(f"unknown gadget kind {kind!r}") from None
-    return builder(data)
-
-
 def all_inputs(kind: str, size: int) -> Iterator[tuple[int, ...]]:
-    """Every valid input of the given size, in deterministic order."""
-    if size < 1:
-        raise ValueError("size must be at least 1")
-    if kind in ("lcp-select", "isa-count"):
-        return (tuple(p) for p in itertools.permutations(range(1, size + 1)))
-    if kind in ("bwt-color", "plcp-pred", "phi-pred", "ilf-pred"):
-        universe = range(1, size * size + 1)
-        return (tuple(c) for c in itertools.combinations(universe, size))
-    if kind == "phi-inverse":
-        return (tuple(bits) for bits in itertools.product((0, 1), repeat=size))
-    raise ValueError(f"unknown gadget kind {kind!r}")
+    """Every valid input of the given size, in deterministic order.
+
+    The family is counted in closed form first (n! permutations,
+    C(m^2, m) sets, 2^n bit strings); families of more than
+    EXHAUSTIVE_BUDGET inputs raise ValueError before any is enumerated.
+    """
+    family = _family(kind, size)
+    # Every family passes 2**63 inputs by size 64; larger sizes go uncounted.
+    count = family.count(size) if size <= 64 else None
+    if count is None or count > EXHAUSTIVE_BUDGET:
+        shown = count if count is not None else "more than 2**63"
+        raise ValueError(
+            f"{kind} at size {size} has {shown} inputs, "
+            f"over the exhaustive budget of {EXHAUSTIVE_BUDGET}"
+        )
+    return family.every(size)
 
 
 def random_input(kind: str, size: int, rng: random.Random) -> tuple[int, ...]:
     """One uniformly drawn valid input of the given size."""
-    if size < 1:
-        raise ValueError("size must be at least 1")
-    if kind in ("lcp-select", "isa-count"):
-        perm = list(range(1, size + 1))
-        rng.shuffle(perm)
-        return tuple(perm)
-    if kind in ("bwt-color", "plcp-pred", "phi-pred", "ilf-pred"):
-        return tuple(sorted(rng.sample(range(1, size * size + 1), size)))
-    if kind == "phi-inverse":
-        return tuple(rng.randrange(2) for _ in range(size))
-    raise ValueError(f"unknown gadget kind {kind!r}")
+    return _family(kind, size).draw(size, rng)
+
+
+def instance_inputs(
+    kind: str,
+    size: int,
+    *,
+    exhaustive: bool = False,
+    trials: int = 20,
+    seed: int = 0,
+) -> tuple[int, Iterator[tuple[int, ...]]]:
+    """How many inputs ``verify_many`` replays, and a stream of them.
+
+    ``exhaustive`` enumerates ``all_inputs`` (within EXHAUSTIVE_BUDGET);
+    otherwise ``trials`` inputs are drawn from ``random.Random(seed)``.
+    Raises ValueError for an unknown kind, a size below 1, an
+    over-budget family, or fewer than one trial.
+    """
+    family = _family(kind, size)
+    if exhaustive:
+        inputs = all_inputs(kind, size)
+        return family.count(size), inputs
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    rng = random.Random(seed)
+    return trials, (family.draw(size, rng) for _ in range(trials))
 
 
 def verify_many(
@@ -847,14 +877,6 @@ def verify_many(
     ``trials`` seeded random inputs are drawn.  Queries are replayed
     exhaustively either way.
     """
-    if exhaustive:
-        inputs: Iterable[tuple[int, ...]] = all_inputs(kind, size)
-    else:
-        rng = random.Random(seed)
-        inputs = (random_input(kind, size, rng) for _ in range(max(1, trials)))
-    report: ReductionReport | None = None
-    for data in inputs:
-        one = verify_reduction(kind, build_gadget(kind, data))
-        report = one if report is None else merge_reports(report, one)
-    assert report is not None
-    return report
+    _, inputs = instance_inputs(kind, size, exhaustive=exhaustive, trials=trials, seed=seed)
+    reports = (verify_reduction(kind, build_gadget(kind, data)) for data in inputs)
+    return reduce(merge_reports, reports)

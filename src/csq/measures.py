@@ -5,7 +5,8 @@ array with matching sources, greedy LZ77 factorization, a validator for
 arbitrary LZ77-like factorizations, the BWT run count r, and the substring
 complexity measure delta, together with the measure lemmas the rest of the
 package relies on (append stability of delta, factorizations induced by
-uniform morphisms, and the canonical factorization of a run-length encoding).
+uniform morphisms, and the canonical factorization of a text spelled as
+repeated blocks, such as its runs).
 
 Conventions match text_core: texts are 1-indexed in the API, phrase sources
 are 1-based text positions, and all quantities are exact (delta is kept as a
@@ -34,6 +35,7 @@ __all__ = [
     "lz77_factorize",
     "lz77_from_bundle",
     "morphism_expand",
+    "repeat_factorization",
     "run_length_encode",
     "run_length_factorization",
     "substring_complexity",
@@ -247,6 +249,25 @@ def validate_lz_like(text: Text, factorization: LZFactorization | Iterable[tuple
     return len(phrases)
 
 
+def repeat_factorization(blocks: Iterable[tuple[Sequence[int], int]], n: int) -> LZFactorization:
+    """The LZ77-like factorization of a length-n text spelled as blocks.
+
+    Each block (unit, copies) stands for ``copies`` repetitions of ``unit``.
+    A nonempty block contributes the unit's literals plus, when repeated,
+    one self-overlapping copy of the remaining copies.
+    """
+    phrases: list[tuple[int, int]] = []
+    j = 1
+    for unit, copies in blocks:
+        if copies == 0:
+            continue
+        phrases += [(s, 0) for s in unit]
+        if copies > 1:
+            phrases.append((j, (copies - 1) * len(unit)))
+        j += copies * len(unit)
+    return LZFactorization(tuple(phrases), n)
+
+
 def run_length_factorization(text: Text) -> LZFactorization:
     """The canonical LZ77-like factorization read off the run-length encoding.
 
@@ -254,15 +275,8 @@ def run_length_factorization(text: Text) -> LZFactorization:
     self-overlapping copy of the rest of the run, so a text with k runs is
     factorized into at most 2k phrases.
     """
-    rle = run_length_encode(text)
-    phrases: list[tuple[int, int]] = []
-    j = 1
-    for symbol, length in rle.runs:
-        phrases.append((symbol, 0))
-        if length > 1:
-            phrases.append((j, length - 1))
-        j += length
-    return LZFactorization(tuple(phrases), text.n)
+    runs = run_length_encode(text).runs
+    return repeat_factorization((((symbol,), length) for symbol, length in runs), text.n)
 
 
 # ---------------------------------------------------------------------------

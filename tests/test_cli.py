@@ -4,8 +4,10 @@ Every test drives ``csq.cli.main`` in-process and inspects stdout,
 stderr, and the exit code; nothing shells out.
 """
 
+import concurrent.futures
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -264,6 +266,55 @@ def test_gadget_verify_bad_size_is_usage_error(capsys):
     code, _, err = run_cli(capsys, ["gadget-verify", "--kind", "bwt-color", "--size", "0"])
     assert code == 2
     assert "size" in err
+
+
+def test_gadget_verify_exhaustive_over_budget_exits_two(capsys):
+    code, out, err = run_cli(
+        capsys, ["gadget-verify", "--kind", "lcp-select", "--size", "11", "--exhaustive"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "39916800 inputs, over the exhaustive budget of 1000000" in err
+
+
+def test_gadget_verify_workers_are_clamped(capsys, monkeypatch):
+    """At most one worker per CPU and per instance; no process is started."""
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    base = ["gadget-verify", "--kind", "lcp-select", "--size", "3", "--output", "structured"]
+    for cpus, trials, workers, want in [
+        (4, 6, 64, [4]),
+        (4, 3, 64, [3]),
+        (8, 6, 2, [2]),
+        (1, 6, 8, []),
+        (None, 6, 8, []),
+        (4, 1, 8, []),
+    ]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        pools.clear()
+        serial = run_cli(capsys, base + ["--trials", str(trials)])
+        sharded = run_cli(capsys, base + ["--trials", str(trials), "--workers", str(workers)])
+        assert pools == want, (cpus, trials, workers)
+        assert sharded == serial
+    for workers in ("0", "-2"):
+        code, out, err = run_cli(capsys, base + ["--workers", workers])
+        assert code == 2
+        assert out == ""
+        assert "--workers must be at least 1" in err
 
 
 def test_gadget_verify_mismatch_exits_one(capsys, monkeypatch):

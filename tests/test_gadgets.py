@@ -1,10 +1,12 @@
 import dataclasses
 import random
+import sys
 
 import pytest
 
-from csq import gadgets
+from csq import gadgets, measures
 from csq.gadgets import (
+    EXHAUSTIVE_BUDGET,
     KINDS,
     all_inputs,
     build_gadget,
@@ -12,6 +14,7 @@ from csq.gadgets import (
     color_via_bwt,
     count_via_isa,
     ilf_pred_gadget,
+    instance_inputs,
     invphi_via_phi,
     isa_count_gadget,
     lcp_select_gadget,
@@ -319,6 +322,46 @@ def test_verify_rejects_bundle_with_faulty_lcp():
         verify_reduction("plcp-pred", with_lcp((0, 0) + (n,) * (n - 1)))
 
 
+def test_contracts_raise_on_doctored_instances(monkeypatch):
+    """The closed-form contracts are explicit raises, so they hold under -O."""
+    g = lcp_select_gadget([2, 1, 3])
+    extra_run = dataclasses.replace(g, text=Text.from_symbols((1,) + g.text.symbols[1:], 2))
+    with pytest.raises(AssertionError, match="runs, not the closed-form"):
+        verify_reduction("lcp-select", extra_run)
+
+    g = build_gadget("phi-inverse", (1, 0, 1, 1))
+    shifted = tuple(p + 1 for p in g.bundle.inv_phi)
+    bad = dataclasses.replace(g, bundle=dataclasses.replace(g.bundle, inv_phi=shifted))
+    with pytest.raises(AssertionError, match="not a block start"):
+        verify_reduction("phi-inverse", bad)
+
+    real = gadgets._threshold_blocks
+    monkeypatch.setattr(gadgets, "_threshold_blocks", lambda perm: real(perm) + [1])
+    with pytest.raises(AssertionError, match="length 21, not the closed-form 20"):
+        lcp_select_gadget([2, 1, 3])
+
+
+def test_one_run_length_encoding_per_verify(monkeypatch):
+    """Building a gadget encodes no runs; verifying it encodes them once."""
+    calls = []
+    real = measures.run_length_encode
+
+    def counted(text):
+        calls.append(text.n)
+        return real(text)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "csq" and hasattr(module, "run_length_encode"):
+            monkeypatch.setattr(module, "run_length_encode", counted)
+    rng = random.Random(0x41E)
+    for kind in KINDS:
+        calls.clear()
+        gadget = build_gadget(kind, random_input(kind, 3, rng))
+        assert calls == [], kind
+        verify_reduction(kind, gadget)
+        assert calls == [gadget.text.n], kind
+
+
 def test_recompute_anchors_is_idempotent():
     rng = random.Random(0xA11C)
     for kind in KINDS:
@@ -338,16 +381,6 @@ def test_verify_kind_mismatch_and_unknown_kind():
         list(all_inputs("nonsense", 2))
     with pytest.raises(ValueError, match="unknown gadget kind"):
         random_input("nonsense", 2, random.Random(0))
-
-
-def test_query_sampling_is_deterministic():
-    g = build_gadget("isa-count", (3, 1, 4, 2, 5))
-    full = verify_reduction("isa-count", g)
-    a = verify_reduction("isa-count", g, exhaustive=False, sample_limit=8, seed=5)
-    b = verify_reduction("isa-count", g, exhaustive=False, sample_limit=8, seed=5)
-    assert a.query_count == 8 < full.query_count
-    assert a == b
-    assert a.mismatch_count == 0
 
 
 def test_merge_reports_associative_and_checked():
@@ -376,6 +409,31 @@ def test_enumeration_counts_and_validity():
         assert g.input == data
     with pytest.raises(ValueError, match="size"):
         random_input("lcp-select", 0, rng)
+
+
+def test_instance_inputs_are_counted_before_enumeration():
+    """Exhaustive families are counted in closed form, and a family over the
+    budget is refused before any input is made; trials must be positive."""
+    assert EXHAUSTIVE_BUDGET == 10**6
+    for kind, size, count in [
+        ("lcp-select", 9, 362_880),
+        ("bwt-color", 5, 53_130),
+        ("phi-inverse", 19, 2**19),
+    ]:
+        assert instance_inputs(kind, size, exhaustive=True)[0] == count
+    for kind, size, shown in [
+        ("isa-count", 10, "3628800"),
+        ("plcp-pred", 6, "1947792"),
+        ("phi-inverse", 20, "1048576"),
+        ("lcp-select", 10**9, "more than 2\\*\\*63"),
+    ]:
+        with pytest.raises(ValueError, match=f"has {shown} inputs, over the exhaustive budget"):
+            all_inputs(kind, size)
+    count, inputs = instance_inputs("ilf-pred", 3, trials=4, seed=1)
+    assert count == 4 and len(list(inputs)) == 4
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            verify_many("lcp-select", 3, trials=trials)
 
 
 def test_seeded_random_instances_all_kinds():
