@@ -23,6 +23,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial, reduce
+from itertools import chain, islice
 from typing import Callable, Sequence
 
 from . import gadgets
@@ -32,6 +33,9 @@ from .rlbwt_ilf import build_ilf_index, ilf_query
 from .text_core import Text, build_bundle
 
 _SCHEMA_VERSION = 1
+
+_POOL_WINDOW = 4096
+"""The most gadget inputs ``gadget-verify --workers`` hands the pool at once."""
 
 
 class CliError(Exception):
@@ -51,8 +55,8 @@ class RunConfig:
     epsilon: float = 0.5
     flavor: str = "yfast"
     output: str = "human"
-    kind: str | None = None
-    size: int | None = None
+    kind: str = ""
+    size: int = 0
     queries_path: str | None = None
     bench: bool = False
     repeat: int = 5
@@ -219,14 +223,12 @@ def _cmd_ilf_bench(config: RunConfig, report: Report) -> int:
     use_yfast = config.flavor == "yfast"
     repeat = max(1, config.repeat)
     batch = max(1, config.batch)
-    build_ilf_index(text, use_yfast=use_yfast)  # warm-up
+    index = build_ilf_index(text, use_yfast=use_yfast)  # warm-up
     build_times = []
-    index = None
     for _ in range(repeat):
         start = time.perf_counter()
         index = build_ilf_index(text, use_yfast=use_yfast)
         build_times.append((time.perf_counter() - start) * 1e3)
-    assert index is not None
     rng = random.Random(config.seed)
     positions = [rng.randint(1, text.n) for _ in range(batch)]
     for i in positions:  # warm-up
@@ -320,7 +322,6 @@ def _verify_one(kind: str, data: tuple[int, ...]) -> gadgets.ReductionReport:
 def _cmd_gadget_verify(config: RunConfig, report: Report) -> int:
     kind = config.kind
     size = config.size
-    assert kind is not None and size is not None
     if config.workers < 1:
         raise CliError("--workers must be at least 1")
     trials = config.trials if config.trials is not None else 20
@@ -335,9 +336,15 @@ def _cmd_gadget_verify(config: RunConfig, report: Report) -> int:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, count // (workers * 4))
+        # pool.map submits its whole iterable at once, so it gets one window
+        # of inputs at a time, and each window's reports fold into the merge.
+        chunk = max(1, min(count, _POOL_WINDOW) // (workers * 4))
+        windows = iter(lambda: list(islice(inputs, _POOL_WINDOW)), [])
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            merged = reduce(gadgets.merge_reports, pool.map(verify, inputs, chunksize=chunk))
+            reports = chain.from_iterable(
+                pool.map(verify, window, chunksize=chunk) for window in windows
+            )
+            merged = reduce(gadgets.merge_reports, reports)
     else:
         merged = reduce(gadgets.merge_reports, map(verify, inputs))
     report.add("kind", kind)
@@ -490,8 +497,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         epsilon=getattr(args, "epsilon", 0.5),
         flavor=getattr(args, "flavor", "yfast"),
         output=getattr(args, "output", "human"),
-        kind=getattr(args, "kind", None),
-        size=getattr(args, "size", None),
+        kind=getattr(args, "kind", ""),
+        size=getattr(args, "size", 0),
         queries_path=getattr(args, "queries", None),
         bench=bool(getattr(args, "bench", False)),
         repeat=getattr(args, "repeat", 5),

@@ -38,6 +38,9 @@ from .text_core import SuffixArrayBundle, Text, build_bundle, pattern_range
 EXHAUSTIVE_BUDGET = 10**6
 """The most inputs ``all_inputs`` enumerates; larger families are rejected."""
 
+_TEXT_LENGTH_BUDGET = 10**6
+"""The longest gadget text ``instance_inputs`` lets a size make."""
+
 
 @dataclass(frozen=True)
 class GadgetInstance:
@@ -461,11 +464,18 @@ def phi_inverse_transform(text: Text, sigma: int | None = None) -> GadgetInstanc
 
 def _phi_inverse_anchors(data: tuple[int, ...], text: Text, sa: Sequence[int]) -> dict[str, object]:
     """n, sigma read off the first block, and the original text's
-    lexicographically first and last suffixes from a sort of the original."""
+    lexicographically first and last suffixes read off the transform's SA.
+
+    Only block-start suffixes begin with 0 0, so they fill SA[1..n], in the
+    reverse of the original suffixes' order."""
     n = len(data)
     sigma = text.symbols[3] + 1 + data[0]
-    source = build_bundle(Text.from_symbols(data, sigma))
-    return {"n": n, "sigma": sigma, "j_lexfirst": source.sa[1], "j_lexlast": source.sa[n]}
+    return {
+        "n": n,
+        "sigma": sigma,
+        "j_lexfirst": (sa[n] - 1) // 5 + 1,
+        "j_lexlast": (sa[1] - 1) // 5 + 1,
+    }
 
 
 def _block_start_to_position(landed: int) -> int:
@@ -580,11 +590,13 @@ def proof_certificate(gadget: GadgetInstance) -> tuple[LZFactorization, int]:
 
 @dataclass(frozen=True)
 class _Family:
-    """The valid inputs of one size: all of them, a seeded draw, and their count."""
+    """The valid inputs of one size: all of them, a seeded draw, their
+    count, and the one whose gadget text is longest."""
 
     every: Callable[[int], Iterator[tuple[int, ...]]]
     draw: Callable[[int, random.Random], tuple[int, ...]]
     count: Callable[[int], int]
+    longest: Callable[[int], tuple[int, ...]]
 
 
 def _draw_permutation(n: int, rng: random.Random) -> tuple[int, ...]:
@@ -597,16 +609,19 @@ _PERMUTATIONS = _Family(
     every=lambda n: itertools.permutations(range(1, n + 1)),
     draw=_draw_permutation,
     count=math.factorial,
+    longest=lambda n: tuple(range(1, n + 1)),
 )
 _SETS = _Family(
     every=lambda m: itertools.combinations(range(1, m * m + 1), m),
     draw=lambda m, rng: tuple(sorted(rng.sample(range(1, m * m + 1), m))),
     count=lambda m: math.comb(m * m, m),
+    longest=lambda m: tuple(range(m * m - m + 1, m * m + 1)),
 )
 _BITS = _Family(
     every=lambda n: itertools.product((0, 1), repeat=n),
     draw=lambda n, rng: tuple(rng.randrange(2) for _ in range(n)),
     count=lambda n: 2**n,
+    longest=lambda n: (1,) * n,
 )
 
 
@@ -744,7 +759,7 @@ def recompute_anchors(gadget: GadgetInstance) -> dict[str, object]:
     Rank anchors are recomputed with pattern_range over the gadget's
     suffix array; offsets follow their closed forms.  For phi-inverse
     sigma is read off the transform's first block and the boundary
-    positions come from re-sorting the original text.
+    positions off the transform's suffix array.
     """
     spec = _spec(gadget.kind)
     return spec.anchors(gadget.input, gadget.text, gadget.bundle.sa)
@@ -851,9 +866,20 @@ def instance_inputs(
     ``exhaustive`` enumerates ``all_inputs`` (within EXHAUSTIVE_BUDGET);
     otherwise ``trials`` inputs are drawn from ``random.Random(seed)``.
     Raises ValueError for an unknown kind, a size below 1, an
-    over-budget family, or fewer than one trial.
+    over-budget family, fewer than one trial, or a size whose longest
+    text, by the kind's closed-form length, exceeds a budget of 10**6
+    symbols.
     """
     family = _family(kind, size)
+    # Every gadget text is longer than its input, so a size over the budget
+    # is refused before an input of that size is made.
+    length = _spec(kind).length(family.longest(size)) if size <= _TEXT_LENGTH_BUDGET else None
+    if length is None or length > _TEXT_LENGTH_BUDGET:
+        shown = length if length is not None else f"more than {size}"
+        raise ValueError(
+            f"{kind} at size {size} makes texts of {shown} symbols, "
+            f"over the text-length budget of {_TEXT_LENGTH_BUDGET}"
+        )
     if exhaustive:
         inputs = all_inputs(kind, size)
         return family.count(size), inputs

@@ -20,17 +20,25 @@ rule with prefix/suffix/child statistics, and answers
   lookups, one LCP RMQ, and one prefix-sum readout.
 
 The grammar is built by deterministic round-based pairing of adjacent
-symbols (memoizing distinct pairs), then widened by cutting every parse
-tree at depth k, which caps right-hand sides at l = 2*2^k symbols and
-divides the height by k.  Terminal values may be any integers; all sums use
-exact integer arithmetic.
+symbols (memoizing distinct pairs), then widened by cutting, from the
+start symbol down, each reachable rule's parse tree at depth k, which caps
+right-hand sides at l = 2*2^k symbols and divides the height by k.
+Terminal values may be any integers; all sums use exact integer arithmetic.
+
+Each grammar is derived once: make_slg validates the rules and computes
+every expansion length and height in one topological pass, and the
+builder reads sizes and heights off the grammars it made.  The builder's
+contracts raise AssertionError explicitly, so they hold under ``python
+-O``: the widened height is at most ceil(h/k) + 1 for a pairing grammar
+of height h, no right-hand side exceeds l symbols, and the start symbol
+expands to n symbols.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, log2
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .predecessor import SmallSet, smallset_build, smallset_pred
 from .text_core import Text, suffix_core
@@ -114,6 +122,31 @@ def _topological_order(rules: Sequence[Sequence[Atom]]) -> list[int]:
     return order
 
 
+def _derive(rules: Sequence[Sequence[Atom]], start: int) -> tuple[list[int], list[int]]:
+    """Validate a rule table in one topological pass and return every
+    nonterminal's expansion length and parse-tree height."""
+    if not 0 <= start < len(rules):
+        raise ValueError(f"start symbol {start} has no rule")
+    exp_lens = [0] * len(rules)
+    heights = [0] * len(rules)
+    for x in _topological_order(rules):
+        total = best = 0
+        for a in rules[x]:
+            if isinstance(a, Nt):
+                total += exp_lens[a.id]
+                if heights[a.id] > best:
+                    best = heights[a.id]
+            else:
+                total += 1
+        exp_lens[x] = total
+        heights[x] = 1 + best
+    return exp_lens, heights
+
+
+def _size(slg: Slg) -> int:
+    return sum(max(len(r), 1) for r in slg.rules)
+
+
 def validate_slg(slg: Slg) -> tuple[int, int]:
     """Check well-formedness and return (size, height).
 
@@ -121,40 +154,14 @@ def validate_slg(slg: Slg) -> tuple[int, int]:
     height of the start symbol.  Raises ValueError naming the offending
     nonterminal on a cycle or a dangling reference.
     """
-    rules = slg.rules
-    if not 0 <= slg.start < len(rules):
-        raise ValueError(f"start symbol {slg.start} has no rule")
-    order = _topological_order(rules)
-    heights = [0] * len(rules)
-    for x in order:
-        best = 0
-        for a in rules[x]:
-            if isinstance(a, Nt):
-                best = max(best, heights[a.id])
-        heights[x] = 1 + best
-    size = sum(max(len(r), 1) for r in rules)
-    return size, heights[slg.start]
+    _, heights = _derive(slg.rules, slg.start)
+    return _size(slg), heights[slg.start]
 
 
 def make_slg(rules: Sequence[Sequence[Atom]], start: int) -> Slg:
     """Validate a dense rule table and attach expansion-length/height caches."""
     frozen = tuple(tuple(r) for r in rules)
-    bare = Slg(frozen, start)
-    validate_slg(bare)
-    order = _topological_order(frozen)
-    exp_lens = [0] * len(frozen)
-    heights = [0] * len(frozen)
-    for x in order:
-        total = 0
-        best = 0
-        for a in frozen[x]:
-            if isinstance(a, Nt):
-                total += exp_lens[a.id]
-                best = max(best, heights[a.id])
-            else:
-                total += 1
-        exp_lens[x] = total
-        heights[x] = 1 + best
+    exp_lens, heights = _derive(frozen, start)
     return Slg(frozen, start, tuple(exp_lens), tuple(heights))
 
 
@@ -277,24 +284,13 @@ def build_rule_stats(slg: Slg) -> RuleStats:
     nonempty and the boundary keys are strictly increasing).
     """
     rules = slg.rules
-    L_total = len(rules)
-    order = _topological_order(rules)
-    exp_len = [0] * L_total
-    exp_sum = [0] * L_total
-    nt_min = [0] * L_total
-    nt_pos = [0] * L_total
-    plen_all: list[tuple] = [()] * L_total
-    psum_all: list[tuple] = [()] * L_total
-    pmin_all: list[tuple] = [()] * L_total
-    ppos_all: list[tuple] = [()] * L_total
-    slen_all: list[tuple] = [()] * L_total
-    ssum_all: list[tuple] = [()] * L_total
-    smin_all: list[tuple] = [()] * L_total
-    spos_all: list[tuple] = [()] * L_total
-    mmin_all: list[tuple] = [()] * L_total
-    mpos_all: list[tuple] = [()] * L_total
-    rmq_all: list[SparseRmq] = [None] * L_total  # type: ignore[list-item]
-    pred_all: list[SmallSet] = [None] * L_total  # type: ignore[list-item]
+    exp_len = [0] * len(rules)
+    exp_sum = [0] * len(rules)
+    nt_min = [0] * len(rules)
+    nt_pos = [0] * len(rules)
+    # rows[x] holds rule x's plen, psum, pmin, ppos, slen, ssum, smin, spos,
+    # mmin, mpos, rmq and pred, the per-rule fields of RuleStats in order.
+    rows: list[tuple] = [()] * len(rules)
 
     def item(a: Atom) -> tuple[int, int, int, int]:
         # (length, sum, min partial sum, leftmost argmin) of the atom's expansion
@@ -302,7 +298,7 @@ def build_rule_stats(slg: Slg) -> RuleStats:
             return exp_len[a.id], exp_sum[a.id], nt_min[a.id], nt_pos[a.id]
         return 1, a, a, 1
 
-    for x in order:
+    for x in _topological_order(rules):
         rhs = rules[x]
         L = len(rhs)
         if L == 0:
@@ -347,37 +343,14 @@ def build_rule_stats(slg: Slg) -> RuleStats:
         exp_sum[x] = psum[L + 1]
         nt_min[x] = pmin[L + 1]
         nt_pos[x] = ppos[L + 1]
-        plen_all[x] = tuple(plen)
-        psum_all[x] = tuple(psum)
-        pmin_all[x] = tuple(pmin)
-        ppos_all[x] = tuple(ppos)
-        slen_all[x] = tuple(slen)
-        ssum_all[x] = tuple(ssum)
-        smin_all[x] = tuple(smin)
-        spos_all[x] = tuple(spos)
-        mmin_all[x] = tuple(mmin)
-        mpos_all[x] = tuple(mpos)
-        rmq_all[x] = sparse_rmq_build(mmin[1:])
-        pred_all[x] = smallset_build(plen[1:])
-
+        rows[x] = (
+            *map(tuple, (plen, psum, pmin, ppos, slen, ssum, smin, spos, mmin, mpos)),
+            sparse_rmq_build(mmin[1:]),
+            smallset_build(plen[1:]),
+        )
+    columns = tuple(zip(*rows)) or ((),) * 12
     return RuleStats(
-        slg=slg,
-        exp_len=tuple(exp_len),
-        exp_sum=tuple(exp_sum),
-        nt_min=tuple(nt_min),
-        nt_pos=tuple(nt_pos),
-        plen=tuple(plen_all),
-        psum=tuple(psum_all),
-        pmin=tuple(pmin_all),
-        ppos=tuple(ppos_all),
-        slen=tuple(slen_all),
-        ssum=tuple(ssum_all),
-        smin=tuple(smin_all),
-        spos=tuple(spos_all),
-        mmin=tuple(mmin_all),
-        mpos=tuple(mpos_all),
-        rmq=tuple(rmq_all),
-        pred=tuple(pred_all),
+        slg, tuple(exp_len), tuple(exp_sum), tuple(nt_min), tuple(nt_pos), *columns
     )
 
 
@@ -556,27 +529,28 @@ def diff_lcp_from_bundle(bundle) -> DiffLcpArray:
 
 def _pairing_slp(values: Sequence[int]) -> tuple[list[tuple[Atom, ...]], int]:
     """Round-based pairing: each round replaces adjacent pairs by memoized
-    nonterminals, carrying an odd element; height is logarithmic."""
+    nonterminals, carrying an odd element; height is logarithmic.
+
+    A round of m > 1 symbols leaves ceil(m/2), so the last round pairs
+    exactly two symbols and the last pair made is the root."""
+    if len(values) == 1:
+        return [(values[0],)], 0
     rules: list[tuple[Atom, ...]] = []
     memo: dict[tuple[Atom, Atom], int] = {}
     seq: list[Atom] = list(values)
-    if len(seq) == 1:
-        rules.append((seq[0],))
-        return rules, 0
+    root = 0
     while len(seq) > 1:
         nxt: list[Atom] = []
         for t in range(0, len(seq) - 1, 2):
             pair = (seq[t], seq[t + 1])
-            if pair not in memo:
-                memo[pair] = len(rules)
+            root = memo.setdefault(pair, len(rules))
+            if root == len(rules):
                 rules.append(pair)
-            nxt.append(Nt(memo[pair]))
+            nxt.append(Nt(root))
         if len(seq) % 2:
             nxt.append(seq[-1])
         seq = nxt
-    root = seq[0]
-    assert isinstance(root, Nt)
-    return rules, root.id
+    return rules, root
 
 
 def _depth_cut(rules: Sequence[tuple[Atom, ...]], rhs: tuple[Atom, ...], depth: int) -> tuple[Atom, ...]:
@@ -593,25 +567,23 @@ def _depth_cut(rules: Sequence[tuple[Atom, ...]], rhs: tuple[Atom, ...], depth: 
 
 
 def widen_slg(slg: Slg, k: int) -> Slg:
-    """Replace every rule by its depth-k parse-tree cut and prune.
+    """Replace every reachable rule by its depth-k parse-tree cut.
 
-    Right-hand sides grow by at most 2^k symbols each while the height
-    drops to about height/k; the expansion is unchanged.
+    Rules are cut as they are reached from the start symbol, so rules that
+    only the cuts bypass are never cut; the survivors keep their relative
+    order.  Right-hand sides grow by at most 2^k symbols each while the
+    height drops to about height/k; the expansion is unchanged.
     """
     if k < 1:
         raise ValueError("widening depth must be at least 1")
-    cut = [_depth_cut(slg.rules, rhs, k) for rhs in slg.rules]
-    reachable = set()
-    queue = [slg.start]
-    while queue:
-        x = queue.pop()
-        if x in reachable:
-            continue
-        reachable.add(x)
-        for a in cut[x]:
-            if isinstance(a, Nt):
-                queue.append(a.id)
-    keep = sorted(reachable)
+    cut: dict[int, tuple[Atom, ...]] = {}
+    pending = [slg.start]
+    while pending:
+        x = pending.pop()
+        if x not in cut:
+            cut[x] = rhs = _depth_cut(slg.rules, slg.rules[x], k)
+            pending.extend(a.id for a in rhs if isinstance(a, Nt) and a.id not in cut)
+    keep = sorted(cut)
     remap = {old: new for new, old in enumerate(keep)}
     rules = [
         tuple(Nt(remap[a.id]) if isinstance(a, Nt) else a for a in cut[old])
@@ -663,16 +635,21 @@ def build_lcp_rmq_index(text: Text, epsilon: float = 0.5) -> LcpRmqIndex:
     k = _widening_depth(n, epsilon)
     _, isa0, lcp0 = suffix_core(text.symbols)
     diff = [lcp0[0]] + [lcp0[i] - lcp0[i - 1] for i in range(1, n)]
-    raw_rules, raw_start = _pairing_slp(diff)
-    slp = make_slg(raw_rules, raw_start)
-    slp_size, slp_height = validate_slg(slp)
+    slp = make_slg(*_pairing_slp(diff))
     widened = widen_slg(slp, k)
-    size, height = validate_slg(widened)
-    assert height <= -(-slp_height // k) + 1
+    slp_height = slp.heights[slp.start]
+    height = widened.heights[widened.start]
+    if height > -(-slp_height // k) + 1:
+        raise AssertionError(f"widened height {height} exceeds ceil({slp_height}/{k}) + 1")
     ell = 2 * (1 << k)
-    assert all(len(r) <= ell for r in widened.rules)
+    widest = max(len(r) for r in widened.rules)
+    if widest > ell:
+        raise AssertionError(f"a widened rule has {widest} symbols, over the bound {ell}")
     stats = build_rule_stats(widened)
-    assert stats.exp_len[widened.start] == n
+    if stats.exp_len[widened.start] != n:
+        raise AssertionError(
+            f"the grammar expands to {stats.exp_len[widened.start]} symbols, not {n}"
+        )
     return LcpRmqIndex(
         text=text,
         slg=widened,
@@ -681,9 +658,9 @@ def build_lcp_rmq_index(text: Text, epsilon: float = 0.5) -> LcpRmqIndex:
         n=n,
         k_widen=k,
         ell=ell,
-        slp_size=slp_size,
+        slp_size=_size(slp),
         slp_height=slp_height,
-        size=size,
+        size=_size(widened),
         height=height,
     )
 

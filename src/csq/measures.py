@@ -390,13 +390,16 @@ def delta_append_check(text: Text, symbol: int) -> tuple[DeltaValue, DeltaValue]
     """delta before and after appending one symbol.
 
     Appending a symbol adds at most one new distinct substring per length,
-    so delta can grow by at most 1; that bound is asserted here.
+    so delta can grow by at most 1; AssertionError is raised otherwise.
     """
     before = substring_complexity(text)
     sigma = max(text.sigma, symbol + 1)
     extended = Text.from_symbols(list(text.symbols) + [symbol], sigma)
     after = substring_complexity(extended)
-    assert after.value <= before.value + 1
+    if after.value > before.value + 1:
+        raise AssertionError(
+            f"delta grew from {before.value} to {after.value} on one appended symbol"
+        )
     return before, after
 
 
@@ -410,7 +413,8 @@ def morphism_expand(text: Text, blocks: Mapping[int, Sequence[int]]) -> Text:
     All blocks must share one length k >= 1 (ragged blocks raise
     ValueError).  The phrase-by-phrase image of the greedy factorization of
     the input is itself a valid factorization of the output with at most
-    k * z(T) phrases; this is checked on every call, so z(T') <= k * z(T).
+    k * z(T) phrases; this is checked on every call, so z(T') <= k * z(T),
+    and AssertionError is raised otherwise.
     """
     if text.n == 0:
         raise ValueError("cannot expand an empty text")
@@ -440,5 +444,9 @@ def morphism_expand(text: Text, blocks: Mapping[int, Sequence[int]]) -> Text:
         else:
             induced.append((k * (a - 1) + 1, k * length))
     count = validate_lz_like(image, induced)
-    assert count <= k * fact.phrase_count
+    if count > k * fact.phrase_count:
+        raise AssertionError(
+            f"the image of a {fact.phrase_count}-phrase factorization has {count} phrases, "
+            f"over {k} * {fact.phrase_count}"
+        )
     return image

@@ -12,6 +12,7 @@ import os
 import pytest
 
 import csq.gadgets
+from csq import cli
 from csq.cli import main
 from csq.gadgets import build_gadget, verify_reduction
 
@@ -275,6 +276,67 @@ def test_gadget_verify_exhaustive_over_budget_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert "39916800 inputs, over the exhaustive budget of 1000000" in err
+
+
+def test_gadget_verify_text_length_over_budget_exits_two(capsys):
+    """Sizes are refused by their longest text's closed-form length, in
+    trials mode too, before any gadget is built."""
+    for size, shown in [("1000", "1003002004"), ("1000000000", "more than 1000000000")]:
+        code, out, err = run_cli(
+            capsys, ["gadget-verify", "--kind", "phi-pred", "--size", size, "--trials", "1"]
+        )
+        assert code == 2
+        assert out == ""
+        assert f"makes texts of {shown} symbols, over the text-length budget of 1000000" in err
+    code, _, err = run_cli(
+        capsys, ["gadget-verify", "--kind", "plcp-pred", "--size", "100", "--exhaustive"]
+    )
+    assert code == 2
+    assert "makes texts of 1020304 symbols" in err
+
+
+def test_gadget_verify_pool_gets_one_window_at_a_time(capsys, monkeypatch):
+    """ProcessPoolExecutor.map lists its whole iterable at once, so the
+    inputs reach the pool in bounded windows: no more than one window is
+    ever drawn and not yet verified."""
+    drawn, verified, held = [], [], []
+    real_inputs, real_verify = csq.gadgets.instance_inputs, cli._verify_one
+
+    def counted_inputs(*args, **kwargs):
+        count, inputs = real_inputs(*args, **kwargs)
+        return count, (drawn.append(data) or data for data in inputs)
+
+    def counted_verify(kind, data):
+        verified.append(data)
+        return real_verify(kind, data)
+
+    class EagerPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            items = list(iterable)
+            held.append(len(drawn) - len(verified))
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", EagerPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(csq.gadgets, "instance_inputs", counted_inputs)
+    monkeypatch.setattr(cli, "_verify_one", counted_verify)
+    monkeypatch.setattr(cli, "_POOL_WINDOW", 4)
+    base = ["gadget-verify", "--kind", "isa-count", "--size", "3", "--output", "structured"]
+    serial = run_cli(capsys, base + ["--trials", "10"])
+    assert held == []
+    sharded = run_cli(capsys, base + ["--trials", "10", "--workers", "2"])
+    assert held == [4, 4, 2]
+    assert len(drawn) == 20 and len(verified) == 20
+    assert sharded == serial
 
 
 def test_gadget_verify_workers_are_clamped(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import sys
 
@@ -34,7 +35,7 @@ from csq.gadgets import (
     verify_reduction,
 )
 from csq.measures import LZFactorization, run_length_encode
-from csq.text_core import Text
+from csq.text_core import Text, build_bundle
 
 from conftest import FIG_ASCII, FIG_INV_PHI, FIG_PHI
 
@@ -243,6 +244,19 @@ def test_phi_inverse_exhaustive_n4():
     report = verify_many("phi-inverse", 4, exhaustive=True)
     assert report.instances == 16
     assert report.ok
+
+
+def test_phi_inverse_anchors_match_a_sort_of_the_original():
+    """The extreme suffixes read off the transform's suffix array are the
+    original text's own, found by sorting the original independently."""
+    rng = random.Random(0x5A)
+    texts = [bits for n in range(1, 9) for bits in itertools.product((0, 1), repeat=n)]
+    texts += [[rng.randrange(5) for _ in range(rng.randint(1, 12))] for _ in range(200)]
+    for symbols in texts:
+        original = Text.from_symbols(symbols, 5)
+        sa = build_bundle(original).sa
+        anchors = phi_inverse_transform(original).anchors
+        assert (anchors["j_lexfirst"], anchors["j_lexlast"]) == (sa[1], sa[-1]), symbols
 
 
 # ---------------------------------------------------------------------------

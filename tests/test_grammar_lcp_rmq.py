@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csq import grammar_lcp_rmq as grammar
 from csq.grammar_lcp_rmq import (
     Nt,
     Slg,
@@ -270,6 +271,57 @@ def test_widen_slg_direct():
     w = widen_slg(g, 2)
     assert expand(w, w.start) == expand(g, 0)
     assert max(len(r) for r in w.rules) <= 2 * 4
+
+
+def test_one_derivation_per_grammar(monkeypatch):
+    """A build derives each grammar once: one topological pass each for the
+    pairing grammar, the widened grammar and the statistics, no separate
+    validation, and one cut per rule the widened grammar keeps."""
+    counts = {"passes": 0, "validations": 0, "cuts": 0}
+    depth = [0]
+    real_order, real_cut, real_validate = (
+        grammar._topological_order,
+        grammar._depth_cut,
+        grammar.validate_slg,
+    )
+
+    def order(rules):
+        counts["passes"] += 1
+        return real_order(rules)
+
+    def cut(rules, rhs, d):
+        counts["cuts"] += depth[0] == 0  # recursive calls are not counted
+        depth[0] += 1
+        try:
+            return real_cut(rules, rhs, d)
+        finally:
+            depth[0] -= 1
+
+    def validate(slg):
+        counts["validations"] += 1
+        return real_validate(slg)
+
+    monkeypatch.setattr(grammar, "_topological_order", order)
+    monkeypatch.setattr(grammar, "_depth_cut", cut)
+    monkeypatch.setattr(grammar, "validate_slg", validate)
+    rng = random.Random(0xC07)
+    for symbols in ([rng.randrange(4) for _ in range(3000)], [0, 1, 2, 1] * 700 + [3]):
+        counts.update(passes=0, validations=0, cuts=0)
+        index = build_lcp_rmq_index(Text.from_symbols(symbols, 4))
+        assert counts == {"passes": 3, "validations": 0, "cuts": len(index.slg.rules)}
+
+
+def test_build_contracts_raise(monkeypatch):
+    """The builder's contracts are explicit raises, so they hold under -O."""
+    t = Text.from_symbols([random.Random(0xB0).randrange(4) for _ in range(3000)], 4)
+    for widen, message in [
+        (lambda slp, k: slp, "widened height"),
+        (lambda slp, k: make_slg([expand(slp, slp.start)], 0), "over the bound"),
+        (lambda slp, k: make_slg([expand(slp, slp.start)[:3]], 0), "to 3 symbols, not 3000"),
+    ]:
+        monkeypatch.setattr(grammar, "widen_slg", widen)
+        with pytest.raises(AssertionError, match=message):
+            build_lcp_rmq_index(t, epsilon=0.9)
 
 
 def test_epsilon_validation(fig_text):

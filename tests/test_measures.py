@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csq import measures
 from csq.measures import (
     DeltaValue,
     bwt_run_count,
@@ -310,6 +311,14 @@ def test_delta_append_bound(symbols, c):
     assert after.value <= before.value + 1
 
 
+def test_delta_append_check_raises(monkeypatch):
+    """The one-symbol bound is an explicit raise, so it holds under -O."""
+    values = iter([DeltaValue(1, 1, 1), DeltaValue(5, 2, 2)])
+    monkeypatch.setattr(measures, "substring_complexity", lambda text: next(values))
+    with pytest.raises(AssertionError, match="delta grew from 1 to 5/2"):
+        delta_append_check(Text.from_ascii("ab"), ord("a"))
+
+
 # ---------------------------------------------------------------------------
 # All three measures from one sort
 
@@ -349,6 +358,13 @@ def test_morphism_errors():
         morphism_expand(t, {0: (0, 1), 1: (1,)})
     with pytest.raises(ValueError, match="lacks a block"):
         morphism_expand(t, {0: (0, 1)})
+
+
+def test_morphism_bound_raises(monkeypatch):
+    """The k * z bound is an explicit raise, so it holds under -O."""
+    monkeypatch.setattr(measures, "validate_lz_like", lambda text, phrases: 99)
+    with pytest.raises(AssertionError, match="2-phrase factorization has 99 phrases, over 2 .* 2"):
+        morphism_expand(Text.from_symbols([0, 1], 2), {0: (0, 1), 1: (1, 0)})
 
 
 @given(
