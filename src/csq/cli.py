@@ -42,28 +42,6 @@ class CliError(Exception):
     """Unusable input or configuration; rendered as an error and exit 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, normalized from the parsed flags."""
-
-    subcommand: str
-    input_path: str | None = None
-    input_format: str = "ascii"
-    seed: int = 0
-    trials: int | None = None
-    exhaustive: bool = False
-    epsilon: float = 0.5
-    flavor: str = "yfast"
-    output: str = "human"
-    kind: str = ""
-    size: int = 0
-    queries_path: str | None = None
-    bench: bool = False
-    repeat: int = 5
-    batch: int = 2000
-    workers: int = 1
-
-
 @dataclass
 class Report:
     """Ordered key/value pairs with two deterministic renderings."""
@@ -92,7 +70,7 @@ def _human(value: object) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Input loading
+# Input loading and shared checks
 
 
 def _read_file(path: str) -> str:
@@ -103,77 +81,97 @@ def _read_file(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_text(config: RunConfig) -> Text:
-    if config.input_path is None:
-        raise CliError("an --input file is required")
-    raw = _read_file(config.input_path)
-    if config.input_format == "ascii":
-        if raw.endswith("\n"):
-            raw = raw[:-1]
-        if not raw:
-            raise CliError(f"{config.input_path} holds no text")
-        return Text.from_ascii(raw)
-    tokens = raw.split()
-    if not tokens:
-        raise CliError(f"{config.input_path} holds no integers")
-    try:
-        symbols = [int(token) for token in tokens]
-    except ValueError:
-        bad = next(t for t in tokens if not _is_int(t))
-        raise CliError(f"malformed integer {bad!r} in {config.input_path}") from None
-    try:
-        return Text.from_symbols(symbols)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+def _read_ints(path: str) -> list[int]:
+    """The whitespace-separated integers of a file."""
+    values = []
+    for token in _read_file(path).split():
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise CliError(f"malformed integer {token!r} in {path}") from None
+    return values
 
 
-def _is_int(token: str) -> bool:
-    try:
-        int(token)
-    except ValueError:
-        return False
-    return True
+def _load_text(args: argparse.Namespace) -> Text:
+    if args.format == "ints":
+        symbols = _read_ints(args.input)
+        if not symbols:
+            raise CliError(f"{args.input} holds no integers")
+        try:
+            return Text.from_symbols(symbols)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
+    raw = _read_file(args.input).removesuffix("\n")
+    if not raw:
+        raise CliError(f"{args.input} holds no text")
+    return Text.from_ascii(raw)
 
 
-def _load_queries(path: str, pairs: bool, label: str) -> list[tuple[int, ...]]:
-    tokens = _read_file(path).split()
-    try:
-        values = [int(token) for token in tokens]
-    except ValueError:
-        bad = next(t for t in tokens if not _is_int(t))
-        raise CliError(f"malformed integer {bad!r} in {path}") from None
-    if not pairs:
-        return [(v,) for v in values]
-    if len(values) % 2:
-        raise CliError(f"{label} queries come in pairs; {path} holds {len(values)} integers")
-    return list(zip(values[0::2], values[1::2]))
+def _at_least_one(args: argparse.Namespace, *flags: str) -> None:
+    for flag in flags:
+        if getattr(args, flag) < 1:
+            raise CliError(f"--{flag} must be at least 1")
+
+
+# Per subcommand: the query function, the integers per query, the range
+# check given n, the message for a query out of range, and the report key.
+_QUERIES = {
+    "ilf": (ilf_query, 1, lambda n, i: 1 <= i <= n,
+            "query position {} outside [1..{n}]", "ilf[{}]"),
+    "lcp-rmq": (lcp_rmq, 2, lambda n, b, e: 0 <= b < e <= n,
+                "range ({}..{}] is not a valid rank range of [1..{n}]", "argmin({}..{}]"),
+    "lce": (lce_query, 2, lambda n, i, j: 1 <= i <= n and 1 <= j <= n,
+            "positions ({},{}) outside [1..{n}]", "lce({},{})"),
+}
+
+
+def _answer_queries(args: argparse.Namespace, report: Report, index, n: int) -> None:
+    """Answer the ``--queries`` file, if any: one report item per query."""
+    if args.queries is None:
+        return
+    query, arity, valid, invalid, key = _QUERIES[args.subcommand]
+    values = _read_ints(args.queries)
+    if len(values) % arity:
+        raise CliError(
+            f"{args.subcommand} queries come in pairs; {args.queries} holds {len(values)} integers"
+        )
+    for q in zip(*[iter(values)] * arity):  # consecutive groups of `arity`
+        if not valid(n, *q):
+            raise CliError(invalid.format(*q, n=n))
+        report.add(key.format(*q), query(index, *q))
+
+
+def _median_pass(one_pass: Callable[[], object], repeat: int, unit: float) -> tuple[str, object]:
+    """Run one warm-up pass, then ``repeat`` timed passes.  Returns the
+    median pass time in units of ``unit`` seconds, rendered, and the
+    result of the last pass."""
+    result = one_pass()
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        result = one_pass()
+        times.append(time.perf_counter() - start)
+    return f"{statistics.median(times) / unit:.3f}", result
 
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
 
-def _cmd_arrays(config: RunConfig, report: Report) -> int:
-    text = _load_text(config)
+def _cmd_arrays(args: argparse.Namespace, report: Report) -> int:
+    text = _load_text(args)
     bundle = build_bundle(text)
     report.add("n", text.n)
-    report.add("sa", list(bundle.sa[1:]))
-    report.add("isa", list(bundle.isa[1:]))
-    report.add("lcp", list(bundle.lcp[1:]))
-    report.add("plcp", list(bundle.plcp[1:]))
-    if config.input_format == "ascii":
-        report.add("bwt", "".join(chr(c) for c in bundle.bwt[1:]))
-    else:
-        report.add("bwt", list(bundle.bwt[1:]))
-    report.add("lf", list(bundle.lf[1:]))
-    report.add("ilf", list(bundle.ilf[1:]))
-    report.add("phi", list(bundle.phi[1:]))
-    report.add("inv_phi", list(bundle.inv_phi[1:]))
+    for row in ("sa", "isa", "lcp", "plcp", "bwt", "lf", "ilf", "phi", "inv_phi"):
+        values = list(getattr(bundle, row)[1:])
+        if row == "bwt" and args.format == "ascii":
+            values = "".join(map(chr, values))
+        report.add(row, values)
     return 0
 
 
-def _cmd_measures(config: RunConfig, report: Report) -> int:
-    text = _load_text(config)
+def _cmd_measures(args: argparse.Namespace, report: Report) -> int:
+    text = _load_text(args)
     n = text.n
     runs = run_length_encode(text).run_count
     factorization, r, delta = text_measures(text)
@@ -196,122 +194,79 @@ def _cmd_measures(config: RunConfig, report: Report) -> int:
     return 0
 
 
-def _cmd_ilf(config: RunConfig, report: Report) -> int:
-    text = _load_text(config)
-    index = build_ilf_index(text, use_yfast=config.flavor == "yfast")
+def _cmd_ilf(args: argparse.Namespace, report: Report) -> int:
+    text = _load_text(args)
+    index = build_ilf_index(text, use_yfast=args.flavor == "yfast")
     oracle = build_bundle(text).ilf
     mismatches = sum(
         1 for i in range(1, text.n + 1) if ilf_query(index, i) != oracle[i]
     )
     report.add("n", text.n)
-    report.add("flavor", config.flavor)
-    report.add("boundary_count", index.boundary_count)
-    report.add("r_original", index.r_original)
-    report.add("r_shifted", index.r_shifted)
-    report.add("stored_integers", index.stored_integers)
+    report.add("flavor", args.flavor)
+    for key in ("boundary_count", "r_original", "r_shifted", "stored_integers"):
+        report.add(key, getattr(index, key))
     report.add("oracle_mismatches", mismatches)
-    if config.queries_path is not None:
-        for (i,) in _load_queries(config.queries_path, pairs=False, label="ilf"):
-            if not 1 <= i <= text.n:
-                raise CliError(f"query position {i} outside [1..{text.n}]")
-            report.add(f"ilf[{i}]", ilf_query(index, i))
+    _answer_queries(args, report, index, text.n)
     return 1 if mismatches else 0
 
 
-def _cmd_ilf_bench(config: RunConfig, report: Report) -> int:
-    text = _load_text(config)
-    use_yfast = config.flavor == "yfast"
-    repeat = max(1, config.repeat)
-    batch = max(1, config.batch)
-    index = build_ilf_index(text, use_yfast=use_yfast)  # warm-up
-    build_times = []
-    for _ in range(repeat):
-        start = time.perf_counter()
-        index = build_ilf_index(text, use_yfast=use_yfast)
-        build_times.append((time.perf_counter() - start) * 1e3)
-    rng = random.Random(config.seed)
-    positions = [rng.randint(1, text.n) for _ in range(batch)]
-    for i in positions:  # warm-up
-        ilf_query(index, i)
-    query_times = []
-    for _ in range(repeat):
-        start = time.perf_counter()
+def _cmd_ilf_bench(args: argparse.Namespace, report: Report) -> int:
+    _at_least_one(args, "repeat", "batch")
+    text = _load_text(args)
+    build = partial(build_ilf_index, text, use_yfast=args.flavor == "yfast")
+    build_ms, index = _median_pass(build, args.repeat, 1e-3)
+    rng = random.Random(args.seed)
+    positions = [rng.randint(1, text.n) for _ in range(args.batch)]
+
+    def queries() -> None:
         for i in positions:
             ilf_query(index, i)
-        query_times.append((time.perf_counter() - start) * 1e6 / batch)
+
+    query_us, _ = _median_pass(queries, args.repeat, 1e-6 * args.batch)
     report.add("n", text.n)
-    report.add("flavor", config.flavor)
+    report.add("flavor", args.flavor)
     report.add("boundary_count", index.boundary_count)
-    report.add("repeat", repeat)
-    report.add("batch", batch)
-    report.add("build_median_ms", f"{statistics.median(build_times):.3f}")
-    report.add("query_median_us", f"{statistics.median(query_times):.3f}")
+    report.add("repeat", args.repeat)
+    report.add("batch", args.batch)
+    report.add("build_median_ms", build_ms)
+    report.add("query_median_us", query_us)
     return 0
 
 
-def _grammar_report(config: RunConfig, report: Report, text: Text, index) -> None:
+def _cmd_grammar(args: argparse.Namespace, report: Report) -> int:
+    """``lcp-rmq`` and ``lce``: one grammar index, its shape, its queries."""
+    bench = args.subcommand == "lcp-rmq" and args.bench
+    if bench:
+        _at_least_one(args, "repeat", "batch")
+    text = _load_text(args)
+    try:
+        index = build_lcp_rmq_index(text, epsilon=args.epsilon)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     report.add("n", text.n)
-    report.add("epsilon", f"{config.epsilon:g}")
-    report.add("k_widen", index.k_widen)
-    report.add("ell", index.ell)
-    report.add("slp_size", index.slp_size)
-    report.add("slp_height", index.slp_height)
-    report.add("size", index.size)
-    report.add("height", index.height)
+    report.add("epsilon", f"{args.epsilon:g}")
+    for key in ("k_widen", "ell", "slp_size", "slp_height", "size", "height"):
+        report.add(key, getattr(index, key))
     r = bwt_run_count_from_isa(text, index.isa)
     report.add("bwt_runs", r)
     if text.n >= 2:
         log = math.log2(text.n)
         report.add("size/(r log^2 n)", f"{index.size / (r * log * log):.6f}")
+    _answer_queries(args, report, index, text.n)
+    if bench:
+        rng = random.Random(args.seed)
+        batch = min(args.batch, 4 * text.n)
+        starts = (rng.randrange(text.n) for _ in range(batch))
+        ranges = [(b, rng.randint(b + 1, text.n)) for b in starts]
 
-
-def _build_grammar_index(config: RunConfig, text: Text):
-    try:
-        return build_lcp_rmq_index(text, epsilon=config.epsilon)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
-def _cmd_lcp_rmq(config: RunConfig, report: Report) -> int:
-    text = _load_text(config)
-    index = _build_grammar_index(config, text)
-    _grammar_report(config, report, text, index)
-    if config.queries_path is not None:
-        for b, e in _load_queries(config.queries_path, pairs=True, label="lcp-rmq"):
-            if not 0 <= b < e <= text.n:
-                raise CliError(f"range ({b}..{e}] is not a valid rank range of [1..{text.n}]")
-            report.add(f"argmin({b}..{e}]", lcp_rmq(index, b, e))
-    if config.bench:
-        repeat = max(1, config.repeat)
-        rng = random.Random(config.seed)
-        batch = max(1, min(config.batch, 4 * text.n))
-        ranges = []
-        for _ in range(batch):
-            b = rng.randrange(text.n)
-            ranges.append((b, rng.randint(b + 1, text.n)))
-        for b, e in ranges:  # warm-up
-            lcp_rmq(index, b, e)
-        times = []
-        for _ in range(repeat):
-            start = time.perf_counter()
+        def queries() -> None:
             for b, e in ranges:
                 lcp_rmq(index, b, e)
-            times.append((time.perf_counter() - start) * 1e6 / batch)
-        report.add("bench_repeat", repeat)
+
+        median_us, _ = _median_pass(queries, args.repeat, 1e-6 * batch)
+        report.add("bench_repeat", args.repeat)
         report.add("bench_batch", batch)
-        report.add("bench_median_us", f"{statistics.median(times):.3f}")
-    return 0
-
-
-def _cmd_lce(config: RunConfig, report: Report) -> int:
-    text = _load_text(config)
-    index = _build_grammar_index(config, text)
-    _grammar_report(config, report, text, index)
-    if config.queries_path is not None:
-        for i, j in _load_queries(config.queries_path, pairs=True, label="lce"):
-            if not (1 <= i <= text.n and 1 <= j <= text.n):
-                raise CliError(f"positions ({i},{j}) outside [1..{text.n}]")
-            report.add(f"lce({i},{j})", lce_query(index, i, j))
+        report.add("bench_median_us", median_us)
     return 0
 
 
@@ -319,20 +274,16 @@ def _verify_one(kind: str, data: tuple[int, ...]) -> gadgets.ReductionReport:
     return gadgets.verify_reduction(kind, gadgets.build_gadget(kind, data))
 
 
-def _cmd_gadget_verify(config: RunConfig, report: Report) -> int:
-    kind = config.kind
-    size = config.size
-    if config.workers < 1:
-        raise CliError("--workers must be at least 1")
-    trials = config.trials if config.trials is not None else 20
+def _cmd_gadget_verify(args: argparse.Namespace, report: Report) -> int:
+    _at_least_one(args, "workers")
     try:
         count, inputs = gadgets.instance_inputs(
-            kind, size, exhaustive=config.exhaustive, trials=trials, seed=config.seed
+            args.kind, args.size, exhaustive=args.exhaustive, trials=args.trials, seed=args.seed
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    workers = min(config.workers, os.cpu_count() or 1, count)
-    verify = partial(_verify_one, kind)
+    workers = min(args.workers, os.cpu_count() or 1, count)
+    verify = partial(_verify_one, args.kind)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -347,33 +298,30 @@ def _cmd_gadget_verify(config: RunConfig, report: Report) -> int:
             merged = reduce(gadgets.merge_reports, reports)
     else:
         merged = reduce(gadgets.merge_reports, map(verify, inputs))
-    report.add("kind", kind)
-    report.add("size", size)
-    report.add("mode", "exhaustive" if config.exhaustive else "trials")
-    if not config.exhaustive:
-        report.add("seed", config.seed)
+    report.add("kind", args.kind)
+    report.add("size", args.size)
+    report.add("mode", "exhaustive" if args.exhaustive else "trials")
+    if not args.exhaustive:
+        report.add("seed", args.seed)
     report.add("instances", merged.instances)
     report.add("queries", merged.query_count)
     report.add("mismatches", merged.mismatch_count)
-    report.add("text_length", merged.text_length)
-    report.add("rl_runs", merged.rl_runs)
-    report.add("lz_phrases", merged.lz_phrases)
-    report.add("cert_phrases", merged.cert_phrases)
-    report.add("cert_bound", merged.cert_bound)
-    report.add("anchors_consistent", merged.anchors_consistent)
+    for key in ("text_length", "rl_runs", "lz_phrases", "cert_phrases", "cert_bound",
+                "anchors_consistent"):
+        report.add(key, getattr(merged, key))
     if merged.first_mismatch is not None:
         report.add("first_mismatch", repr(merged.first_mismatch))
     report.add("ok", merged.ok)
     return 0 if merged.ok else 1
 
 
-_HANDLERS: dict[str, Callable[[RunConfig, Report], int]] = {
+_HANDLERS: dict[str, Callable[[argparse.Namespace, Report], int]] = {
     "arrays": _cmd_arrays,
     "measures": _cmd_measures,
     "ilf": _cmd_ilf,
     "ilf-bench": _cmd_ilf_bench,
-    "lcp-rmq": _cmd_lcp_rmq,
-    "lce": _cmd_lce,
+    "lcp-rmq": _cmd_grammar,
+    "lce": _cmd_grammar,
     "gadget-verify": _cmd_gadget_verify,
 }
 
@@ -394,139 +342,89 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
 
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument(
-        "--output",
-        choices=("human", "structured"),
-        default="human",
-        help="line-oriented key/value text (default) or one JSON document",
-    )
-
+    output.add_argument("--output", choices=("human", "structured"), default="human",
+                        help="line-oriented key/value text (default) or one JSON document")
     infile = argparse.ArgumentParser(add_help=False)
     infile.add_argument("--input", required=True, metavar="PATH", help="input text file")
-    infile.add_argument(
-        "--format",
-        choices=("ascii", "ints"),
-        default="ascii",
-        help="read the file as raw bytes or as whitespace-separated integers",
-    )
+    infile.add_argument("--format", choices=("ascii", "ints"), default="ascii",
+                        help="read the file as raw bytes or as whitespace-separated integers")
+    epsilon = argparse.ArgumentParser(add_help=False)
+    epsilon.add_argument("--epsilon", type=float, default=0.5,
+                         help="widening depth parameter in (0,1)")
+    text_in = [infile, output]
 
-    sub.add_parser(
-        "arrays",
-        parents=[infile, output],
-        help="dump the nine suffix-array bundle rows of a text",
-    )
-    sub.add_parser(
-        "measures",
-        parents=[infile, output],
-        help="report repetitiveness measures and their bound ratios",
-    )
+    def timing(p: argparse.ArgumentParser) -> None:
+        # Added in place: a parent parser would put these flags ahead of the
+        # subcommand's own ones in the usage line.
+        p.add_argument("--repeat", type=int, default=5, help="timed repetitions (at least 1)")
+        p.add_argument("--batch", type=int, default=2000, help="queries per repetition (at least 1)")
+        p.add_argument("--seed", type=int, default=0, help="seed for the timed queries")
 
-    p = sub.add_parser(
-        "ilf",
-        parents=[infile, output],
-        help="build the run-boundary inverse-LF index, check it against the bundle, answer queries",
-    )
+    sub.add_parser("arrays", parents=text_in,
+                   help="dump the nine suffix-array bundle rows of a text")
+    sub.add_parser("measures", parents=text_in,
+                   help="report repetitiveness measures and their bound ratios")
+
+    p = sub.add_parser("ilf", parents=text_in, help=(
+        "build the run-boundary inverse-LF index, check it against the bundle, answer queries"))
     p.add_argument("--queries", metavar="PATH", help="file of positions, one per inverse-LF query")
-    p.add_argument(
-        "--flavor",
-        choices=("yfast", "bisect"),
-        default="yfast",
-        help="predecessor structure answering the boundary searches",
-    )
+    p.add_argument("--flavor", choices=("yfast", "bisect"), default="yfast",
+                   help="predecessor structure answering the boundary searches")
 
-    p = sub.add_parser(
-        "ilf-bench",
-        parents=[infile, output],
-        help="time inverse-LF index builds and queries (never gates verification)",
-    )
+    p = sub.add_parser("ilf-bench", parents=text_in,
+                       help="time inverse-LF index builds and queries (never gates verification)")
     p.add_argument("--flavor", choices=("yfast", "bisect"), default="yfast")
-    p.add_argument("--repeat", type=int, default=5, help="timed repetitions")
-    p.add_argument("--batch", type=int, default=2000, help="queries per repetition")
-    p.add_argument("--seed", type=int, default=0, help="seed for query positions")
+    timing(p)
 
-    p = sub.add_parser(
-        "lcp-rmq",
-        parents=[infile, output],
-        help="build the grammar LCP index, answer range-argmin queries over (b..e]",
-    )
-    p.add_argument("--epsilon", type=float, default=0.5, help="widening depth parameter in (0,1)")
+    p = sub.add_parser("lcp-rmq", parents=[*text_in, epsilon],
+                       help="build the grammar LCP index, answer range-argmin queries over (b..e]")
     p.add_argument("--queries", metavar="PATH", help="file of b e pairs")
-    p.add_argument("--bench", action="store_true", help="also time random queries (never gates)")
-    p.add_argument("--repeat", type=int, default=5, help="timed repetitions with --bench")
-    p.add_argument("--batch", type=int, default=2000, help="query cap per repetition with --bench")
-    p.add_argument("--seed", type=int, default=0, help="seed for --bench query ranges")
+    p.add_argument("--bench", action="store_true",
+                   help="also time --batch random queries, at most 4n (never gates)")
+    timing(p)
 
-    p = sub.add_parser(
-        "lce",
-        parents=[infile, output],
-        help="build the grammar LCE index, answer longest-common-extension queries",
-    )
-    p.add_argument("--epsilon", type=float, default=0.5, help="widening depth parameter in (0,1)")
+    p = sub.add_parser("lce", parents=[*text_in, epsilon],
+                       help="build the grammar LCE index, answer longest-common-extension queries")
     p.add_argument("--queries", metavar="PATH", help="file of i j pairs")
 
-    p = sub.add_parser(
-        "gadget-verify",
-        parents=[output],
-        help="construct gadget texts and replay their query domains against definitions",
-    )
+    p = sub.add_parser("gadget-verify", parents=[output], help=(
+        "construct gadget texts and replay their query domains against definitions"))
     p.add_argument("--kind", required=True, choices=gadgets.KINDS)
     p.add_argument("--size", required=True, type=int, help="permutation length n or set size m")
     group = p.add_mutually_exclusive_group()
-    group.add_argument(
-        "--exhaustive", action="store_true", help="enumerate every input of the given size"
-    )
-    group.add_argument("--trials", type=int, help="number of seeded random inputs (default 20)")
+    group.add_argument("--exhaustive", action="store_true",
+                       help="enumerate every input of the given size")
+    # The default is a str that argparse converts, so an explicit
+    # "--trials 20" is still told apart from it and clashes with --exhaustive.
+    group.add_argument("--trials", type=int, default="20",
+                       help="number of seeded random inputs (default 20)")
     p.add_argument("--seed", type=int, default=0, help="seed for random inputs")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="shard instances across up to this many processes, at most one per CPU (default 1)",
-    )
+    p.add_argument("--workers", type=int, default=1, help=(
+        "shard instances across up to this many processes, at most one per CPU (default 1)"))
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        input_path=getattr(args, "input", None),
-        input_format=getattr(args, "format", "ascii"),
-        seed=getattr(args, "seed", 0),
-        trials=getattr(args, "trials", None),
-        exhaustive=bool(getattr(args, "exhaustive", False)),
-        epsilon=getattr(args, "epsilon", 0.5),
-        flavor=getattr(args, "flavor", "yfast"),
-        output=getattr(args, "output", "human"),
-        kind=getattr(args, "kind", ""),
-        size=getattr(args, "size", 0),
-        queries_path=getattr(args, "queries", None),
-        bench=bool(getattr(args, "bench", False)),
-        repeat=getattr(args, "repeat", 5),
-        batch=getattr(args, "batch", 2000),
-        workers=getattr(args, "workers", 1),
-    )
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch one configuration; print its report; return the exit code."""
-    report = Report(config.subcommand)
+def run(args: argparse.Namespace) -> int:
+    """Run one parsed command line; print its report; return the exit code."""
+    report = Report(args.subcommand)
     try:
-        handler = _HANDLERS[config.subcommand]
-    except KeyError:
-        print(f"error: unknown subcommand {config.subcommand!r}", file=sys.stderr)
-        return 2
-    try:
-        code = handler(config, report)
+        code = _HANDLERS[args.subcommand](args, report)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(report.render(config.output))
+    try:
+        print(report.render(args.output), flush=True)
+    except BrokenPipeError:
+        # The reader left early (say, `csq ... | head -1`).  Point stdout at
+        # the null device so that the flush at exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    return run(config_from_args(args))
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -605,11 +605,11 @@ class LcpRmqIndex:
     """Grammar-backed LCP RMQ / LCE structure for one text.
 
     Holds the widened grammar and its statistics, the text's ISA for LCE
-    queries, and build metadata (widening depth k, rhs bound ell, grammar
-    size/height before and after widening) for reporting.
+    queries, and build metadata (text length n, widening depth k, rhs
+    bound ell, grammar size/height before and after widening) for
+    reporting.  The text itself is not kept: no query reads it.
     """
 
-    text: Text
     slg: Slg
     stats: RuleStats
     isa: tuple[int, ...]
@@ -651,7 +651,6 @@ def build_lcp_rmq_index(text: Text, epsilon: float = 0.5) -> LcpRmqIndex:
             f"the grammar expands to {stats.exp_len[widened.start]} symbols, not {n}"
         )
     return LcpRmqIndex(
-        text=text,
         slg=widened,
         stats=stats,
         isa=(0, *(r + 1 for r in isa0)),

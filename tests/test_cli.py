@@ -8,6 +8,8 @@ import concurrent.futures
 import dataclasses
 import json
 import os
+import pathlib
+import sys
 
 import pytest
 
@@ -261,6 +263,12 @@ def test_gadget_verify_conflicting_modes_rejected(capsys):
         main(["gadget-verify", "--kind", "lcp-select", "--size", "3",
               "--exhaustive", "--trials", "4"])
     assert excinfo.value.code == 2
+    # --trials defaults to 20, yet an explicit --trials 20 clashes all the same
+    for order in (["--exhaustive", "--trials", "20"], ["--trials", "20", "--exhaustive"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["gadget-verify", "--kind", "lcp-select", "--size", "3", *order])
+        assert excinfo.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_gadget_verify_bad_size_is_usage_error(capsys):
@@ -418,6 +426,26 @@ def test_lcp_rmq_bench_reports_median(capsys, fig_file):
     assert code == 0
     report = parse_human(out)
     assert float(report["bench_median_us"]) >= 0.0
+    # --batch is capped at 4n queries
+    code, out, _ = run_cli(capsys, ["lcp-rmq", "--input", fig_file, "--bench", "--batch", "1000"])
+    assert code == 0
+    assert parse_human(out)["bench_batch"] == str(4 * len(FIG_ASCII))
+
+
+def test_bench_repeat_and_batch_below_one_exit_two(capsys, fig_file):
+    """Values below 1 are refused, as --workers values are."""
+    for bench in (["ilf-bench"], ["lcp-rmq", "--bench"]):
+        for flags, flag in [
+            (["--repeat", "0", "--batch", "-3"], "--repeat"),
+            (["--repeat", "-1"], "--repeat"),
+            (["--batch", "0"], "--batch"),
+        ]:
+            code, out, err = run_cli(capsys, [*bench, "--input", fig_file, *flags])
+            assert (code, out) == (2, "")
+            assert err == f"error: {flag} must be at least 1\n"
+    # lcp-rmq times nothing without --bench, so it does not read them
+    code, _, err = run_cli(capsys, ["lcp-rmq", "--input", fig_file, "--repeat", "0"])
+    assert (code, err) == (0, "")
 
 
 # ---------------------------------------------------------------------------
@@ -468,3 +496,59 @@ def test_structured_output_is_byte_identical_across_runs(capsys, fig_file):
     _, out_b, _ = run_cli(capsys, argv)
     assert out_a == out_b
     json.loads(out_a)
+
+
+# The full structured document of every deterministic subcommand on the
+# figure text.  Refactoring the command line must leave every byte alone.
+FIGURE_REPORTS = json.loads((pathlib.Path(__file__).parent / "figure_reports.json").read_text())
+
+FIGURE_QUERIES = {"ilf": "1 5 12 19\n", "lcp-rmq": "1 19\n5 6\n0 19\n", "lce": "3 12\n7 7\n19 1\n"}
+
+FIGURE_COMMANDS = {
+    "arrays": ["arrays", "--input", "{fig}"],
+    "arrays-ints": ["arrays", "--input", "{ints}", "--format", "ints"],
+    "measures": ["measures", "--input", "{fig}"],
+    "ilf-yfast": ["ilf", "--input", "{fig}", "--queries", "{queries}", "--flavor", "yfast"],
+    "ilf-bisect": ["ilf", "--input", "{fig}", "--queries", "{queries}", "--flavor", "bisect"],
+    "lcp-rmq": ["lcp-rmq", "--input", "{fig}", "--queries", "{queries}"],
+    "lce": ["lce", "--input", "{fig}", "--queries", "{queries}"],
+    "gadget-verify-trials": ["gadget-verify", "--kind", "isa-count", "--size", "4",
+                             "--trials", "5", "--seed", "3"],
+    "gadget-verify-exhaustive": ["gadget-verify", "--kind", "lcp-select", "--size", "3",
+                                 "--exhaustive"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIGURE_COMMANDS))
+def test_structured_report_matches_recorded_document(capsys, tmp_path, fig_file, name):
+    argv = FIGURE_COMMANDS[name]
+    ints = tmp_path / "fig1.ints"
+    ints.write_text(" ".join(str(ord(c)) for c in FIG_ASCII))
+    queries = tmp_path / "queries.txt"
+    queries.write_text(FIGURE_QUERIES.get(argv[0], ""))
+    paths = {"fig": fig_file, "ints": str(ints), "queries": str(queries)}
+    argv = [arg.format(**paths) for arg in argv] + ["--output", "structured"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(FIGURE_REPORTS[name], separators=(",", ":")) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# output stream
+
+
+def test_closed_stdout_ends_quietly(capsys, monkeypatch, fig_file):
+    """A reader that leaves early (`csq arrays ... | head -1`) costs no
+    traceback: the report's write fails, the exit code stands, stderr is
+    empty, and stdout is left pointing at the null device."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    closed = open(write_end, "w")
+    monkeypatch.setattr(sys, "stdout", closed)
+    try:
+        assert main(["arrays", "--input", fig_file]) == 0
+        closed.write("after the pipe closed\n")
+        closed.flush()
+    finally:
+        closed.close()
+    assert capsys.readouterr().err == ""

@@ -167,7 +167,10 @@ def test_one_suffix_sort_per_entry_point(monkeypatch, tmp_path, fig_text):
 
     path = tmp_path / "fig.txt"
     path.write_text(FIG_ASCII)
+    assert sort_count(lambda: cli.main(["arrays", "--input", str(path)])) == 1
     assert sort_count(lambda: cli.main(["measures", "--input", str(path)])) == 1
+    # the index, plus the bundle its answers are checked against
+    assert sort_count(lambda: cli.main(["ilf", "--input", str(path)])) == 2
     assert sort_count(lambda: cli.main(["lcp-rmq", "--input", str(path)])) == 1
     assert sort_count(lambda: cli.main(["lce", "--input", str(path)])) == 1
     assert sort_count(lambda: build_bundle(fig_text)) == 1
