@@ -37,6 +37,9 @@ _SCHEMA_VERSION = 1
 _POOL_WINDOW = 4096
 """The most gadget inputs ``gadget-verify --workers`` hands the pool at once."""
 
+_ILF_BENCH_BATCH_MAX = 10**6
+"""The most query positions ``ilf-bench --batch`` draws (about 8 MiB)."""
+
 
 class CliError(Exception):
     """Unusable input or configuration; rendered as an error and exit 2."""
@@ -164,7 +167,8 @@ def _cmd_arrays(args: argparse.Namespace, report: Report) -> int:
     report.add("n", text.n)
     for row in ("sa", "isa", "lcp", "plcp", "bwt", "lf", "ilf", "phi", "inv_phi"):
         values = list(getattr(bundle, row)[1:])
-        if row == "bwt" and args.format == "ascii":
+        # as characters only while they cannot break the line-oriented output
+        if row == "bwt" and args.format == "ascii" and all(0x20 <= c <= 0x7E for c in values):
             values = "".join(map(chr, values))
         report.add(row, values)
     return 0
@@ -212,6 +216,8 @@ def _cmd_ilf(args: argparse.Namespace, report: Report) -> int:
 
 def _cmd_ilf_bench(args: argparse.Namespace, report: Report) -> int:
     _at_least_one(args, "repeat", "batch")
+    if args.batch > _ILF_BENCH_BATCH_MAX:
+        raise CliError(f"--batch must be at most {_ILF_BENCH_BATCH_MAX}")
     text = _load_text(args)
     build = partial(build_ilf_index, text, use_yfast=args.flavor == "yfast")
     build_ms, index = _median_pass(build, args.repeat, 1e-3)

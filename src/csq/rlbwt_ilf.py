@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .predecessor import StaticKeySet, YFastTrie, pred, yfast_build, yfast_pred
-from .text_core import Text, suffix_array_prefix_doubling
+from .text_core import Text, suffix_array
 
 __all__ = [
     "IlfIndex",
@@ -58,7 +58,7 @@ def _terminated_ranks(symbols: Sequence[int]) -> tuple[list[int], list[int]]:
     """The original text's 0-based SA, and the terminated text's 1-based
     ranks indexed by 0-based position (the terminator at position n has
     rank 1; every other suffix ranks one below its original rank)."""
-    sa0 = suffix_array_prefix_doubling(symbols)
+    sa0 = suffix_array(symbols)
     rank1 = [1] * (len(sa0) + 1)
     for r, j in enumerate(sa0):
         rank1[j] = r + 2

@@ -17,6 +17,7 @@ import csq.gadgets
 from csq import cli
 from csq.cli import main
 from csq.gadgets import build_gadget, verify_reduction
+from csq.text_core import Text, build_bundle
 
 from conftest import (
     FIG_ASCII,
@@ -100,6 +101,25 @@ def test_arrays_structured_output_is_versioned_json(capsys, fig_file):
     rows = dict((key, value) for key, value in document["report"])
     assert rows["sa"] == FIG_SA
     assert rows["inv_phi"] == FIG_INV_PHI
+
+
+@pytest.mark.parametrize("raw", [b"abracadabra\n\n", b"a\x00b\x01\xffa\x00\xff"])
+def test_arrays_non_printable_bwt_prints_integers(capsys, tmp_path, raw):
+    """A BWT holding a control or non-ASCII byte is printed as integers,
+    so every line of the report still reads as ``key: value``."""
+    path = tmp_path / "raw.txt"
+    path.write_bytes(raw)
+    code, out, err = run_cli(capsys, ["arrays", "--input", str(path)])
+    assert (code, err) == (0, "")
+    keys = ["n", "sa", "isa", "lcp", "plcp", "bwt", "lf", "ilf", "phi", "inv_phi"]
+    lines = out.splitlines()
+    assert [line.partition(": ")[0] for line in lines] == keys
+    assert all(": " in line for line in lines)
+    symbols = raw.removesuffix(b"\n")
+    want = list(build_bundle(Text.from_ascii(symbols.decode("latin-1"))).bwt[1:])
+    assert int_row(parse_human(out), "bwt") == want
+    code, out, _ = run_cli(capsys, ["arrays", "--input", str(path), "--output", "structured"])
+    assert dict(json.loads(out)["report"])["bwt"] == want
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +466,16 @@ def test_bench_repeat_and_batch_below_one_exit_two(capsys, fig_file):
     # lcp-rmq times nothing without --bench, so it does not read them
     code, _, err = run_cli(capsys, ["lcp-rmq", "--input", fig_file, "--repeat", "0"])
     assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("batch", ["1000001", str(10**9)])
+def test_ilf_bench_batch_over_cap_exits_two(capsys, tmp_path, batch):
+    """An oversized --batch is refused before the text is read, so the
+    positions list is never drawn: the input file here does not exist."""
+    absent = str(tmp_path / "absent.txt")
+    code, out, err = run_cli(capsys, ["ilf-bench", "--input", absent, "--batch", batch])
+    assert (code, out) == (2, "")
+    assert err == "error: --batch must be at most 1000000\n"
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from csq.text_core import (
     lce_naive,
     occurrences,
     pattern_range,
+    suffix_array,
     suffix_array_naive,
-    suffix_array_prefix_doubling,
 )
 
 from conftest import (
@@ -139,13 +139,70 @@ def test_bundle_invariants_random(symbols):
 
 
 def test_bundle_matches_naive_sort_random():
-    """Prefix doubling agrees with direct suffix comparison."""
+    """SA-IS agrees with direct suffix comparison."""
     rng = random.Random(0xC0FFEE)
     for _ in range(120):
         n = rng.randint(1, 512)
         sigma = rng.choice([2, 4, 26])
         syms = [rng.randrange(sigma) for _ in range(n)]
-        assert suffix_array_prefix_doubling(syms) == suffix_array_naive(syms)
+        assert suffix_array(syms) == suffix_array_naive(syms)
+
+
+def _fibonacci_word(n: int) -> list[int]:
+    a, b = [0], [0, 1]
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def _de_bruijn_binary(k: int) -> list[int]:
+    """Binary de Bruijn sequence of order k (every k-bit word once,
+    cyclically), by concatenating Lyndon words in lexicographic order."""
+    seq, word = [], [0] * (k + 1)
+
+    def extend(t: int, p: int) -> None:
+        if t > k:
+            if k % p == 0:
+                seq.extend(word[1 : p + 1])
+            return
+        word[t] = word[t - p]
+        extend(t + 1, p)
+        for c in range(word[t - p] + 1, 2):
+            word[t] = c
+            extend(t + 1, t)
+
+    extend(1, 1)
+    return seq
+
+
+ADVERSARIAL_TEXTS = {
+    "n=1": [5],
+    "n=2 equal": [3, 3],
+    "n=2 falling": [1, 0],
+    "unary": [0] * 300,
+    "(ab)^k": [0, 1] * 150,
+    "(ab)^k a": [0, 1] * 150 + [0],
+    "fibonacci": _fibonacci_word(400),
+    "thue-morse": [bin(i).count("1") & 1 for i in range(512)],
+    "de bruijn": _de_bruijn_binary(8),
+    "ascending": list(range(300)),
+    "descending": list(range(300, 0, -1)),
+    "wide alphabet": [2**31 + 7, 2**40, 2**31, 2**40, 2**31 + 7, 0] * 40,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL_TEXTS))
+def test_suffix_array_adversarial_corpus(name):
+    """SA-IS on its classic hard cases: deep LMS recursion, all-equal and
+    all-distinct LMS names, and symbols far beyond any bucket range."""
+    syms = ADVERSARIAL_TEXTS[name]
+    assert suffix_array(syms) == suffix_array_naive(syms)
+
+
+@given(st.integers(1, 4).flatmap(lambda sigma: st.lists(st.integers(0, sigma - 1), max_size=80)))
+@settings(max_examples=200, deadline=None)
+def test_suffix_array_matches_naive(symbols):
+    assert suffix_array(symbols) == suffix_array_naive(symbols)
 
 
 def test_one_suffix_sort_per_entry_point(monkeypatch, tmp_path, fig_text):
@@ -154,11 +211,11 @@ def test_one_suffix_sort_per_entry_point(monkeypatch, tmp_path, fig_text):
 
     def counted(symbols):
         sorts.append(len(symbols))
-        return suffix_array_prefix_doubling(symbols)
+        return suffix_array(symbols)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "csq" and hasattr(module, "suffix_array_prefix_doubling"):
-            monkeypatch.setattr(module, "suffix_array_prefix_doubling", counted)
+        if name.split(".")[0] == "csq" and hasattr(module, "suffix_array"):
+            monkeypatch.setattr(module, "suffix_array", counted)
 
     def sort_count(call):
         sorts.clear()
