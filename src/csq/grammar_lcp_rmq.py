@@ -17,7 +17,8 @@ rule with prefix/suffix/child statistics, and answers
 * lcp_rmq — leftmost argmin of LCP over (b..e] (the same position, by the
   prefix-sum identity);
 * lce_query — longest common extension of two suffixes, via two ISA
-  lookups, one LCP RMQ, and one prefix-sum readout.
+  lookups and one grammar descent that yields the LCP minimum over the
+  rank interval along with its argmin.
 
 The grammar is built by deterministic round-based pairing of adjacent
 symbols (memoizing distinct pairs), then widened by cutting, from the
@@ -367,27 +368,28 @@ def prefix_stats_query(stats: RuleStats, x: int, p: int) -> tuple[int, int, int]
     """
     if not 1 <= p <= stats.exp_len[x]:
         raise ValueError(f"prefix length {p} outside [1..{stats.exp_len[x]}]")
-    rules = stats.slg.rules
+    rules, preds, plen, psum = stats.slg.rules, stats.pred, stats.plen, stats.psum
+    pmin, ppos = stats.pmin, stats.ppos
     acc_sum = 0  # sum of the full regions above the current level
     acc_len = 0  # their total length
     best_v: int | None = None
     best_pos = 0
     cur, p_cur = x, p
     while True:
-        d = smallset_pred(stats.pred[cur], p_cur)
-        pm = stats.pmin[cur][d]
+        d = smallset_pred(preds[cur], p_cur)
+        pm = pmin[cur][d]
         if pm is not None:
             v = acc_sum + pm
             if best_v is None or v < best_v:
                 best_v = v
-                best_pos = acc_len + stats.ppos[cur][d]
-        acc_sum += stats.psum[cur][d]
+                best_pos = acc_len + ppos[cur][d]
+        acc_sum += psum[cur][d]
         a = rules[cur][d - 1]
         if not isinstance(a, Nt):
             leaf = a
             break
-        acc_len += stats.plen[cur][d]
-        p_cur -= stats.plen[cur][d]
+        acc_len += plen[cur][d]
+        p_cur -= plen[cur][d]
         cur = a.id
     total = acc_sum + leaf
     if best_v is None or total < best_v:
@@ -405,17 +407,18 @@ def suffix_stats_query(stats: RuleStats, x: int, p: int) -> tuple[int, int, int]
     """
     if not 1 <= p <= stats.exp_len[x]:
         raise ValueError(f"suffix length {p} outside [1..{stats.exp_len[x]}]")
-    rules = stats.slg.rules
+    rules, preds, plen = stats.slg.rules, stats.pred, stats.plen
+    smin, spos, ssum, slen = stats.smin, stats.spos, stats.ssum, stats.slen
     path: list[tuple[int, int]] = []
     cur, p_cur = x, stats.exp_len[x] - p + 1
     while True:
-        d = smallset_pred(stats.pred[cur], p_cur)
+        d = smallset_pred(preds[cur], p_cur)
         path.append((cur, d))
         a = rules[cur][d - 1]
         if not isinstance(a, Nt):
             leaf = a
             break
-        p_cur -= stats.plen[cur][d]
+        p_cur -= plen[cur][d]
         cur = a.id
     # Walk the suffix regions left to right (deepest level first); track the
     # best minimum relative to the leading leaf element.
@@ -424,47 +427,52 @@ def suffix_stats_query(stats: RuleStats, x: int, p: int) -> tuple[int, int, int]
     best_rel: int | None = None
     best_pos = 0
     for cur_i, d in reversed(path):
-        sm = stats.smin[cur_i][d]
+        sm = smin[cur_i][d]
         if sm is not None:
             v = tail_sum + sm
             if best_rel is None or v < best_rel:
                 best_rel = v
-                best_pos = 1 + tail_len + stats.spos[cur_i][d]
-        tail_sum += stats.ssum[cur_i][d]
-        tail_len += stats.slen[cur_i][d]
+                best_pos = 1 + tail_len + spos[cur_i][d]
+        tail_sum += ssum[cur_i][d]
+        tail_len += slen[cur_i][d]
     total = leaf + tail_sum
     if best_rel is None or best_rel >= 0:
         return total, leaf, 1
     return total, leaf + best_rel, best_pos
 
 
-def interval_argmin_prefix_sum(stats: RuleStats, b: int, e: int) -> int:
-    """Smallest i in (b..e] minimizing A[1]+...+A[i], A = start's expansion.
+def _interval_min(stats: RuleStats, b: int, e: int) -> tuple[int, int]:
+    """(argmin, min) of A[1]+...+A[i] over i in (b..e], A = start's expansion.
 
-    Descends to the deepest rule whose single child still contains the
-    interval, splits the interval there into a suffix of the left child,
-    full middle children, and a prefix of the right child, and combines the
-    three candidates left to right with strict-inequality updates.
+    One descent: each level localizes b with one predecessor query, and the
+    interval stays inside child i exactly when e < plen[i+1].  The rule
+    where it splits is searched once more, for e, and the interval becomes a
+    suffix of the left child, full middle children and a prefix of the right
+    child, combined left to right with strict-inequality updates.  The
+    prefix sums of the regions passed on the way down give A[1]+...+A[b],
+    which turns the best relative minimum into the minimum itself.
     """
     start = stats.slg.start
     n = stats.exp_len[start]
     if not 0 <= b < e <= n:
         raise ValueError(f"empty or invalid range ({b}..{e}] over {n} positions")
-    rules = stats.slg.rules
+    rules, plen, psum, preds = stats.slg.rules, stats.plen, stats.psum, stats.pred
     x, b1, e1 = start, b, e
+    base = 0  # sum of A over the positions before x's expansion
     while True:
-        i = smallset_pred(stats.pred[x], b1)
-        j = smallset_pred(stats.pred[x], e1 + 1)
-        if i != j:
+        plen_x = plen[x]
+        i = smallset_pred(preds[x], b1)
+        if i == 0 or e1 >= plen_x[i + 1]:
             break
         # The whole interval lies inside child i, which must expand to more
         # than one symbol and hence is a nonterminal.
-        b1 -= stats.plen[x][i]
-        e1 -= stats.plen[x][i]
+        b1 -= plen_x[i]
+        e1 -= plen_x[i]
+        base += psum[x][i]
         x = rules[x][i - 1].id
-    plen_x = stats.plen[x]
-    psum_x = stats.psum[x]
-    p_left = plen_x[i + 1] - b1 if i >= 1 else 0
+    j = smallset_pred(preds[x], e1 + 1)
+    psum_x = psum[x]
+    p_left = plen_x[i + 1] - b1
     p_mid = plen_x[j] - plen_x[i + 1]
     p_right = e1 - plen_x[j]
     best_v: int | None = None
@@ -479,6 +487,7 @@ def interval_argmin_prefix_sum(stats: RuleStats, b: int, e: int) -> int:
             s_l, v_l, pos_l = a, a, 1
         best_v, best_pos = v_l, pos_l
         acc_sum, acc_len = s_l, p_left
+    before_b = base + psum_x[i + 1] - acc_sum  # A[1]+...+A[b]
     if p_mid > 0:
         t = sparse_rmq(stats.rmq[x], i, j - 1)
         v_m = stats.mmin[x][t] - psum_x[i + 1]
@@ -497,7 +506,13 @@ def interval_argmin_prefix_sum(stats: RuleStats, b: int, e: int) -> int:
         if best_v is None or acc_sum + v_r < best_v:
             best_v = acc_sum + v_r
             best_pos = acc_len + pos_r
-    return b + best_pos
+    return b + best_pos, before_b + best_v
+
+
+def interval_argmin_prefix_sum(stats: RuleStats, b: int, e: int) -> int:
+    """Smallest i in (b..e] minimizing A[1]+...+A[i], A = start's expansion,
+    by the one-descent search of _interval_min."""
+    return _interval_min(stats, b, e)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -670,11 +685,15 @@ def lcp_rmq(index: LcpRmqIndex, b: int, e: int) -> int:
     LCP[i] is the prefix sum A[1]+...+A[i] of the differential array, so
     the interval argmin over prefix sums is the LCP argmin.
     """
-    return interval_argmin_prefix_sum(index.stats, b, e)
+    return _interval_min(index.stats, b, e)[0]
 
 
 def lce_query(index: LcpRmqIndex, i: int, j: int) -> int:
-    """Length of the longest common prefix of the suffixes at i and j."""
+    """Length of the longest common prefix of the suffixes at i and j.
+
+    Two ISA lookups give the ranks p < q, and the LCE is the minimum of LCP
+    over (p..q], read off the same grammar descent that finds its argmin.
+    """
     n = index.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise IndexError(f"positions ({i}, {j}) outside [1..{n}]")
@@ -683,6 +702,4 @@ def lce_query(index: LcpRmqIndex, i: int, j: int) -> int:
     p, q = index.isa[i], index.isa[j]
     if p > q:
         p, q = q, p
-    pos = interval_argmin_prefix_sum(index.stats, p, q)
-    total, _, _ = prefix_stats_query(index.stats, index.slg.start, pos)
-    return total
+    return _interval_min(index.stats, p, q)[1]

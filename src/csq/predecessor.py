@@ -11,9 +11,9 @@ Three interchangeable flavors are provided:
 * ``yfast_build``/``yfast_pred`` — a y-fast trie: a bit-trie over bucket
   representatives stored as per-level prefix dictionaries, with sorted
   buckets of Theta(log u) keys at the bottom;
-* ``smallset_build``/``smallset_pred`` — a flat multi-way search over small
-  sorted blocks, intended for the short per-rule sequences used by the
-  grammar structures.
+* ``smallset_build``/``smallset_pred`` — two bisects, one over the minima
+  of small sorted blocks and one inside the chosen block, intended for the
+  short per-rule sequences used by the grammar structures.
 
 Builds validate their input; queries accept any integer x.  All structures
 are immutable after build, so queries are safe to run concurrently.
@@ -183,9 +183,9 @@ def yfast_pred(trie: YFastTrie, x: int) -> int:
 
 @dataclass(frozen=True)
 class SmallSet:
-    """Flat two-level scan for short key sequences.
+    """Two-level search for short key sequences.
 
-    Keys are cut into fixed-size blocks; a query scans the block minima,
+    Keys are cut into fixed-size blocks; a query bisects the block minima,
     then the chosen block.  Correctness holds for any m; the structure is
     meant for the short per-rule arrays of the grammar module.
     """
@@ -210,15 +210,7 @@ def smallset_build(keys: Sequence[int]) -> SmallSet:
 
 def smallset_pred(s: SmallSet, x: int) -> int:
     """Same answer as pred(): the number of stored keys strictly below x."""
-    if x <= s.minima[0]:
+    t = bisect_left(s.minima, x)
+    if t == 0:
         return 0
-    t = len(s.minima) - 1
-    while s.minima[t] >= x:
-        t -= 1
-    below = 0
-    for key in s.blocks[t]:
-        if key < x:
-            below += 1
-        else:
-            break
-    return t * s.block_size + below
+    return (t - 1) * s.block_size + bisect_left(s.blocks[t - 1], x)

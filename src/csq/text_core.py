@@ -24,6 +24,7 @@ grammar all derive from it.  The bundle collects nine arrays:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence, Union
@@ -85,8 +86,8 @@ def _coerce_pattern(pattern: PatternLike) -> tuple[int, ...]:
     if isinstance(pattern, Text):
         return pattern.symbols
     if isinstance(pattern, str):
-        return tuple(ord(c) for c in pattern)
-    return tuple(int(s) for s in pattern)
+        return tuple(map(ord, pattern))
+    return tuple(map(int, pattern))
 
 
 def suffix_array(symbols: Sequence[int]) -> list[int]:
@@ -261,9 +262,13 @@ def build_bundle(text: Text) -> SuffixArrayBundle:
         raise ValueError("cannot build a suffix-array bundle for an empty text")
     syms = text.symbols
     sa0, isa0, lcp0 = suffix_core(syms)
-    sa = [0] + [j + 1 for j in sa0]
-    isa = [0] + [r + 1 for r in isa0]
-    lcp = [0] + lcp0
+    # One int object per value in [0..n], shared by every row instead of a
+    # fresh set per row: positions, ranks and LCP values all lie in it.
+    ids = list(range(n + 1))
+    pos = ids[1:]  # pos[j] = j + 1
+    sa = [0] + [pos[j] for j in sa0]
+    isa = [0] + [pos[r] for r in isa0]
+    lcp = [0] + [ids[h] for h in lcp0]
 
     plcp = [0] * (n + 1)
     for r in range(1, n + 1):
@@ -282,7 +287,7 @@ def build_bundle(text: Text) -> SuffixArrayBundle:
             lf[r] = isa_last
 
     ilf = [0] * (n + 1)
-    for r in range(1, n + 1):
+    for r in pos:
         ilf[lf[r]] = r
 
     phi = [0] * (n + 1)
@@ -290,7 +295,7 @@ def build_bundle(text: Text) -> SuffixArrayBundle:
     for r in range(2, n + 1):
         phi[sa[r]] = sa[r - 1]
     inv_phi = [0] * (n + 1)
-    for j in range(1, n + 1):
+    for j in pos:
         inv_phi[phi[j]] = j
 
     return SuffixArrayBundle(
@@ -307,7 +312,7 @@ def build_bundle(text: Text) -> SuffixArrayBundle:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatternRange:
     """Half-open rank interval (range_beg..range_end] of suffixes that start
     with the pattern."""
@@ -324,45 +329,24 @@ class PatternRange:
         return self.range_end == self.range_beg
 
 
-def _cmp_suffix_pattern(syms: tuple[int, ...], p0: int, pat: tuple[int, ...]) -> int:
-    """-1 if the suffix at 0-based p0 sorts before the pattern, 0 if the
-    pattern is its prefix, +1 if it sorts after."""
-    n = len(syms)
-    for off, pc in enumerate(pat):
-        q = p0 + off
-        if q >= n:
-            return -1  # suffix is a proper prefix of the pattern
-        sc = syms[q]
-        if sc != pc:
-            return -1 if sc < pc else 1
-    return 0
-
-
 def pattern_range(text: Text, sa: Sequence[int], pattern: PatternLike) -> PatternRange:
-    """Rank interval of ``pattern`` by binary search over the suffix array.
+    """Rank interval of ``pattern`` by two keyed bisects over the suffix array.
 
-    ``sa`` is the 1-indexed array from :func:`build_bundle`.  The empty
-    pattern yields (0, n).
+    ``sa`` is the 1-indexed array from :func:`build_bundle`.  Each probe keys
+    a suffix by its first m = |pattern| symbols; tuple order is the
+    suffix/pattern order, since a suffix shorter than the pattern sorts
+    before it.  The empty pattern yields (0, n).  Needs Python >= 3.10.
     """
     pat = _coerce_pattern(pattern)
     syms = text.symbols
-    n = text.n
-    lo, hi = 1, n + 1
-    while lo < hi:  # first rank whose suffix is >= pattern (prefix counts)
-        mid = (lo + hi) // 2
-        if _cmp_suffix_pattern(syms, sa[mid] - 1, pat) < 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    beg = lo - 1
-    hi = n + 1
-    while lo < hi:  # first rank whose suffix is strictly > pattern
-        mid = (lo + hi) // 2
-        if _cmp_suffix_pattern(syms, sa[mid] - 1, pat) <= 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    return PatternRange(beg, lo - 1)
+    m = len(pat)
+
+    def key(j: int) -> tuple[int, ...]:
+        return syms[j - 1 : j - 1 + m]
+
+    beg = bisect_left(sa, pat, 1, text.n + 1, key=key)
+    end = bisect_right(sa, pat, beg, text.n + 1, key=key)
+    return PatternRange(beg - 1, end - 1)
 
 
 def occurrences(text: Text, sa: Sequence[int], pattern: PatternLike) -> list[int]:

@@ -379,3 +379,45 @@ def test_lce_matches_naive_all_pairs(symbols):
     for i in range(1, t.n + 1):
         for j in range(1, t.n + 1):
             assert lce_query(idx, i, j) == lce_naive(t, i, j)
+
+
+@pytest.mark.parametrize("family", ["random", "period-8"])
+def test_queries_on_tall_grammars(family):
+    """On n = 3000 texts the widened grammar is at least three levels high,
+    so the query descent passes through inner rules before it splits."""
+    rng = random.Random(0x7A11)
+    if family == "random":
+        symbols = [rng.randrange(4) for _ in range(3000)]
+    else:
+        symbols = [int(i % 8 == 7) for i in range(3000)]
+    t = Text.from_symbols(symbols, 4)
+    idx = build_lcp_rmq_index(t)
+    assert idx.height >= 3
+    lcp = build_bundle(t).lcp
+    for _ in range(400):
+        i, j = rng.randint(1, t.n), rng.randint(1, t.n)
+        assert lce_query(idx, i, j) == lce_naive(t, i, j)
+        b = rng.randrange(t.n)
+        e = rng.randint(b + 1, min(t.n, b + rng.choice((2, 40, 3000))))
+        expected = min((lcp[r], r) for r in range(b + 1, e + 1))[1]
+        assert lcp_rmq(idx, b, e) == expected
+
+
+def test_lce_reads_no_prefix_sum_back(monkeypatch):
+    """An LCE is one descent: its value comes out of the argmin search, with
+    no second descent from the start symbol to read the prefix sum back."""
+    t = Text.from_symbols([random.Random(0x1CE).randrange(4) for _ in range(3000)], 4)
+    idx = build_lcp_rmq_index(t)
+    from_start = []
+    real = grammar.prefix_stats_query
+
+    def counting(stats, x, p):
+        from_start.append(x == idx.slg.start)
+        return real(stats, x, p)
+
+    monkeypatch.setattr(grammar, "prefix_stats_query", counting)
+    rng = random.Random(5)
+    for _ in range(200):
+        i, j = rng.randint(1, t.n), rng.randint(1, t.n)
+        assert lce_query(idx, i, j) == lce_naive(t, i, j)
+    assert from_start and not any(from_start)

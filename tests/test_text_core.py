@@ -1,3 +1,4 @@
+import pickle
 import random
 import sys
 
@@ -95,6 +96,18 @@ def test_bundle_single_symbol():
 def test_bundle_rejects_empty_text():
     with pytest.raises(ValueError):
         build_bundle(Text.from_symbols([]))
+
+
+def test_bundle_rows_share_one_int_pool():
+    """Positions, ranks and LCP values (here past 256, so not cached by the
+    interpreter) are one int object per value across all rows."""
+    b = build_bundle(Text.from_symbols([int(i % 7 == 6) for i in range(2000)]))
+    canonical: dict[int, int] = {}
+    for row in (b.sa, b.isa, b.lcp, b.plcp, b.lf, b.ilf, b.phi, b.inv_phi):
+        assert type(row) is tuple
+        for v in row:
+            assert canonical.setdefault(v, v) is v
+    assert max(b.lcp) > 256
 
 
 def test_bundle_simple_strings():
@@ -329,6 +342,56 @@ def test_pattern_range_matches_naive(symbols, pat):
     t = Text.from_symbols(symbols, 4)
     b = build_bundle(t)
     assert pattern_range(t, b.sa, pat) == _pattern_range_naive(t, tuple(pat))
+
+
+def test_pattern_range_shapes_match_naive():
+    """Patterns longer than the text, the whole text, extensions of the last
+    suffix, gadget-style runs hundreds of symbols long and symbols beyond
+    32 bits all get the count-based range."""
+    rng = random.Random(0x5A)
+    gadget = [0] * 300 + [1] + [0] * 120 + [1] + [0] * 299 + [1]
+    wide = [2**31 + rng.randrange(3) for _ in range(200)] + [2**40]
+    for symbols in (gadget, wide, [rng.randrange(2) for _ in range(400)], [7] * 150):
+        t = Text.from_symbols(symbols)
+        b = build_bundle(t)
+        n = t.n
+        last = b.sa[n]  # the largest suffix
+        patterns = [
+            t.symbols + (t.symbols[0],),
+            t.symbols + t.symbols,
+            t.symbols,
+            t.symbols[last - 1 :] + (max(t.symbols),),
+            t.symbols[last - 1 :] + (min(t.symbols),),
+            t.symbols[n - 1 :] + t.symbols[:5],
+        ]
+        patterns += [(0,) * v + (1,) for v in (119, 120, 121, 299, 300, 301)]
+        for _ in range(20):
+            j = rng.randrange(n)
+            patterns.append(t.symbols[j : j + rng.randint(1, 300)])
+        for pat in patterns:
+            assert pattern_range(t, b.sa, pat) == _pattern_range_naive(t, tuple(pat))
+
+
+@given(
+    st.lists(st.integers(0, 2), min_size=1, max_size=64),
+    st.integers(0, 63),
+    st.integers(0, 12),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+@settings(max_examples=120, deadline=None)
+def test_pattern_range_long_patterns_match_naive(symbols, start, length, tail):
+    """Patterns of up to 12 symbols, taken from the text so that they mostly
+    occur, then optionally extended past the text or by a mismatch."""
+    t = Text.from_symbols(symbols, 3)
+    b = build_bundle(t)
+    pat = (t.symbols[start % t.n :] + tuple(tail))[:length]
+    assert pattern_range(t, b.sa, pat) == _pattern_range_naive(t, pat)
+
+
+def test_pattern_range_pickles_and_has_no_dict():
+    rng = PatternRange(6, 10)
+    assert pickle.loads(pickle.dumps(rng)) == rng
+    assert not hasattr(rng, "__dict__")
 
 
 # ---------------------------------------------------------------------------
