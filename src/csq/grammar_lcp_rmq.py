@@ -13,7 +13,8 @@ rule with prefix/suffix/child statistics, and answers
   query each;
 * interval_argmin_prefix_sum — leftmost argmin of A[1]+...+A[i] over an
   interval (b..e], by a left-suffix / middle-children / right-prefix
-  decomposition at the deepest rule containing the interval;
+  decomposition at the deepest rule containing the interval, whose middle
+  children are searched by one scan of at most l per-child minima;
 * lcp_rmq — leftmost argmin of LCP over (b..e] (the same position, by the
   prefix-sum identity);
 * lce_query — longest common extension of two suffixes, via two ISA
@@ -21,7 +22,8 @@ rule with prefix/suffix/child statistics, and answers
   rank interval along with its argmin.
 
 The grammar is built by deterministic round-based pairing of adjacent
-symbols (memoizing distinct pairs), then widened by cutting, from the
+symbols (memoizing distinct pairs, keyed by terminals in the first round
+and by rule ids after it), then widened by cutting, from the
 start symbol down, each reachable rule's parse tree at depth k, which caps
 right-hand sides at l = 2*2^k symbols and divides the height by k.
 Terminal values may be any integers; all sums use exact integer arithmetic.
@@ -50,7 +52,6 @@ __all__ = [
     "Nt",
     "RuleStats",
     "Slg",
-    "SparseRmq",
     "build_lcp_rmq_index",
     "build_rule_stats",
     "diff_lcp_from_bundle",
@@ -60,8 +61,6 @@ __all__ = [
     "lcp_rmq",
     "make_slg",
     "prefix_stats_query",
-    "sparse_rmq",
-    "sparse_rmq_build",
     "slg_from_rule_list",
     "suffix_stats_query",
     "validate_slg",
@@ -197,43 +196,6 @@ def expand(slg: Slg, nonterminal: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Sparse RMQ (leftmost argmin over (b..e])
-
-
-@dataclass(frozen=True)
-class SparseRmq:
-    """Doubling table for leftmost range-argmin over a fixed integer array."""
-
-    values: tuple[int, ...]
-    table: tuple[tuple[tuple[int, int], ...], ...]
-
-
-def sparse_rmq_build(array: Sequence[int]) -> SparseRmq:
-    values = tuple(array)
-    m = len(values)
-    row = tuple((values[t], t + 1) for t in range(m))
-    table = [row]
-    span = 1
-    while 2 * span <= m:
-        prev = table[-1]
-        row = tuple(min(prev[t], prev[t + span]) for t in range(m - 2 * span + 1))
-        table.append(row)
-        span *= 2
-    return SparseRmq(values, tuple(table))
-
-
-def sparse_rmq(rmq: SparseRmq, b: int, e: int) -> int:
-    """Smallest position of the minimum over positions (b..e], 1-based."""
-    m = len(rmq.values)
-    if not 0 <= b < e <= m:
-        raise ValueError(f"empty or invalid range ({b}..{e}] over {m} values")
-    k = (e - b).bit_length() - 1
-    left = rmq.table[k][b]
-    right = rmq.table[k][e - (1 << k)]
-    return min(left, right)[1]
-
-
-# ---------------------------------------------------------------------------
 # Rule statistics
 
 
@@ -251,8 +213,8 @@ class RuleStats:
     * slen/ssum/smin/spos[delta], delta in [1..L]: the same for the suffix
       region e_{delta+1}..e_L (None sentinel at delta = L);
     * mmin/mpos[delta], delta in [1..L]: minimum partial sum and leftmost
-      argmin of the prefix of the full expansion ending inside e_delta,
-      with a sparse RMQ over mmin per rule;
+      argmin of the prefix of the full expansion ending inside e_delta;
+      a query reads the middle children's minimum off one slice of the row;
     * pred[x]: a small-set predecessor over the boundary keys plen[1..L+1].
 
     exp_len/exp_sum/nt_min/nt_pos aggregate each nonterminal's full
@@ -274,8 +236,11 @@ class RuleStats:
     spos: tuple[tuple[int | None, ...], ...]
     mmin: tuple[tuple[int | None, ...], ...]
     mpos: tuple[tuple[int | None, ...], ...]
-    rmq: tuple[SparseRmq, ...]
     pred: tuple[SmallSet, ...]
+    # Always empty: no query keeps a per-rule RMQ table.  The field stays
+    # only because perfbench's space counter iterates it; it goes when
+    # perfbench reads public entry points (ROADMAP item 1).
+    rmq: tuple = ()
 
 
 def build_rule_stats(slg: Slg) -> RuleStats:
@@ -290,7 +255,7 @@ def build_rule_stats(slg: Slg) -> RuleStats:
     nt_min = [0] * len(rules)
     nt_pos = [0] * len(rules)
     # rows[x] holds rule x's plen, psum, pmin, ppos, slen, ssum, smin, spos,
-    # mmin, mpos, rmq and pred, the per-rule fields of RuleStats in order.
+    # mmin, mpos and pred, the per-rule fields of RuleStats in order.
     rows: list[tuple] = [()] * len(rules)
 
     def item(a: Atom) -> tuple[int, int, int, int]:
@@ -346,10 +311,9 @@ def build_rule_stats(slg: Slg) -> RuleStats:
         nt_pos[x] = ppos[L + 1]
         rows[x] = (
             *map(tuple, (plen, psum, pmin, ppos, slen, ssum, smin, spos, mmin, mpos)),
-            sparse_rmq_build(mmin[1:]),
             smallset_build(plen[1:]),
         )
-    columns = tuple(zip(*rows)) or ((),) * 12
+    columns = tuple(zip(*rows)) or ((),) * 11
     return RuleStats(
         slg, tuple(exp_len), tuple(exp_sum), tuple(nt_min), tuple(nt_pos), *columns
     )
@@ -366,6 +330,8 @@ def prefix_stats_query(stats: RuleStats, x: int, p: int) -> tuple[int, int, int]
     B[1]+...+B[t], smallest minimizing t).  One rule descent per level,
     each localizing p with a single predecessor query.
     """
+    if not 0 <= x < len(stats.exp_len):
+        raise ValueError(f"no rule for nonterminal {x}")
     if not 1 <= p <= stats.exp_len[x]:
         raise ValueError(f"prefix length {p} outside [1..{stats.exp_len[x]}]")
     rules, preds, plen, psum = stats.slg.rules, stats.pred, stats.plen, stats.psum
@@ -405,6 +371,8 @@ def suffix_stats_query(stats: RuleStats, x: int, p: int) -> tuple[int, int, int]
     wins ties, since every other candidate region lies strictly to its
     right.
     """
+    if not 0 <= x < len(stats.exp_len):
+        raise ValueError(f"no rule for nonterminal {x}")
     if not 1 <= p <= stats.exp_len[x]:
         raise ValueError(f"suffix length {p} outside [1..{stats.exp_len[x]}]")
     rules, preds, plen = stats.slg.rules, stats.pred, stats.plen
@@ -449,8 +417,10 @@ def _interval_min(stats: RuleStats, b: int, e: int) -> tuple[int, int]:
     where it splits is searched once more, for e, and the interval becomes a
     suffix of the left child, full middle children and a prefix of the right
     child, combined left to right with strict-inequality updates.  The
-    prefix sums of the regions passed on the way down give A[1]+...+A[b],
-    which turns the best relative minimum into the minimum itself.
+    middle children's leftmost minimum is one scan of a slice of the rule's
+    mmin row, at most l entries.  The prefix sums of the regions passed on
+    the way down give A[1]+...+A[b], which turns the best relative minimum
+    into the minimum itself.
     """
     start = stats.slg.start
     n = stats.exp_len[start]
@@ -489,9 +459,10 @@ def _interval_min(stats: RuleStats, b: int, e: int) -> tuple[int, int]:
         acc_sum, acc_len = s_l, p_left
     before_b = base + psum_x[i + 1] - acc_sum  # A[1]+...+A[b]
     if p_mid > 0:
-        t = sparse_rmq(stats.rmq[x], i, j - 1)
-        v_m = stats.mmin[x][t] - psum_x[i + 1]
-        pos_m = stats.mpos[x][t] - plen_x[i + 1]
+        mid = stats.mmin[x][i + 1 : j]
+        v_m = min(mid)
+        pos_m = stats.mpos[x][i + 1 + mid.index(v_m)] - plen_x[i + 1]
+        v_m -= psum_x[i + 1]
         if best_v is None or acc_sum + v_m < best_v:
             best_v = acc_sum + v_m
             best_pos = acc_len + pos_m
@@ -547,38 +518,38 @@ def _pairing_slp(values: Sequence[int]) -> tuple[list[tuple[Atom, ...]], int]:
     nonterminals, carrying an odd element; height is logarithmic.
 
     A round of m > 1 symbols leaves ceil(m/2), so the last round pairs
-    exactly two symbols and the last pair made is the root."""
+    exactly two symbols and the last pair made is the root.
+
+    Round 1 pairs terminals.  Later rounds pair rule ids under one memo of
+    their own, since an id pair and a terminal pair may hold the same two
+    integers; a rule is built from one shared Nt per id.  A terminal left
+    over by round 1 rides along as id -1, which no rule has, until it is
+    paired once; nts[-1] is that terminal."""
     if len(values) == 1:
         return [(values[0],)], 0
-    rules: list[tuple[Atom, ...]] = []
-    memo: dict[tuple[Atom, Atom], int] = {}
-    seq: list[Atom] = list(values)
-    root = 0
+    memo: dict[tuple[int, int], int] = {}
+    seq = [memo.setdefault(pair, len(memo)) for pair in zip(values[::2], values[1::2])]
+    rules: list[tuple[Atom, ...]] = list(memo)
+    base = len(rules)
+    if len(values) % 2:
+        seq.append(-1)
+    memo = {}
     while len(seq) > 1:
-        nxt: list[Atom] = []
-        for t in range(0, len(seq) - 1, 2):
-            pair = (seq[t], seq[t + 1])
-            root = memo.setdefault(pair, len(rules))
-            if root == len(rules):
-                rules.append(pair)
-            nxt.append(Nt(root))
-        if len(seq) % 2:
-            nxt.append(seq[-1])
-        seq = nxt
-    return rules, root
+        odd = seq[-1:] if len(seq) % 2 else []
+        seq = [memo.setdefault(pair, base + len(memo)) for pair in zip(seq[::2], seq[1::2])] + odd
+    nts: list[Atom] = [Nt(x) for x in range(base + len(memo))]
+    nts.append(values[-1])  # id -1, the carried terminal
+    rules += [(nts[a], nts[b]) for a, b in memo]
+    return rules, seq[0]
 
 
 def _depth_cut(rules: Sequence[tuple[Atom, ...]], rhs: tuple[Atom, ...], depth: int) -> tuple[Atom, ...]:
-    """The parse-tree cut at the given depth below a right-hand side."""
-    if depth == 0:
-        return rhs
-    out: list[Atom] = []
-    for a in rhs:
-        if isinstance(a, Nt):
-            out.extend(_depth_cut(rules, rules[a.id], depth - 1))
-        else:
-            out.append(a)
-    return tuple(out)
+    """The parse-tree cut at the given depth below a right-hand side,
+    expanded one level per pass."""
+    cut = rhs
+    for _ in range(depth):
+        cut = [b for a in cut for b in (rules[a.id] if isinstance(a, Nt) else (a,))]
+    return tuple(cut)
 
 
 def widen_slg(slg: Slg, k: int) -> Slg:
@@ -599,12 +570,9 @@ def widen_slg(slg: Slg, k: int) -> Slg:
             cut[x] = rhs = _depth_cut(slg.rules, slg.rules[x], k)
             pending.extend(a.id for a in rhs if isinstance(a, Nt) and a.id not in cut)
     keep = sorted(cut)
-    remap = {old: new for new, old in enumerate(keep)}
-    rules = [
-        tuple(Nt(remap[a.id]) if isinstance(a, Nt) else a for a in cut[old])
-        for old in keep
-    ]
-    return make_slg(rules, remap[slg.start])
+    nts = {old: Nt(new) for new, old in enumerate(keep)}
+    rules = [tuple(nts[a.id] if isinstance(a, Nt) else a for a in cut[old]) for old in keep]
+    return make_slg(rules, nts[slg.start].id)
 
 
 def _widening_depth(n: int, epsilon: float) -> int:
@@ -635,6 +603,21 @@ class LcpRmqIndex:
     slp_height: int
     size: int
     height: int
+
+    @property
+    def stored_integers(self) -> int:
+        """Slots the index keeps: the grammar's symbols and caches, every
+        RuleStats row (placeholders included), the small-set blocks and
+        minima, and the ISA.  The ISA has an entry per text position, so
+        the index is O(n) however small the grammar is."""
+        slg, stats = self.slg, self.stats
+        stored = sum(map(len, slg.rules)) + len(slg.exp_lens) + len(slg.heights)
+        stored += 4 * len(stats.exp_len)  # exp_len, exp_sum, nt_min, nt_pos
+        rows = (stats.plen, stats.psum, stats.pmin, stats.ppos, stats.slen,
+                stats.ssum, stats.smin, stats.spos, stats.mmin, stats.mpos)
+        stored += sum(len(row) for per_rule in rows for row in per_rule)
+        stored += sum(len(s.minima) + sum(map(len, s.blocks)) for s in stats.pred)
+        return stored + len(self.isa)
 
 
 def build_lcp_rmq_index(text: Text, epsilon: float = 0.5) -> LcpRmqIndex:

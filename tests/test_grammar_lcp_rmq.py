@@ -1,4 +1,6 @@
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +20,6 @@ from csq.grammar_lcp_rmq import (
     make_slg,
     prefix_stats_query,
     slg_from_rule_list,
-    sparse_rmq,
-    sparse_rmq_build,
     suffix_stats_query,
     validate_slg,
     widen_slg,
@@ -28,7 +28,6 @@ from csq.text_core import Text, build_bundle, lce_naive
 
 FIG_DIFF = [0, 1, 5, -5, 2, 5, -5, 2, 0, 2, -7, 2, 5, -5, 2, 5, -5, 2, -5]
 
-int_arrays = st.lists(st.integers(-8, 8), min_size=1, max_size=96)
 small_texts = st.lists(st.integers(0, 3), min_size=1, max_size=48)
 
 
@@ -106,36 +105,6 @@ def test_expand_unknown_nonterminal():
 
 
 # ---------------------------------------------------------------------------
-# Sparse RMQ
-
-
-def test_sparse_rmq_example():
-    r = sparse_rmq_build([5, 1, 2, 8, 4, 7, 6, 2, 9])
-    assert sparse_rmq(r, 2, 9) == 3
-    assert sparse_rmq(r, 0, 9) == 2
-    assert sparse_rmq(r, 3, 4) == 4
-
-
-def test_sparse_rmq_errors():
-    r = sparse_rmq_build([3, 1])
-    with pytest.raises(ValueError):
-        sparse_rmq(r, 1, 1)
-    with pytest.raises(ValueError):
-        sparse_rmq(r, 0, 3)
-
-
-@given(int_arrays)
-@settings(max_examples=60, deadline=None)
-def test_sparse_rmq_matches_scan(values):
-    r = sparse_rmq_build(values)
-    m = len(values)
-    for b in range(m):
-        for e in range(b + 1, m + 1):
-            expected = min((values[t - 1], t) for t in range(b + 1, e + 1))[1]
-            assert sparse_rmq(r, b, e) == expected
-
-
-# ---------------------------------------------------------------------------
 # Rule statistics queries
 
 
@@ -193,6 +162,16 @@ def test_stats_query_range_errors():
             prefix_stats_query(stats, 0, p)
         with pytest.raises(ValueError):
             suffix_stats_query(stats, 0, p)
+
+
+def test_stats_queries_reject_unknown_nonterminals():
+    # A negative id must not wrap around to the last rules.
+    stats = build_rule_stats(make_slg([[1, 2], [Nt(0), 3]], 1))
+    for x in (-1, -2, 2):
+        with pytest.raises(ValueError, match=f"no rule for nonterminal {x}"):
+            prefix_stats_query(stats, x, 1)
+        with pytest.raises(ValueError, match=f"no rule for nonterminal {x}"):
+            suffix_stats_query(stats, x, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +234,44 @@ def test_diff_lcp_grammar_properties(symbols):
     assert stats.exp_len[slg.start] == t.n
 
 
+def _atom_keyed_pairing(values):
+    """Reference pairing: one memo keyed by (Atom, Atom) across all rounds."""
+    if len(values) == 1:
+        return [(values[0],)], 0
+    rules = []
+    memo = {}
+    seq = list(values)
+    root = 0
+    while len(seq) > 1:
+        nxt = []
+        for t in range(0, len(seq) - 1, 2):
+            pair = (seq[t], seq[t + 1])
+            root = memo.setdefault(pair, len(rules))
+            if root == len(rules):
+                rules.append(pair)
+            nxt.append(Nt(root))
+        if len(seq) % 2:
+            nxt.append(seq[-1])
+        seq = nxt
+    return rules, root
+
+
+# Small values repeat pairs across rounds and coincide with rule ids; a
+# length of 2^m + 1 carries the last terminal to the last round.
+_pairing_inputs = st.one_of(
+    st.lists(st.integers(-1, 3), min_size=1, max_size=130),
+    st.integers(0, 7).flatmap(
+        lambda m: st.lists(st.integers(-1, 3), min_size=2**m + 1, max_size=2**m + 1)
+    ),
+)
+
+
+@given(_pairing_inputs)
+@settings(max_examples=300, deadline=None)
+def test_pairing_matches_atom_keyed_reference(values):
+    assert grammar._pairing_slp(values) == _atom_keyed_pairing(values)
+
+
 def test_widening_preserves_expansion_and_caps_rhs():
     rng = random.Random(0xFADE)
     t = Text.from_symbols([rng.randrange(3) for _ in range(257)], 3)
@@ -278,7 +295,6 @@ def test_one_derivation_per_grammar(monkeypatch):
     pairing grammar, the widened grammar and the statistics, no separate
     validation, and one cut per rule the widened grammar keeps."""
     counts = {"passes": 0, "validations": 0, "cuts": 0}
-    depth = [0]
     real_order, real_cut, real_validate = (
         grammar._topological_order,
         grammar._depth_cut,
@@ -290,12 +306,8 @@ def test_one_derivation_per_grammar(monkeypatch):
         return real_order(rules)
 
     def cut(rules, rhs, d):
-        counts["cuts"] += depth[0] == 0  # recursive calls are not counted
-        depth[0] += 1
-        try:
-            return real_cut(rules, rhs, d)
-        finally:
-            depth[0] -= 1
+        counts["cuts"] += 1
+        return real_cut(rules, rhs, d)
 
     def validate(slg):
         counts["validations"] += 1
@@ -381,17 +393,26 @@ def test_lce_matches_naive_all_pairs(symbols):
             assert lce_query(idx, i, j) == lce_naive(t, i, j)
 
 
-@pytest.mark.parametrize("family", ["random", "period-8"])
-def test_queries_on_tall_grammars(family):
+@pytest.mark.parametrize(
+    "family, epsilon",
+    [
+        pytest.param(family, epsilon, id=family if epsilon == 0.5 else f"{family}-{epsilon}")
+        for epsilon in (0.5, 0.9)
+        for family in ("random", "period-8")
+    ],
+)
+def test_queries_on_tall_grammars(family, epsilon):
     """On n = 3000 texts the widened grammar is at least three levels high,
-    so the query descent passes through inner rules before it splits."""
+    so the query descent passes through inner rules before it splits.  At
+    epsilon = 0.9, k = 4 and rules reach ell = 32 children, so the scan of
+    the middle children's minima covers up to 32 entries."""
     rng = random.Random(0x7A11)
     if family == "random":
         symbols = [rng.randrange(4) for _ in range(3000)]
     else:
         symbols = [int(i % 8 == 7) for i in range(3000)]
     t = Text.from_symbols(symbols, 4)
-    idx = build_lcp_rmq_index(t)
+    idx = build_lcp_rmq_index(t, epsilon)
     assert idx.height >= 3
     lcp = build_bundle(t).lcp
     for _ in range(400):
@@ -421,3 +442,20 @@ def test_lce_reads_no_prefix_sum_back(monkeypatch):
         i, j = rng.randint(1, t.n), rng.randint(1, t.n)
         assert lce_query(idx, i, j) == lce_naive(t, i, j)
     assert from_start and not any(from_start)
+
+
+@pytest.mark.parametrize("family", ["figure", "random", "period-8"])
+def test_stored_integers_match_perfbench_count(monkeypatch, fig_text, family):
+    """The index's own count agrees with perfbench's independent one."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    oracles = importlib.import_module("oracles")
+    rng = random.Random(0x5107)
+    if family == "figure":
+        t = fig_text
+    elif family == "random":
+        t = Text.from_symbols([rng.randrange(4) for _ in range(2000)], 4)
+    else:
+        t = Text.from_symbols([int(i % 8 == 7) for i in range(2000)], 4)
+    idx = build_lcp_rmq_index(t)
+    assert idx.stored_integers == oracles.grammar_integers(idx)
+    assert idx.stored_integers > len(idx.isa) == t.n + 1
