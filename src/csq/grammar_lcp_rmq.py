@@ -9,8 +9,8 @@ rule with prefix/suffix/child statistics, and answers
 
 * prefix_stats_query / suffix_stats_query — sum, minimum, and leftmost
   argmin of the partial sums of a prefix or suffix of a nonterminal's
-  expansion, by descending O(height) rules with one small-set predecessor
-  query each;
+  expansion, by descending O(height) rules with one bisect of the rule's
+  plen row each;
 * interval_argmin_prefix_sum — leftmost argmin of A[1]+...+A[i] over an
   interval (b..e], by a left-suffix / middle-children / right-prefix
   decomposition at the deepest rule containing the interval, whose middle
@@ -39,11 +39,12 @@ expands to n symbols.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import ceil, log2
 from typing import Iterable, Sequence, Union
 
-from .predecessor import SmallSet, smallset_build, smallset_pred
+from .predecessor import SmallSet, smallset_build
 from .text_core import Text, suffix_core
 
 __all__ = [
@@ -215,7 +216,8 @@ class RuleStats:
     * mmin/mpos[delta], delta in [1..L]: minimum partial sum and leftmost
       argmin of the prefix of the full expansion ending inside e_delta;
       a query reads the middle children's minimum off one slice of the row;
-    * pred[x]: a small-set predecessor over the boundary keys plen[1..L+1].
+    * pred[x]: a small-set predecessor over the boundary keys plen[1..L+1],
+      which no query reads (see the field's comment).
 
     exp_len/exp_sum/nt_min/nt_pos aggregate each nonterminal's full
     expansion: length, sum, minimum partial sum, leftmost argmin.
@@ -236,6 +238,10 @@ class RuleStats:
     spos: tuple[tuple[int | None, ...], ...]
     mmin: tuple[tuple[int | None, ...], ...]
     mpos: tuple[tuple[int | None, ...], ...]
+    # No query reads pred: a descent bisects the plen row, whose entries
+    # 1..L+1 are exactly these keys.  It is still built and counted, as rmq
+    # is, because perfbench's space counter iterates it and its traced
+    # head-to-head probes it; it goes with ROADMAP item 1.
     pred: tuple[SmallSet, ...]
     # Always empty: no query keeps a per-rule RMQ table.  The field stays
     # only because perfbench's space counter iterates it; it goes when
@@ -328,13 +334,13 @@ def prefix_stats_query(stats: RuleStats, x: int, p: int) -> tuple[int, int, int]
 
     With B = exp(x): returns (B[1]+...+B[p], min over t <= p of
     B[1]+...+B[t], smallest minimizing t).  One rule descent per level,
-    each localizing p with a single predecessor query.
+    each localizing p with one bisect of the rule's plen row.
     """
     if not 0 <= x < len(stats.exp_len):
         raise ValueError(f"no rule for nonterminal {x}")
     if not 1 <= p <= stats.exp_len[x]:
         raise ValueError(f"prefix length {p} outside [1..{stats.exp_len[x]}]")
-    rules, preds, plen, psum = stats.slg.rules, stats.pred, stats.plen, stats.psum
+    rules, plen, psum = stats.slg.rules, stats.plen, stats.psum
     pmin, ppos = stats.pmin, stats.ppos
     acc_sum = 0  # sum of the full regions above the current level
     acc_len = 0  # their total length
@@ -342,7 +348,7 @@ def prefix_stats_query(stats: RuleStats, x: int, p: int) -> tuple[int, int, int]
     best_pos = 0
     cur, p_cur = x, p
     while True:
-        d = smallset_pred(preds[cur], p_cur)
+        d = bisect_left(plen[cur], p_cur, 1) - 1
         pm = pmin[cur][d]
         if pm is not None:
             v = acc_sum + pm
@@ -375,12 +381,12 @@ def suffix_stats_query(stats: RuleStats, x: int, p: int) -> tuple[int, int, int]
         raise ValueError(f"no rule for nonterminal {x}")
     if not 1 <= p <= stats.exp_len[x]:
         raise ValueError(f"suffix length {p} outside [1..{stats.exp_len[x]}]")
-    rules, preds, plen = stats.slg.rules, stats.pred, stats.plen
+    rules, plen = stats.slg.rules, stats.plen
     smin, spos, ssum, slen = stats.smin, stats.spos, stats.ssum, stats.slen
     path: list[tuple[int, int]] = []
     cur, p_cur = x, stats.exp_len[x] - p + 1
     while True:
-        d = smallset_pred(preds[cur], p_cur)
+        d = bisect_left(plen[cur], p_cur, 1) - 1
         path.append((cur, d))
         a = rules[cur][d - 1]
         if not isinstance(a, Nt):
@@ -412,26 +418,26 @@ def suffix_stats_query(stats: RuleStats, x: int, p: int) -> tuple[int, int, int]
 def _interval_min(stats: RuleStats, b: int, e: int) -> tuple[int, int]:
     """(argmin, min) of A[1]+...+A[i] over i in (b..e], A = start's expansion.
 
-    One descent: each level localizes b with one predecessor query, and the
-    interval stays inside child i exactly when e < plen[i+1].  The rule
-    where it splits is searched once more, for e, and the interval becomes a
-    suffix of the left child, full middle children and a prefix of the right
-    child, combined left to right with strict-inequality updates.  The
-    middle children's leftmost minimum is one scan of a slice of the rule's
-    mmin row, at most l entries.  The prefix sums of the regions passed on
-    the way down give A[1]+...+A[b], which turns the best relative minimum
-    into the minimum itself.
+    One descent: each level localizes b with one bisect of the rule's plen
+    row, and the interval stays inside child i exactly when e < plen[i+1].
+    The rule where it splits is bisected once more, for e, and the interval
+    becomes a suffix of the left child, full middle children and a prefix of
+    the right child, combined left to right with strict-inequality updates.
+    The middle children's leftmost minimum is one scan of a slice of the
+    rule's mmin row, at most l entries.  The prefix sums of the regions
+    passed on the way down give A[1]+...+A[b], which turns the best relative
+    minimum into the minimum itself.
     """
     start = stats.slg.start
     n = stats.exp_len[start]
     if not 0 <= b < e <= n:
         raise ValueError(f"empty or invalid range ({b}..{e}] over {n} positions")
-    rules, plen, psum, preds = stats.slg.rules, stats.plen, stats.psum, stats.pred
+    rules, plen, psum = stats.slg.rules, stats.plen, stats.psum
     x, b1, e1 = start, b, e
     base = 0  # sum of A over the positions before x's expansion
     while True:
         plen_x = plen[x]
-        i = smallset_pred(preds[x], b1)
+        i = bisect_left(plen_x, b1, 1) - 1
         if i == 0 or e1 >= plen_x[i + 1]:
             break
         # The whole interval lies inside child i, which must expand to more
@@ -440,7 +446,7 @@ def _interval_min(stats: RuleStats, b: int, e: int) -> tuple[int, int]:
         e1 -= plen_x[i]
         base += psum[x][i]
         x = rules[x][i - 1].id
-    j = smallset_pred(preds[x], e1 + 1)
+    j = bisect_left(plen_x, e1 + 1, 1) - 1
     psum_x = psum[x]
     p_left = plen_x[i + 1] - b1
     p_mid = plen_x[j] - plen_x[i + 1]

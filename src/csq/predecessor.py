@@ -12,8 +12,10 @@ Three interchangeable flavors are provided:
   representatives stored as per-level prefix dictionaries, with sorted
   buckets of Theta(log u) keys at the bottom;
 * ``smallset_build``/``smallset_pred`` — two bisects, one over the minima
-  of small sorted blocks and one inside the chosen block, intended for the
-  short per-rule sequences used by the grammar structures.
+  of small sorted blocks and one inside the chosen block.  It is the
+  small-block model that criterion c09 tests against binary search, and the
+  grammar's ``RuleStats.pred`` field that perfbench still counts; no grammar
+  query searches it, since a descent bisects the rule's ``plen`` row.
 
 Builds validate their input; queries accept any integer x.  All structures
 are immutable after build, so queries are safe to run concurrently.
@@ -186,8 +188,7 @@ class SmallSet:
     """Two-level search for short key sequences.
 
     Keys are cut into fixed-size blocks; a query bisects the block minima,
-    then the chosen block.  Correctness holds for any m; the structure is
-    meant for the short per-rule arrays of the grammar module.
+    then the chosen block.  Correctness holds for any m.
     """
 
     block_size: int

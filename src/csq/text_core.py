@@ -330,12 +330,18 @@ class PatternRange:
 
 
 def pattern_range(text: Text, sa: Sequence[int], pattern: PatternLike) -> PatternRange:
-    """Rank interval of ``pattern`` by two keyed bisects over the suffix array.
+    """Rank interval of ``pattern`` by one bisection of the suffix array that
+    narrows both ends until a probe matches, then two keyed bisects.
 
-    ``sa`` is the 1-indexed array from :func:`build_bundle`.  Each probe keys
-    a suffix by its first m = |pattern| symbols; tuple order is the
-    suffix/pattern order, since a suffix shorter than the pattern sorts
-    before it.  The empty pattern yields (0, n).  Needs Python >= 3.10.
+    ``sa`` is the 1-indexed array from :func:`build_bundle`.  Each probe
+    compares a suffix's first m = |pattern| symbols with the pattern; tuple
+    order is the suffix/pattern order, since a suffix shorter than the
+    pattern sorts before it.  Until a probe matches, every rank below ``lo``
+    is smaller than the pattern and every rank from ``hi`` on is larger, so
+    an absent pattern costs at most ceil(log2(n+1)) SA reads.  At the first
+    match the two ends are finished by bisects inside [lo, mid) and
+    (mid, hi), for at most 2 ceil(log2(n+1)) reads in all.  The empty
+    pattern yields (0, n).  Needs Python >= 3.10.
     """
     pat = _coerce_pattern(pattern)
     syms = text.symbols
@@ -344,9 +350,20 @@ def pattern_range(text: Text, sa: Sequence[int], pattern: PatternLike) -> Patter
     def key(j: int) -> tuple[int, ...]:
         return syms[j - 1 : j - 1 + m]
 
-    beg = bisect_left(sa, pat, 1, text.n + 1, key=key)
-    end = bisect_right(sa, pat, beg, text.n + 1, key=key)
-    return PatternRange(beg - 1, end - 1)
+    lo, hi = 1, text.n + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        j = sa[mid] - 1
+        window = syms[j : j + m]
+        if window < pat:
+            lo = mid + 1
+        elif window > pat:
+            hi = mid
+        else:
+            beg = bisect_left(sa, pat, lo, mid, key=key)
+            end = bisect_right(sa, pat, mid + 1, hi, key=key)
+            return PatternRange(beg - 1, end - 1)
+    return PatternRange(lo - 1, lo - 1)
 
 
 def occurrences(text: Text, sa: Sequence[int], pattern: PatternLike) -> list[int]:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import random
 from pathlib import Path
@@ -393,7 +394,7 @@ def test_lce_matches_naive_all_pairs(symbols):
             assert lce_query(idx, i, j) == lce_naive(t, i, j)
 
 
-@pytest.mark.parametrize(
+tall_grammars = pytest.mark.parametrize(
     "family, epsilon",
     [
         pytest.param(family, epsilon, id=family if epsilon == 0.5 else f"{family}-{epsilon}")
@@ -401,17 +402,24 @@ def test_lce_matches_naive_all_pairs(symbols):
         for family in ("random", "period-8")
     ],
 )
+
+
+def _tall_text(family: str, rng: random.Random) -> Text:
+    if family == "random":
+        symbols = [rng.randrange(4) for _ in range(3000)]
+    else:
+        symbols = [int(i % 8 == 7) for i in range(3000)]
+    return Text.from_symbols(symbols, 4)
+
+
+@tall_grammars
 def test_queries_on_tall_grammars(family, epsilon):
     """On n = 3000 texts the widened grammar is at least three levels high,
     so the query descent passes through inner rules before it splits.  At
     epsilon = 0.9, k = 4 and rules reach ell = 32 children, so the scan of
     the middle children's minima covers up to 32 entries."""
     rng = random.Random(0x7A11)
-    if family == "random":
-        symbols = [rng.randrange(4) for _ in range(3000)]
-    else:
-        symbols = [int(i % 8 == 7) for i in range(3000)]
-    t = Text.from_symbols(symbols, 4)
+    t = _tall_text(family, rng)
     idx = build_lcp_rmq_index(t, epsilon)
     assert idx.height >= 3
     lcp = build_bundle(t).lcp
@@ -422,6 +430,26 @@ def test_queries_on_tall_grammars(family, epsilon):
         e = rng.randint(b + 1, min(t.n, b + rng.choice((2, 40, 3000))))
         expected = min((lcp[r], r) for r in range(b + 1, e + 1))[1]
         assert lcp_rmq(idx, b, e) == expected
+
+
+@tall_grammars
+def test_queries_read_no_small_sets(family, epsilon):
+    """Every descent bisects the rules' plen rows: an index whose small-set
+    predecessors are gone answers every query as the intact one does."""
+    rng = random.Random(0x9DED)
+    t = _tall_text(family, rng)
+    idx = build_lcp_rmq_index(t, epsilon)
+    bare = dataclasses.replace(idx, stats=dataclasses.replace(idx.stats, pred=()))
+    for _ in range(300):
+        i, j = rng.randint(1, t.n), rng.randint(1, t.n)
+        assert lce_query(bare, i, j) == lce_query(idx, i, j) == lce_naive(t, i, j)
+        b = rng.randrange(t.n)
+        e = rng.randint(b + 1, t.n)
+        assert lcp_rmq(bare, b, e) == lcp_rmq(idx, b, e)
+    for x in range(len(idx.slg.rules)):
+        p = rng.randint(1, idx.stats.exp_len[x])
+        for query in (prefix_stats_query, suffix_stats_query):
+            assert query(bare.stats, x, p) == query(idx.stats, x, p)
 
 
 def test_lce_reads_no_prefix_sum_back(monkeypatch):

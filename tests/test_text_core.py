@@ -388,6 +388,47 @@ def test_pattern_range_long_patterns_match_naive(symbols, start, length, tail):
     assert pattern_range(t, b.sa, pat) == _pattern_range_naive(t, pat)
 
 
+class _CountingSa(tuple):
+    """A suffix array that counts its reads, C bisects included."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+@pytest.mark.parametrize("family", ["random", "unary", "period-8"])
+def test_pattern_range_sa_reads(family):
+    """One bisection narrows both ends until a probe matches, so an absent
+    pattern costs at most ceil(log2(n+1)) SA reads and any pattern at most
+    twice that."""
+    rng = random.Random(0x5AD)
+    if family == "random":
+        symbols = [rng.randrange(4) for _ in range(4096)]
+    elif family == "unary":
+        symbols = [0] * 3000
+    else:
+        symbols = [int(i % 8 == 7) for i in range(3000)]
+    t = Text.from_symbols(symbols, 4)
+    b = build_bundle(t)
+    sa = _CountingSa(b.sa)
+    bound = t.n.bit_length()  # ceil(log2(n + 1))
+    patterns = [t.symbols[j : j + rng.randint(1, 40)] for j in rng.sample(range(t.n), 300)]
+    patterns += [tuple(rng.randrange(4) for _ in range(rng.randint(1, 12))) for _ in range(300)]
+    patterns += [(0,) * (t.n + 1), ()]
+    absent = 0
+    for pat in patterns:
+        sa.reads = 0
+        got = pattern_range(t, sa, pat)
+        assert got == pattern_range(t, b.sa, pat)
+        assert sa.reads <= 2 * bound
+        if got.is_empty:
+            absent += 1
+            assert sa.reads <= bound
+    assert absent >= 100
+
+
 def test_pattern_range_pickles_and_has_no_dict():
     rng = PatternRange(6, 10)
     assert pickle.loads(pickle.dumps(rng)) == rng
