@@ -100,6 +100,7 @@ def _load_text(args: argparse.Namespace) -> Text:
         symbols = _read_ints(args.input)
         if not symbols:
             raise CliError(f"{args.input} holds no integers")
+        _within_text_budget(args.input, len(symbols))
         try:
             return Text.from_symbols(symbols)
         except ValueError as exc:
@@ -107,7 +108,15 @@ def _load_text(args: argparse.Namespace) -> Text:
     raw = _read_file(args.input).removesuffix("\n")
     if not raw:
         raise CliError(f"{args.input} holds no text")
+    _within_text_budget(args.input, len(raw))
     return Text.from_ascii(raw)
+
+
+def _within_text_budget(path: str, n: int) -> None:
+    if n > gadgets.TEXT_LENGTH_BUDGET:
+        raise CliError(
+            f"{path} holds {n} symbols, over the text-length budget of {gadgets.TEXT_LENGTH_BUDGET}"
+        )
 
 
 def _at_least_one(args: argparse.Namespace, *flags: str) -> None:

@@ -38,8 +38,9 @@ from .text_core import SuffixArrayBundle, Text, build_bundle, pattern_range
 EXHAUSTIVE_BUDGET = 10**6
 """The most inputs ``all_inputs`` enumerates; larger families are rejected."""
 
-_TEXT_LENGTH_BUDGET = 10**6
-"""The longest gadget text ``instance_inputs`` lets a size make."""
+TEXT_LENGTH_BUDGET = 10**6
+"""The longest gadget text ``instance_inputs`` lets a size make, and the
+longest text the command line loads."""
 
 
 @dataclass(frozen=True)
@@ -774,8 +775,9 @@ def verify_reduction(kind: str, instance: GadgetInstance) -> ReductionReport:
     certificate of the text.
 
     The greedy phrase count ``z`` is read off the instance's stored
-    bundle, so verification sorts nothing, and the parse is validated
-    against the text itself.  Greedy LZ77 is optimal, so a faulty bundle
+    bundle, one step per phrase over its SA, ISA and LCP rows, so
+    verification sorts nothing, and the parse is validated against the
+    text itself.  Greedy LZ77 is optimal, so a faulty bundle
     can only overstate ``z`` (or yield a parse that fails validation with
     ValueError).  Raises AssertionError if the text's run count differs
     from its closed form, if the certificate exceeds its closed-form
@@ -873,12 +875,12 @@ def instance_inputs(
     family = _family(kind, size)
     # Every gadget text is longer than its input, so a size over the budget
     # is refused before an input of that size is made.
-    length = _spec(kind).length(family.longest(size)) if size <= _TEXT_LENGTH_BUDGET else None
-    if length is None or length > _TEXT_LENGTH_BUDGET:
+    length = _spec(kind).length(family.longest(size)) if size <= TEXT_LENGTH_BUDGET else None
+    if length is None or length > TEXT_LENGTH_BUDGET:
         shown = length if length is not None else f"more than {size}"
         raise ValueError(
             f"{kind} at size {size} makes texts of {shown} symbols, "
-            f"over the text-length budget of {_TEXT_LENGTH_BUDGET}"
+            f"over the text-length budget of {TEXT_LENGTH_BUDGET}"
         )
     if exhaustive:
         inputs = all_inputs(kind, size)

@@ -15,6 +15,7 @@ reduced integer fraction, never a float).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -94,7 +95,9 @@ def lpf_with_sources(text: Text) -> tuple[list[int], list[int]]:
     some position j' < j, and src[j-1] is one such j' (0 when lpf is 0).
     Runs one pass over the suffix array with a stack: each rank is pushed
     once, and a pop resolves that position against its nearest smaller
-    position on either side in suffix order.
+    position on either side in suffix order.  The greedy LZ77 parse takes
+    one step per phrase instead, and falls back to this pass only when its
+    scans exceed a linear budget.
     """
     if text.n == 0:
         raise ValueError("cannot compute LPF of an empty text")
@@ -167,33 +170,94 @@ def lz77_factorize(text: Text) -> LZFactorization:
     Each phrase is the longest prefix of the remaining text that occurs
     starting earlier (possibly overlapping itself), or a single literal when
     no such prefix exists.  The greedy factorization has the minimum phrase
-    count among all factorizations accepted by validate_lz_like.
+    count among all factorizations accepted by validate_lz_like.  Runs one
+    suffix sort, then one step per phrase; the phrases and their sources
+    equal the parse read off lpf_with_sources.
     """
     if text.n == 0:
         raise ValueError("cannot factorize an empty text")
-    return _lz77_from_lpf(text, *lpf_with_sources(text))
+    sa0, isa0, lcp0 = suffix_core(text.symbols)
+    return _lz77_greedy(text.symbols, sa0, isa0, lcp0, 0)
 
 
 def lz77_from_bundle(bundle: SuffixArrayBundle) -> LZFactorization:
     """Greedy LZ77 factorization read off a text's stored bundle, with no
-    suffix sort: the same LPF pass as lz77_factorize over the bundle's SA
-    and LCP rows.  Pair it with validate_lz_like to check the parse against
-    the text itself rather than trust the bundle."""
-    sa0 = [j - 1 for j in bundle.sa[1:]]
-    return _lz77_from_lpf(bundle.text, *_lpf_from_core(sa0, bundle.lcp[1:]))
+    suffix sort: the same per-phrase parse as lz77_factorize over the
+    bundle's SA, ISA and LCP rows.  Pair it with validate_lz_like to check
+    the parse against the text itself rather than trust the bundle."""
+    return _lz77_greedy(bundle.text.symbols, bundle.sa, bundle.isa, bundle.lcp, 1)
 
 
-def _lz77_from_lpf(text: Text, lpf: Sequence[int], src: Sequence[int]) -> LZFactorization:
-    n = text.n
+# Ranks the per-phrase parse may scan per text symbol before it gives up and
+# runs the linear LPF pass instead.  Benchmark and gadget texts scan at most
+# 13 per symbol and random texts about 8; texts shaped like 0 m 0 m-1 ... 0 1
+# scan quadratically many and are parsed by the fallback.
+_LZ_SCAN_BUDGET = 32
+
+
+def _lz77_greedy(
+    syms: Sequence[int],
+    sa: Sequence[int],
+    isa: Sequence[int],
+    lcp: Sequence[int],
+    base: int,
+) -> LZFactorization:
+    """Greedy LZ77 in one step per phrase (Kärkkäinen, Kempa & Puglisi).
+
+    sa, isa and lcp are the text's rows indexed from ``base`` (0 for
+    suffix_core's rows, 1 for a bundle's), with positions and ranks counted
+    from ``base`` too.  At a phrase start j, the longest earlier match is
+    with one of the two ranks nearest ISA[j] whose positions lie before j;
+    a bitmap of the ranks parsed so far yields both with one C-level scan
+    each.  A tie goes to the lower rank, as in the LPF stack pass, so the
+    phrases and their sources equal the parse read off _lpf_from_core.
+    """
+    n = len(syms)
+    end = n + base
+    seen = bytearray(end)
+    budget = _LZ_SCAN_BUDGET * n
     phrases: list[tuple[int, int]] = []
-    j = 1
-    while j <= n:
-        length = lpf[j - 1]
+    j = base
+    while j < end:
+        k = isa[j]
+        lo = seen.rfind(1, base, k)
+        hi = seen.find(1, k + 1)
+        budget -= (hi if hi >= 0 else end) - (lo if lo >= 0 else base - 1)
+        if budget < 0:
+            if base:
+                sa, lcp = [p - 1 for p in sa[1:]], lcp[1:]
+            return _lz77_from_lpf(syms, *_lpf_from_core(sa, lcp))
+        length = 0
+        if lo >= 0:
+            length = lcp[k] if lo == k - 1 else min(lcp[lo + 1 : k + 1])
+            src = sa[lo]
+        if hi >= 0:
+            right = lcp[hi] if hi == k + 1 else min(lcp[k + 1 : hi + 1])
+            if right > length:
+                length, src = right, sa[hi]
         if length == 0:
-            phrases.append((text.at(j), 0))
+            phrases.append((syms[j - base], 0))
+            seen[k] = 1
             j += 1
         else:
-            phrases.append((src[j - 1], length))
+            phrases.append((src + 1 - base, length))
+            for r in isa[j : j + length]:
+                seen[r] = 1
+            j += length
+    return LZFactorization(tuple(phrases), n)
+
+
+def _lz77_from_lpf(syms: Sequence[int], lpf: Sequence[int], src: Sequence[int]) -> LZFactorization:
+    n = len(syms)
+    phrases: list[tuple[int, int]] = []
+    j = 0
+    while j < n:
+        length = lpf[j]
+        if length == 0:
+            phrases.append((syms[j], 0))
+            j += 1
+        else:
+            phrases.append((src[j], length))
             j += length
     return LZFactorization(tuple(phrases), n)
 
@@ -342,10 +406,6 @@ def distinct_substring_counts(text: Text) -> list[int]:
     if text.n == 0:
         raise ValueError("cannot count substrings of an empty text")
     _, _, lcp0 = suffix_core(text.symbols)
-    return _distinct_counts_from_lcp(lcp0)
-
-
-def _distinct_counts_from_lcp(lcp0: Sequence[int]) -> list[int]:
     n = len(lcp0)
     hist = [0] * (n + 2)
     for r in range(1, n):
@@ -361,29 +421,42 @@ def _distinct_counts_from_lcp(lcp0: Sequence[int]) -> list[int]:
 
 def substring_complexity(text: Text) -> DeltaValue:
     """Exact substring complexity delta = max over l in [1..n] of d_l / l."""
-    return _delta_from_counts(distinct_substring_counts(text))
+    if text.n == 0:
+        raise ValueError("cannot count substrings of an empty text")
+    _, _, lcp0 = suffix_core(text.symbols)
+    return _delta_from_lcp(lcp0)
 
 
-def _delta_from_counts(counts: Sequence[int]) -> DeltaValue:
-    # Integer scan: c / length beats num / den exactly when
-    # c * den > num * length; the strict test keeps the smallest arg_len.
-    num, den = counts[0], 1
-    for length, c in enumerate(counts[1:], start=2):
-        if c * den > num * length:
-            num, den = c, length
+def _delta_from_lcp(lcp0: Sequence[int]) -> DeltaValue:
+    # d_l = (n - l + 1) - #{r >= 1 : LCP[r] >= l}, scanned for l = 1, 2, ...
+    # Integer test: d / l beats num / den exactly when d * den > num * l; the
+    # strict test keeps the smallest arg_len.  Since d_l <= n - l + 1 and
+    # (n - l + 1) / l only falls, the scan stops once that bound cannot win.
+    n = len(lcp0)
+    hist = Counter(lcp0[1:])
+    ge = n - 1 - hist[0]
+    num, den = n - ge, 1
+    for length in range(2, n + 1):
+        if (n - length + 1) * den <= num * length:
+            break
+        ge -= hist[length - 1]
+        d = (n - length + 1) - ge
+        if d * den > num * length:
+            num, den = d, length
     g = gcd(num, den)
     return DeltaValue(num // g, den // g, den)
 
 
 def text_measures(text: Text) -> tuple[LZFactorization, int, DeltaValue]:
     """The greedy LZ77 factorization, the BWT run count r, and delta, all
-    read off one suffix sort of the text."""
+    read off one suffix sort of the text: LZ77 in one step per phrase over
+    the SA, ISA and LCP rows, r from SA, and delta from LCP."""
     if text.n == 0:
         raise ValueError("cannot measure an empty text")
-    sa0, _, lcp0 = suffix_core(text.symbols)
-    factorization = _lz77_from_lpf(text, *_lpf_from_core(sa0, lcp0))
-    runs = _bwt_runs_from_sa(text.symbols, sa0)
-    return factorization, runs, _delta_from_counts(_distinct_counts_from_lcp(lcp0))
+    syms = text.symbols
+    sa0, isa0, lcp0 = suffix_core(syms)
+    factorization = _lz77_greedy(syms, sa0, isa0, lcp0, 0)
+    return factorization, _bwt_runs_from_sa(syms, sa0), _delta_from_lcp(lcp0)
 
 
 def delta_append_check(text: Text, symbol: int) -> tuple[DeltaValue, DeltaValue]:

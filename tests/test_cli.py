@@ -4,6 +4,7 @@ Every test drives ``csq.cli.main`` in-process and inspects stdout,
 stderr, and the exit code; nothing shells out.
 """
 
+import argparse
 import concurrent.futures
 import dataclasses
 import json
@@ -321,6 +322,35 @@ def test_gadget_verify_text_length_over_budget_exits_two(capsys):
     )
     assert code == 2
     assert "makes texts of 1020304 symbols" in err
+
+
+def test_load_text_accepts_exactly_the_text_length_budget(tmp_path):
+    """Both formats load a text of exactly the budget; nothing is built."""
+    n = csq.gadgets.TEXT_LENGTH_BUDGET
+    assert n == 10**6
+    ints = tmp_path / "ints.txt"
+    ints.write_text("0 1 " * (n // 2))
+    ascii_text = tmp_path / "ascii.txt"
+    ascii_text.write_text("ab" * (n // 2) + "\n")
+    for path, fmt in [(ints, "ints"), (ascii_text, "ascii")]:
+        text = cli._load_text(argparse.Namespace(input=str(path), format=fmt))
+        assert text.n == n
+
+
+def test_measures_over_text_length_budget_exits_two(tmp_path, capsys, monkeypatch):
+    """A text one symbol over the budget is refused before any structure is
+    built, in either format, with exit 2 and no traceback."""
+    n = csq.gadgets.TEXT_LENGTH_BUDGET + 1
+    monkeypatch.setattr(cli, "text_measures", lambda text: pytest.fail("text was measured"))
+    ints = tmp_path / "ints.txt"
+    ints.write_text("0 " * n)
+    ascii_text = tmp_path / "ascii.txt"
+    ascii_text.write_text("a" * n)
+    for path, fmt in [(ints, "ints"), (ascii_text, "ascii")]:
+        code, out, err = run_cli(capsys, ["measures", "--input", str(path), "--format", fmt])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path} holds {n} symbols, over the text-length budget of 1000000\n"
 
 
 def test_gadget_verify_pool_gets_one_window_at_a_time(capsys, monkeypatch):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csq import measures
+from csq.gadgets import build_gadget, random_input
 from csq.measures import (
     DeltaValue,
     bwt_run_count,
@@ -176,6 +177,87 @@ def test_lz77_decodes_and_validates(symbols):
 def test_lz77_from_bundle_equals_lz77_factorize(symbols):
     t = Text.from_symbols(symbols, 4)
     assert lz77_from_bundle(build_bundle(t)) == lz77_factorize(t)
+
+
+def _stack_parse(t: Text) -> tuple[tuple[int, int], ...]:
+    """The greedy parse walked off the LPF stack pass's lengths and sources."""
+    lpf, src = lpf_with_sources(t)
+    phrases = []
+    j = 0
+    while j < t.n:
+        if lpf[j] == 0:
+            phrases.append((t.symbols[j], 0))
+            j += 1
+        else:
+            phrases.append((src[j], lpf[j]))
+            j += lpf[j]
+    return tuple(phrases)
+
+
+@given(
+    st.sampled_from([1, 2, 4, 64]).flatmap(
+        lambda sigma: st.lists(st.integers(0, sigma - 1), min_size=1, max_size=300)
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_lz77_phrases_and_sources_equal_stack_parse(symbols):
+    """The per-phrase parse keeps the stack pass's tie rule and sources."""
+    t = Text.from_symbols(symbols, 64)
+    want = _stack_parse(t)
+    assert lz77_factorize(t).phrases == want
+    assert lz77_from_bundle(build_bundle(t)).phrases == want
+
+
+def _count_stack_passes(monkeypatch) -> list[int]:
+    calls = []
+    stack_pass = measures._lpf_from_core
+
+    def counted(sa0, lcp0):
+        calls.append(len(sa0))
+        return stack_pass(sa0, lcp0)
+
+    monkeypatch.setattr(measures, "_lpf_from_core", counted)
+    return calls
+
+
+def test_lz77_quadratic_scan_family_falls_back_to_stack_pass(monkeypatch):
+    """On 0 m 0 m-1 ... 0 1 the nearest parsed ranks lie ever farther off,
+    so the per-phrase parse runs out of its linear scan budget and returns
+    the stack pass's parse of the whole text."""
+    m = 2 * 10**4
+    t = Text.from_symbols([s for v in range(m, 0, -1) for s in (0, v)], m + 1)
+    want = _stack_parse(t)
+    bundle = build_bundle(t)
+    calls = _count_stack_passes(monkeypatch)
+    assert lz77_factorize(t).phrases == want
+    assert lz77_from_bundle(bundle).phrases == want
+    assert text_measures(t)[0].phrases == want
+    assert calls == [2 * m] * 3
+
+
+def test_lz77_no_fallback_on_gadget_random_and_periodic_texts(monkeypatch):
+    rng = random.Random(0x12A7)
+    texts = [
+        Text.from_symbols([rng.randrange(4) for _ in range(3000)], 4),
+        Text.from_symbols([int(i % 8 == 7) for i in range(3000)], 2),
+    ]
+    for kind, size in [
+        ("lcp-select", 32),
+        ("isa-count", 32),
+        ("bwt-color", 32),
+        ("plcp-pred", 16),
+        ("phi-pred", 16),
+        ("ilf-pred", 8),
+        ("phi-inverse", 32),
+    ]:
+        texts.append(build_gadget(kind, random_input(kind, size, rng)).text)
+    wants = [_stack_parse(t) for t in texts]
+    calls = _count_stack_passes(monkeypatch)
+    for t, want in zip(texts, wants):
+        assert lz77_factorize(t).phrases == want
+        assert lz77_from_bundle(build_bundle(t)).phrases == want
+        assert text_measures(t)[0].phrases == want
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
