@@ -105,6 +105,7 @@ def _load_text(args: argparse.Namespace) -> Text:
             return Text.from_symbols(symbols)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
+    _within_text_budget(args.input, _raw_length_over_budget(args.input))
     raw = _read_file(args.input).removesuffix("\n")
     if not raw:
         raise CliError(f"{args.input} holds no text")
@@ -117,6 +118,21 @@ def _within_text_budget(path: str, n: int) -> None:
         raise CliError(
             f"{path} holds {n} symbols, over the text-length budget of {gadgets.TEXT_LENGTH_BUDGET}"
         )
+
+
+def _raw_length_over_budget(path: str) -> int:
+    """Symbols in a raw text file of over budget + 1 bytes (one is room for
+    a trailing newline), told from its size and last byte without reading
+    it; else 0, and the read checks the count."""
+    try:
+        size = os.stat(path).st_size
+        if size > gadgets.TEXT_LENGTH_BUDGET + 1:
+            with open(path, "rb") as handle:
+                handle.seek(size - 1)
+                return size - (handle.read(1) == b"\n")
+    except OSError:
+        pass
+    return 0
 
 
 def _at_least_one(args: argparse.Namespace, *flags: str) -> None:
@@ -209,8 +225,9 @@ def _cmd_measures(args: argparse.Namespace, report: Report) -> int:
 
 def _cmd_ilf(args: argparse.Namespace, report: Report) -> int:
     text = _load_text(args)
+    bundle = build_bundle(text)  # held, so the index reads its rows: one sort
     index = build_ilf_index(text, use_yfast=args.flavor == "yfast")
-    oracle = build_bundle(text).ilf
+    oracle = bundle.ilf
     mismatches = sum(
         1 for i in range(1, text.n + 1) if ilf_query(index, i) != oracle[i]
     )

@@ -45,7 +45,7 @@ from math import ceil, log2
 from typing import Iterable, Sequence, Union
 
 from .predecessor import SmallSet, smallset_build
-from .text_core import Text, suffix_core
+from .text_core import Text, live_bundle, suffix_core
 
 __all__ = [
     "DiffLcpArray",
@@ -594,9 +594,10 @@ class LcpRmqIndex:
     """Grammar-backed LCP RMQ / LCE structure for one text.
 
     Holds the widened grammar and its statistics, the text's ISA for LCE
-    queries, and build metadata (text length n, widening depth k, rhs
-    bound ell, grammar size/height before and after widening) for
-    reporting.  The text itself is not kept: no query reads it.
+    queries (the bundle's own tuple if built off a live bundle), and build
+    metadata (text length n, widening depth k, rhs bound ell, grammar
+    size/height before and after widening) for reporting.  The text itself
+    is not kept: no query reads it.
     """
 
     slg: Slg
@@ -631,14 +632,21 @@ def build_lcp_rmq_index(text: Text, epsilon: float = 0.5) -> LcpRmqIndex:
     array, plus the text's ISA for LCE queries.
 
     The pairing construction is widened by k = ceil(epsilon * log2 log2 n)
-    levels, so every right-hand side has at most l = 2*2^k symbols.
+    levels, so every right-hand side has at most l = 2*2^k symbols.  LCP and
+    ISA are a live bundle's rows with no sort, else one sort's; the index is
+    equal either way.
     """
     n = text.n
     if n == 0:
         raise ValueError("cannot index an empty text")
     k = _widening_depth(n, epsilon)
-    _, isa0, lcp0 = suffix_core(text.symbols)
-    diff = [lcp0[0]] + [lcp0[i] - lcp0[i - 1] for i in range(1, n)]
+    bundle = live_bundle(text)
+    if bundle is not None:
+        lcp, isa = bundle.lcp, bundle.isa
+    else:
+        _, isa0, lcp0 = suffix_core(text.symbols)
+        lcp, isa = [0, *lcp0], (0, *(r + 1 for r in isa0))
+    diff = [lcp[i] - lcp[i - 1] for i in range(1, n + 1)]  # the pad LCP[0] is 0
     slp = make_slg(*_pairing_slp(diff))
     widened = widen_slg(slp, k)
     slp_height = slp.heights[slp.start]
@@ -657,7 +665,7 @@ def build_lcp_rmq_index(text: Text, epsilon: float = 0.5) -> LcpRmqIndex:
     return LcpRmqIndex(
         slg=widened,
         stats=stats,
-        isa=(0, *(r + 1 for r in isa0)),
+        isa=isa,
         n=n,
         k_widen=k,
         ell=ell,

@@ -13,8 +13,8 @@ Two layers make the index work for arbitrary texts:
   unique smallest 0 is appended, which appends at most 3 BWT runs.  The
   terminator suffix sorts first and leaves every other suffix in order,
   so the terminated text's SA, BWT and LF are read off the original
-  text's single suffix sort, one rank further down; no symbol is
-  rewritten and any alphabet works;
+  text's SA, ISA and BWT rows (a live bundle's, else one sort), one rank
+  further down; no symbol is rewritten and any alphabet works;
 * unwrapping — inverse-LF answers for the terminated text are mapped back
   to the original text, with the lexicographically last suffix handled by
   the defining wrap-around i_last -> i_first.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .predecessor import StaticKeySet, YFastTrie, pred, yfast_build, yfast_pred
-from .text_core import Text, suffix_array
+from .text_core import Text, live_bundle, suffix_array
 
 __all__ = [
     "IlfIndex",
@@ -54,15 +54,19 @@ class TerminatedText:
     i_last: int
 
 
-def _terminated_ranks(symbols: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The original text's 0-based SA, and the terminated text's 1-based
-    ranks indexed by 0-based position (the terminator at position n has
-    rank 1; every other suffix ranks one below its original rank)."""
-    sa0 = suffix_array(symbols)
-    rank1 = [1] * (len(sa0) + 1)
-    for r, j in enumerate(sa0):
-        rank1[j] = r + 2
-    return sa0, rank1
+def _ranked_rows(text: Text) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
+    """The 1-indexed SA, ISA and BWT rows of the original text, each with a
+    0 at index 0: a live bundle's own rows, else read off one suffix sort."""
+    bundle = live_bundle(text)
+    if bundle is not None:
+        return bundle.sa, bundle.isa, bundle.bwt
+    syms = text.symbols
+    sa0 = suffix_array(syms)
+    sa = [0, *(j + 1 for j in sa0)]
+    isa = [0] * len(sa)
+    for r, j in enumerate(sa):
+        isa[j] = r
+    return sa, isa, [0, *(syms[j - 1] for j in sa0)]  # index -1 wraps to T[n]
 
 
 def append_terminator(text: Text) -> TerminatedText:
@@ -70,9 +74,9 @@ def append_terminator(text: Text) -> TerminatedText:
 
     The terminator suffix sorts first and leaves the relative order of all
     other suffixes unchanged, so the shifted text's suffix array is [n+1]
-    followed by the original one, and i_first/i_last are read off one sort
-    of the original text.  Appending costs at most 3 extra BWT runs, which
-    build_ilf_index checks on every build.
+    followed by the original one, and i_first/i_last are the original
+    text's ISA[1] and ISA[n].  Appending costs at most 3 extra BWT runs,
+    which build_ilf_index checks on every build.
     """
     n = text.n
     if n == 0:
@@ -81,12 +85,12 @@ def append_terminator(text: Text) -> TerminatedText:
         raise ValueError(
             f"alphabet size {text.sigma} leaves no room to shift within the symbol width"
         )
-    _, rank1 = _terminated_ranks(text.symbols)
+    _, isa, _ = _ranked_rows(text)
     return TerminatedText(
         original=text,
         shifted=Text.from_symbols([c + 1 for c in text.symbols] + [0], text.sigma + 1),
-        i_first=rank1[0] - 1,
-        i_last=rank1[n - 1] - 1,
+        i_first=isa[1],
+        i_last=isa[n],
     )
 
 
@@ -132,24 +136,22 @@ class IlfIndex:
 def build_ilf_index(text: Text, use_yfast: bool = True) -> IlfIndex:
     """Build the O(r)-entry inverse-LF index for an arbitrary-alphabet text.
 
-    One suffix sort of the original text gives the terminated text's BWT
-    and LF (see the module docstring), and one boundary entry is stored per
-    BWT run of the terminated text.  use_yfast selects the default y-fast
-    predecessor flavor; the fallback answers predecessor queries by binary
-    search over the same keys.
+    The original text's SA, ISA and BWT (a live bundle's rows with no sort,
+    else one sort; the index is equal either way) give the terminated
+    text's BWT and LF, and one boundary entry is stored per BWT run of the
+    terminated text.  use_yfast selects the default y-fast predecessor
+    flavor; the fallback answers predecessor queries by binary search.
     """
     n = text.n
     if n == 0:
         raise ValueError("cannot index an empty text")
-    syms = text.symbols
-    sa0, rank1 = _terminated_ranks(syms)
-    bwt = [syms[j - 1] for j in sa0]  # index -1 wraps to T[n]
-    r_original = 1 + sum(1 for t in range(1, n) if bwt[t] != bwt[t - 1])
+    sa, isa, bwt = _ranked_rows(text)
+    r_original = 1 + sum(1 for t in range(2, n + 1) if bwt[t] != bwt[t - 1])
     # Terminated BWT by 0-based rank: T[n] precedes the terminator suffix,
     # and the terminator (None, unequal to every symbol; runs only compare
     # equality, so the +1 shift is not applied) precedes the full text.
-    i_first = rank1[0] - 1
-    bwt1: list[int | None] = [syms[-1], *bwt]
+    i_first = isa[1]
+    bwt1: list[int | None] = [text.symbols[-1], *bwt[1:]]
     bwt1[i_first] = None
     heads = [0] + [t for t in range(1, n + 1) if bwt1[t] != bwt1[t - 1]]
     r_shifted = len(heads)
@@ -157,15 +159,16 @@ def build_ilf_index(text: Text, use_yfast: bool = True) -> IlfIndex:
         raise AssertionError(
             f"terminating added {r_shifted - r_original} BWT runs, more than 3"
         )
-    # LF at terminated rank t + 1 is the rank of the position before its
-    # suffix start; index -1 wraps from the full text to the terminator.
-    pairs = sorted((rank1[(sa0[t - 1] if t else n) - 1], t + 1) for t in heads)
+    # LF at terminated rank t + 1 is ISA + 1 at the position before its
+    # suffix start (n + 1 for the terminator); before position 1, the
+    # placeholder ISA[0] = 0 gives the terminator its rank 1.
+    pairs = sorted((isa[(sa[t] if t else n + 1) - 1] + 1, t + 1) for t in heads)
     boundary_keys = tuple(p for p, _ in pairs)
     ilf_at_boundary = tuple(i for _, i in pairs)
     return IlfIndex(
         n=n,
         i_first=i_first,
-        i_last=rank1[n - 1] - 1,
+        i_last=isa[n],
         boundary_keys=boundary_keys,
         ilf_at_boundary=ilf_at_boundary,
         pred_keys=StaticKeySet.build(boundary_keys, u=n + 1),

@@ -20,10 +20,15 @@ grammar all derive from it.  The bundle collects nine arrays:
     ILF      inverse permutation of LF
     PHI      PHI[SA[i]] = SA[i-1]; PHI[SA[1]] = SA[n]
     INV_PHI  inverse permutation of PHI
+
+The inverse-LF and LCP-RMQ builders read the rows of live_bundle(text), the
+bundle last built for that very Text object while a caller still holds it
+(the registry holds it weakly), and sort on their own only without one.
 """
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -204,14 +209,16 @@ def suffix_array_naive(symbols: Sequence[int]) -> list[int]:
 
 def _lcp_kasai(symbols: Sequence[int], sa0: list[int], isa0: list[int]) -> list[int]:
     # 0-based: lcp0[r] = LCE(sa0[r], sa0[r-1]) for r >= 1, lcp0[0] = 0.
+    # The appended None equals no symbol: it ends every extension unchecked.
     n = len(symbols)
+    s = [*symbols, None]
     lcp0 = [0] * n
     h = 0
     for j in range(n):
         r = isa0[j]
         if r > 0:
             j2 = sa0[r - 1]
-            while j + h < n and j2 + h < n and symbols[j + h] == symbols[j2 + h]:
+            while s[j + h] == s[j2 + h]:
                 h += 1
             lcp0[r] = h
             if h:
@@ -253,6 +260,18 @@ class SuffixArrayBundle:
     @property
     def n(self) -> int:
         return self.text.n
+
+
+# id(text) -> the last bundle built for that text object, held weakly.  The
+# bundle holds its text, so an id cannot be reused while its entry lives.
+_LIVE_BUNDLES: weakref.WeakValueDictionary[int, SuffixArrayBundle] = weakref.WeakValueDictionary()
+
+
+def live_bundle(text: Text) -> SuffixArrayBundle | None:
+    """The bundle build_bundle last made for this very ``text`` object while
+    it is alive, else None (also for an equal but distinct Text)."""
+    bundle = _LIVE_BUNDLES.get(id(text))
+    return bundle if bundle is not None and bundle.text is text else None
 
 
 def build_bundle(text: Text) -> SuffixArrayBundle:
@@ -298,7 +317,7 @@ def build_bundle(text: Text) -> SuffixArrayBundle:
     for j in pos:
         inv_phi[phi[j]] = j
 
-    return SuffixArrayBundle(
+    bundle = _LIVE_BUNDLES[id(text)] = SuffixArrayBundle(
         text=text,
         sa=tuple(sa),
         isa=tuple(isa),
@@ -310,6 +329,7 @@ def build_bundle(text: Text) -> SuffixArrayBundle:
         phi=tuple(phi),
         inv_phi=tuple(inv_phi),
     )
+    return bundle
 
 
 @dataclass(frozen=True, slots=True)

@@ -353,6 +353,36 @@ def test_measures_over_text_length_budget_exits_two(tmp_path, capsys, monkeypatc
         assert err == f"error: {path} holds {n} symbols, over the text-length budget of 1000000\n"
 
 
+def test_raw_text_at_the_budget_by_size_is_read(tmp_path, monkeypatch):
+    """A raw file of at most budget + 1 bytes passes the size check and is
+    read; the extra byte is room for a trailing newline."""
+    n = csq.gadgets.TEXT_LENGTH_BUDGET
+    reads = []
+    real = cli._read_file
+    monkeypatch.setattr(cli, "_read_file", lambda path: reads.append(path) or real(path))
+    bare = tmp_path / "bare.txt"
+    bare.write_bytes(b"ab" * (n // 2))
+    newline = tmp_path / "newline.txt"
+    newline.write_bytes(b"ab" * (n // 2) + b"\n")
+    for path in (bare, newline):
+        assert cli._load_text(argparse.Namespace(input=str(path), format="ascii")).n == n
+    assert reads == [str(bare), str(newline)]
+
+
+def test_raw_text_over_the_budget_by_size_is_not_read(tmp_path, capsys, monkeypatch):
+    """A raw file of budget + 2 bytes is refused from its size and last byte,
+    with the message a full read would give, and is never read."""
+    budget = csq.gadgets.TEXT_LENGTH_BUDGET
+    monkeypatch.setattr(cli, "_read_file", lambda path: pytest.fail("the file was read"))
+    for tail, n in [(b"a\n", budget + 1), (b"aa", budget + 2)]:
+        path = tmp_path / "big.txt"
+        path.write_bytes(b"a" * budget + tail)
+        code, out, err = run_cli(capsys, ["measures", "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path} holds {n} symbols, over the text-length budget of {budget}\n"
+
+
 def test_gadget_verify_pool_gets_one_window_at_a_time(capsys, monkeypatch):
     """ProcessPoolExecutor.map lists its whole iterable at once, so the
     inputs reach the pool in bounded windows: no more than one window is
