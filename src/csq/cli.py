@@ -76,18 +76,30 @@ def _human(value: object) -> str:
 # Input loading and shared checks
 
 
-def _read_file(path: str) -> str:
+def _read(path: str, size: int = -1) -> str:
     try:
         with open(path, "rb") as handle:
-            return handle.read().decode("latin-1")
+            return handle.read(size).decode("latin-1")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_file(path: str) -> str:
+    """A raw text, read to at most budget + 2 bytes (one is room for a
+    trailing newline), so a pipe or a device is refused, never drained."""
+    budget = gadgets.TEXT_LENGTH_BUDGET
+    raw = _read(path, budget + 2)
+    if len(raw) > budget + 1:
+        raise CliError(
+            f"{path} holds more than {budget} symbols, over the text-length budget of {budget}"
+        )
+    return raw
 
 
 def _read_ints(path: str) -> list[int]:
     """The whitespace-separated integers of a file."""
     values = []
-    for token in _read_file(path).split():
+    for token in _read(path).split():
         try:
             values.append(int(token))
         except ValueError:
@@ -123,7 +135,7 @@ def _within_text_budget(path: str, n: int) -> None:
 def _raw_length_over_budget(path: str) -> int:
     """Symbols in a raw text file of over budget + 1 bytes (one is room for
     a trailing newline), told from its size and last byte without reading
-    it; else 0, and the read checks the count."""
+    it; else 0, as for pipes and devices, and the read checks the count."""
     try:
         size = os.stat(path).st_size
         if size > gadgets.TEXT_LENGTH_BUDGET + 1:

@@ -45,7 +45,7 @@ from math import ceil, log2
 from typing import Iterable, Sequence, Union
 
 from .predecessor import SmallSet, smallset_build
-from .text_core import Text, live_bundle, suffix_core
+from .text_core import Text, suffix_core
 
 __all__ = [
     "DiffLcpArray",
@@ -633,19 +633,14 @@ def build_lcp_rmq_index(text: Text, epsilon: float = 0.5) -> LcpRmqIndex:
 
     The pairing construction is widened by k = ceil(epsilon * log2 log2 n)
     levels, so every right-hand side has at most l = 2*2^k symbols.  LCP and
-    ISA are a live bundle's rows with no sort, else one sort's; the index is
-    equal either way.
+    ISA come from text_core.suffix_core: a live bundle's rows with no sort,
+    else one sort's; the index is equal either way.
     """
     n = text.n
     if n == 0:
         raise ValueError("cannot index an empty text")
     k = _widening_depth(n, epsilon)
-    bundle = live_bundle(text)
-    if bundle is not None:
-        lcp, isa = bundle.lcp, bundle.isa
-    else:
-        _, isa0, lcp0 = suffix_core(text.symbols)
-        lcp, isa = [0, *lcp0], (0, *(r + 1 for r in isa0))
+    _, isa, lcp = suffix_core(text)
     diff = [lcp[i] - lcp[i - 1] for i in range(1, n + 1)]  # the pad LCP[0] is 0
     slp = make_slg(*_pairing_slp(diff))
     widened = widen_slg(slp, k)

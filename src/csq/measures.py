@@ -10,7 +10,9 @@ repeated blocks, such as its runs).
 
 Conventions match text_core: texts are 1-indexed in the API, phrase sources
 are 1-based text positions, and all quantities are exact (delta is kept as a
-reduced integer fraction, never a float).
+reduced integer fraction, never a float).  Every measure reads the text's
+rows from text_core.suffix_core (suffix_ranks where it needs no LCP), so it
+sorts nothing while the text's bundle is held and sorts once otherwise.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from operator import ne
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .text_core import SuffixArrayBundle, Text, suffix_core
+from .text_core import SuffixArrayBundle, Text, suffix_core, suffix_ranks
 
 __all__ = [
     "DeltaValue",
@@ -101,35 +104,35 @@ def lpf_with_sources(text: Text) -> tuple[list[int], list[int]]:
     """
     if text.n == 0:
         raise ValueError("cannot compute LPF of an empty text")
-    sa0, _, lcp0 = suffix_core(text.symbols)
-    return _lpf_from_core(sa0, lcp0)
+    sa, _, lcp = suffix_core(text)
+    return _lpf_from_core(sa, lcp)
 
 
-def _lpf_from_core(sa0: Sequence[int], lcp0: Sequence[int]) -> tuple[list[int], list[int]]:
-    n = len(sa0)
-    lpf = [0] * n
-    src = [0] * n
+def _lpf_from_core(sa: Sequence[int], lcp: Sequence[int]) -> tuple[list[int], list[int]]:
+    n = len(sa) - 1
+    lpf = [0] * (n + 1)
+    src = [0] * (n + 1)
     # Two parallel stacks: poss holds positions and lces[i] the LCE of the
-    # suffix at poss[i] with the one directly below it.  The -2 sentinel
-    # sits below every position, so it is never popped, and an entry pushed
-    # onto the bare sentinel always carries LCE 0.
-    poss = [-2]
+    # suffix at poss[i] with the one directly below it.  Position 0 sits
+    # below every position, so it is never popped, an entry pushed onto it
+    # always carries LCE 0, and a final 0 pops every other entry.
+    poss = [0]
     lces = [0]
-    for cur_pos, cur_lcp in zip(chain(sa0, (-1,)), chain(lcp0, (0,))):
+    for cur_pos, cur_lcp in chain(islice(zip(sa, lcp), 1, None), ((0, 0),)):
         while poss[-1] > cur_pos:
             pos = poss.pop()
             l = lces.pop()
             if l >= cur_lcp:
                 lpf[pos] = l
                 if l:
-                    src[pos] = poss[-1] + 1
+                    src[pos] = poss[-1]
             else:
                 lpf[pos] = cur_lcp
-                src[pos] = cur_pos + 1
+                src[pos] = cur_pos
                 cur_lcp = l
         poss.append(cur_pos)
         lces.append(cur_lcp)
-    return lpf, src
+    return lpf[1:], src[1:]
 
 
 def lpf_array(text: Text) -> list[int]:
@@ -170,14 +173,14 @@ def lz77_factorize(text: Text) -> LZFactorization:
     Each phrase is the longest prefix of the remaining text that occurs
     starting earlier (possibly overlapping itself), or a single literal when
     no such prefix exists.  The greedy factorization has the minimum phrase
-    count among all factorizations accepted by validate_lz_like.  Runs one
-    suffix sort, then one step per phrase; the phrases and their sources
-    equal the parse read off lpf_with_sources.
+    count among all factorizations accepted by validate_lz_like.  Reads the
+    text's SA, ISA and LCP rows (one suffix sort, or none while its bundle
+    is held), then takes one step per phrase; the phrases and their
+    sources equal the parse read off lpf_with_sources.
     """
     if text.n == 0:
         raise ValueError("cannot factorize an empty text")
-    sa0, isa0, lcp0 = suffix_core(text.symbols)
-    return _lz77_greedy(text.symbols, sa0, isa0, lcp0, 0)
+    return _lz77_greedy(text.symbols, *suffix_core(text))
 
 
 def lz77_from_bundle(bundle: SuffixArrayBundle) -> LZFactorization:
@@ -185,7 +188,7 @@ def lz77_from_bundle(bundle: SuffixArrayBundle) -> LZFactorization:
     suffix sort: the same per-phrase parse as lz77_factorize over the
     bundle's SA, ISA and LCP rows.  Pair it with validate_lz_like to check
     the parse against the text itself rather than trust the bundle."""
-    return _lz77_greedy(bundle.text.symbols, bundle.sa, bundle.isa, bundle.lcp, 1)
+    return _lz77_greedy(bundle.text.symbols, bundle.sa, bundle.isa, bundle.lcp)
 
 
 # Ranks the per-phrase parse may scan per text symbol before it gives up and
@@ -196,36 +199,28 @@ _LZ_SCAN_BUDGET = 32
 
 
 def _lz77_greedy(
-    syms: Sequence[int],
-    sa: Sequence[int],
-    isa: Sequence[int],
-    lcp: Sequence[int],
-    base: int,
+    syms: Sequence[int], sa: Sequence[int], isa: Sequence[int], lcp: Sequence[int]
 ) -> LZFactorization:
     """Greedy LZ77 in one step per phrase (Kärkkäinen, Kempa & Puglisi).
 
-    sa, isa and lcp are the text's rows indexed from ``base`` (0 for
-    suffix_core's rows, 1 for a bundle's), with positions and ranks counted
-    from ``base`` too.  At a phrase start j, the longest earlier match is
-    with one of the two ranks nearest ISA[j] whose positions lie before j;
-    a bitmap of the ranks parsed so far yields both with one C-level scan
-    each.  A tie goes to the lower rank, as in the LPF stack pass, so the
-    phrases and their sources equal the parse read off _lpf_from_core.
+    sa, isa and lcp are the text's 1-indexed rows.  At a phrase start j,
+    the longest earlier match is with one of the two ranks nearest ISA[j]
+    whose positions lie before j; a bitmap of the ranks parsed so far
+    yields both with one C-level scan each.  A tie goes to the lower rank,
+    as in the LPF stack pass, so the phrases and their sources equal the
+    parse read off _lpf_from_core.
     """
     n = len(syms)
-    end = n + base
-    seen = bytearray(end)
+    seen = bytearray(n + 1)
     budget = _LZ_SCAN_BUDGET * n
     phrases: list[tuple[int, int]] = []
-    j = base
-    while j < end:
+    j = 1
+    while j <= n:
         k = isa[j]
-        lo = seen.rfind(1, base, k)
+        lo = seen.rfind(1, 1, k)
         hi = seen.find(1, k + 1)
-        budget -= (hi if hi >= 0 else end) - (lo if lo >= 0 else base - 1)
+        budget -= (hi if hi >= 0 else n + 1) - (lo if lo >= 0 else 0)
         if budget < 0:
-            if base:
-                sa, lcp = [p - 1 for p in sa[1:]], lcp[1:]
             return _lz77_from_lpf(syms, *_lpf_from_core(sa, lcp))
         length = 0
         if lo >= 0:
@@ -236,11 +231,11 @@ def _lz77_greedy(
             if right > length:
                 length, src = right, sa[hi]
         if length == 0:
-            phrases.append((syms[j - base], 0))
+            phrases.append((syms[j - 1], 0))
             seen[k] = 1
             j += 1
         else:
-            phrases.append((src + 1 - base, length))
+            phrases.append((src, length))
             for r in isa[j : j + length]:
                 seen[r] = 1
             j += length
@@ -351,28 +346,23 @@ def bwt_run_count(text: Text) -> int:
     """Number of maximal equal-symbol runs in the BWT of the text."""
     if text.n == 0:
         raise ValueError("cannot compute BWT runs of an empty text")
-    sa0, _, _ = suffix_core(text.symbols)
-    return _bwt_runs_from_sa(text.symbols, sa0)
+    return _bwt_runs_from_sa(text.symbols, suffix_ranks(text)[0])
 
 
 def bwt_run_count_from_isa(text: Text, isa: Sequence[int]) -> int:
     """BWT run count read off a stored 1-indexed ISA (placeholder at 0),
     such as a bundle's or an LCP-RMQ index's, with no suffix sort."""
-    sa0 = [0] * text.n
-    for j in range(1, text.n + 1):
-        sa0[isa[j] - 1] = j - 1
-    return _bwt_runs_from_sa(text.symbols, sa0)
+    sa = [0] * (text.n + 1)
+    for j, r in enumerate(isa):
+        sa[r] = j
+    return _bwt_runs_from_sa(text.symbols, sa)
 
 
-def _bwt_runs_from_sa(syms: Sequence[int], sa0: Sequence[int]) -> int:
-    runs = 1
-    prev = syms[sa0[0] - 1]  # index -1 wraps to the last symbol
-    for j in sa0:
-        c = syms[j - 1]
-        if c != prev:
-            runs += 1
-            prev = c
-    return runs
+def _bwt_runs_from_sa(syms: Sequence[int], sa: Sequence[int]) -> int:
+    # BWT[r] = T[SA[r] - 1], wrapping to T[n] at SA[r] = 1; the placeholder
+    # SA[0] reads 0.  A run starts at every rank r >= 2 where BWT changes.
+    bwt = list(map((0, syms[-1], *syms[:-1]).__getitem__, sa))
+    return 1 + sum(map(ne, bwt[2:], bwt[1:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -405,42 +395,37 @@ def distinct_substring_counts(text: Text) -> list[int]:
     """
     if text.n == 0:
         raise ValueError("cannot count substrings of an empty text")
-    _, _, lcp0 = suffix_core(text.symbols)
-    n = len(lcp0)
-    hist = [0] * (n + 2)
-    for r in range(1, n):
-        hist[lcp0[r]] += 1
-    counts = []
-    cnt_ge = 0
-    for length in range(n, 0, -1):
-        cnt_ge += hist[length]
-        counts.append((n - length + 1) - cnt_ge)
-    counts.reverse()
-    return counts
+    return list(_distinct_counts(suffix_core(text)[2]))
+
+
+def _distinct_counts(lcp: Sequence[int]) -> Iterator[int]:
+    # d_l = (n - l + 1) - #{r : LCP[r] >= l} for l = 1, 2, ..., n, from one
+    # histogram of the 1-indexed row; its placeholder LCP[0] = 0 counts
+    # below every l, as LCP[1] = 0 does.
+    n = len(lcp) - 1
+    hist = Counter(lcp)
+    ge = n + 1
+    for length in range(1, n + 1):
+        ge -= hist.get(length - 1, 0)
+        yield (n - length + 1) - ge
 
 
 def substring_complexity(text: Text) -> DeltaValue:
     """Exact substring complexity delta = max over l in [1..n] of d_l / l."""
     if text.n == 0:
         raise ValueError("cannot count substrings of an empty text")
-    _, _, lcp0 = suffix_core(text.symbols)
-    return _delta_from_lcp(lcp0)
+    return _delta_from_lcp(suffix_core(text)[2])
 
 
-def _delta_from_lcp(lcp0: Sequence[int]) -> DeltaValue:
-    # d_l = (n - l + 1) - #{r >= 1 : LCP[r] >= l}, scanned for l = 1, 2, ...
+def _delta_from_lcp(lcp: Sequence[int]) -> DeltaValue:
     # Integer test: d / l beats num / den exactly when d * den > num * l; the
     # strict test keeps the smallest arg_len.  Since d_l <= n - l + 1 and
     # (n - l + 1) / l only falls, the scan stops once that bound cannot win.
-    n = len(lcp0)
-    hist = Counter(lcp0[1:])
-    ge = n - 1 - hist[0]
-    num, den = n - ge, 1
-    for length in range(2, n + 1):
+    n = len(lcp) - 1
+    num, den = 0, 1
+    for length, d in enumerate(_distinct_counts(lcp), 1):
         if (n - length + 1) * den <= num * length:
             break
-        ge -= hist[length - 1]
-        d = (n - length + 1) - ge
         if d * den > num * length:
             num, den = d, length
     g = gcd(num, den)
@@ -449,14 +434,14 @@ def _delta_from_lcp(lcp0: Sequence[int]) -> DeltaValue:
 
 def text_measures(text: Text) -> tuple[LZFactorization, int, DeltaValue]:
     """The greedy LZ77 factorization, the BWT run count r, and delta, all
-    read off one suffix sort of the text: LZ77 in one step per phrase over
-    the SA, ISA and LCP rows, r from SA, and delta from LCP."""
+    read off one set of SA, ISA and LCP rows (one suffix sort, or none
+    while the text's bundle is held): LZ77 in one step per phrase over
+    the three rows, r from SA, and delta from LCP."""
     if text.n == 0:
         raise ValueError("cannot measure an empty text")
     syms = text.symbols
-    sa0, isa0, lcp0 = suffix_core(syms)
-    factorization = _lz77_greedy(syms, sa0, isa0, lcp0, 0)
-    return factorization, _bwt_runs_from_sa(syms, sa0), _delta_from_lcp(lcp0)
+    sa, isa, lcp = suffix_core(text)
+    return _lz77_greedy(syms, sa, isa, lcp), _bwt_runs_from_sa(syms, sa), _delta_from_lcp(lcp)
 
 
 def delta_append_check(text: Text, symbol: int) -> tuple[DeltaValue, DeltaValue]:

@@ -13,8 +13,9 @@ Two layers make the index work for arbitrary texts:
   unique smallest 0 is appended, which appends at most 3 BWT runs.  The
   terminator suffix sorts first and leaves every other suffix in order,
   so the terminated text's SA, BWT and LF are read off the original
-  text's SA, ISA and BWT rows (a live bundle's, else one sort), one rank
-  further down; no symbol is rewritten and any alphabet works;
+  text's SA and ISA rows (text_core.suffix_ranks: a live bundle's, else
+  one sort), one rank further down; no symbol is rewritten and any
+  alphabet works;
 * unwrapping — inverse-LF answers for the terminated text are mapped back
   to the original text, with the lexicographically last suffix handled by
   the defining wrap-around i_last -> i_first.
@@ -23,10 +24,9 @@ Two layers make the index work for arbitrary texts:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .predecessor import StaticKeySet, YFastTrie, pred, yfast_build, yfast_pred
-from .text_core import Text, live_bundle, suffix_array
+from .text_core import Text, suffix_ranks
 
 __all__ = [
     "IlfIndex",
@@ -54,21 +54,6 @@ class TerminatedText:
     i_last: int
 
 
-def _ranked_rows(text: Text) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
-    """The 1-indexed SA, ISA and BWT rows of the original text, each with a
-    0 at index 0: a live bundle's own rows, else read off one suffix sort."""
-    bundle = live_bundle(text)
-    if bundle is not None:
-        return bundle.sa, bundle.isa, bundle.bwt
-    syms = text.symbols
-    sa0 = suffix_array(syms)
-    sa = [0, *(j + 1 for j in sa0)]
-    isa = [0] * len(sa)
-    for r, j in enumerate(sa):
-        isa[j] = r
-    return sa, isa, [0, *(syms[j - 1] for j in sa0)]  # index -1 wraps to T[n]
-
-
 def append_terminator(text: Text) -> TerminatedText:
     """Shift the alphabet up by one and append a unique smallest 0.
 
@@ -85,7 +70,7 @@ def append_terminator(text: Text) -> TerminatedText:
         raise ValueError(
             f"alphabet size {text.sigma} leaves no room to shift within the symbol width"
         )
-    _, isa, _ = _ranked_rows(text)
+    _, isa = suffix_ranks(text)
     return TerminatedText(
         original=text,
         shifted=Text.from_symbols([c + 1 for c in text.symbols] + [0], text.sigma + 1),
@@ -136,22 +121,26 @@ class IlfIndex:
 def build_ilf_index(text: Text, use_yfast: bool = True) -> IlfIndex:
     """Build the O(r)-entry inverse-LF index for an arbitrary-alphabet text.
 
-    The original text's SA, ISA and BWT (a live bundle's rows with no sort,
-    else one sort; the index is equal either way) give the terminated
-    text's BWT and LF, and one boundary entry is stored per BWT run of the
-    terminated text.  use_yfast selects the default y-fast predecessor
-    flavor; the fallback answers predecessor queries by binary search.
+    The original text's SA and ISA (a live bundle's rows with no sort,
+    else one sort with no LCP pass; the index is equal either way) give
+    the terminated text's BWT and LF, and one boundary entry is stored per
+    BWT run of the terminated text.  use_yfast selects the default y-fast
+    predecessor flavor; the fallback answers predecessor queries by binary
+    search.
     """
     n = text.n
     if n == 0:
         raise ValueError("cannot index an empty text")
-    sa, isa, bwt = _ranked_rows(text)
-    r_original = 1 + sum(1 for t in range(2, n + 1) if bwt[t] != bwt[t - 1])
-    # Terminated BWT by 0-based rank: T[n] precedes the terminator suffix,
-    # and the terminator (None, unequal to every symbol; runs only compare
-    # equality, so the +1 shift is not applied) precedes the full text.
+    sa, isa = suffix_ranks(text)
+    # Terminated BWT by 0-based rank: before[j] = T[j - 1], wrapping to T[n]
+    # at j = 1, so bwt1[t] = BWT[t] for t >= 1; at the placeholder SA[0] = 0
+    # it reads T[n], which precedes the terminator suffix.  The terminator
+    # (None, unequal to every symbol; runs only compare equality, so the +1
+    # shift is not applied) precedes the full text.
+    before = (text.symbols[-1],) * 2 + text.symbols
+    bwt1: list[int | None] = list(map(before.__getitem__, sa))
+    r_original = 1 + sum(1 for t in range(2, n + 1) if bwt1[t] != bwt1[t - 1])
     i_first = isa[1]
-    bwt1: list[int | None] = [text.symbols[-1], *bwt[1:]]
     bwt1[i_first] = None
     heads = [0] + [t for t in range(1, n + 1) if bwt1[t] != bwt1[t - 1]]
     r_shifted = len(heads)

@@ -5,11 +5,19 @@ Conventions used throughout the package:
 
 * a text of length n is the 1-indexed sequence T[1..n] of integer symbols;
 * every public array is 1-indexed and stored with an unused placeholder at
-  index 0, so that ``arr[i]`` reads exactly like the textbook definition.
+  index 0, so that ``arr[i]`` reads exactly like the textbook definition;
+  the sorters' raw 0-based output (suffix_array, suffix_array_naive) is
+  the one exception.
 
-suffix_core sorts a text once, by SA-IS induced sorting in linear time, and
-returns its 0-based SA, ISA and LCP; the bundle, the measures and the
-grammar all derive from it.  The bundle collects nine arrays:
+This module alone turns sort output into rows.  suffix_core(text) hands
+every structure and measure the text's SA, ISA and LCP rows, as tuples in
+the bundle's own format, and suffix_ranks(text) its SA and ISA.  Both
+return the rows of live_bundle(text), the bundle last built for that very
+Text object while a caller still holds it (the registry holds it weakly);
+only without one do they sort the text, once, by SA-IS induced sorting in
+linear time, and suffix_core adds Kasai's LCP pass.  build_bundle always
+sorts, draws every position, rank and LCP value from one pool of n + 1 int
+objects, and derives nine arrays:
 
     SA       suffix array: SA[i] = start of the i-th suffix in sorted order
     ISA      inverse permutation of SA
@@ -20,10 +28,6 @@ grammar all derive from it.  The bundle collects nine arrays:
     ILF      inverse permutation of LF
     PHI      PHI[SA[i]] = SA[i-1]; PHI[SA[1]] = SA[n]
     INV_PHI  inverse permutation of PHI
-
-The inverse-LF and LCP-RMQ builders read the rows of live_bundle(text), the
-bundle last built for that very Text object while a caller still holds it
-(the registry holds it weakly), and sort on their own only without one.
 """
 
 from __future__ import annotations
@@ -207,41 +211,6 @@ def suffix_array_naive(symbols: Sequence[int]) -> list[int]:
     return sorted(range(len(syms)), key=lambda i: syms[i:])
 
 
-def _lcp_kasai(symbols: Sequence[int], sa0: list[int], isa0: list[int]) -> list[int]:
-    # 0-based: lcp0[r] = LCE(sa0[r], sa0[r-1]) for r >= 1, lcp0[0] = 0.
-    # The appended None equals no symbol: it ends every extension unchecked.
-    n = len(symbols)
-    s = [*symbols, None]
-    lcp0 = [0] * n
-    h = 0
-    for j in range(n):
-        r = isa0[j]
-        if r > 0:
-            j2 = sa0[r - 1]
-            while s[j + h] == s[j2 + h]:
-                h += 1
-            lcp0[r] = h
-            if h:
-                h -= 1
-        else:
-            h = 0
-    return lcp0
-
-
-def suffix_core(symbols: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
-    """0-based (SA, ISA, LCP) of a text: one SA-IS sort, its inverse, and
-    Kasai's LCP pass.
-
-    Every structure of a text derives from these three rows; deriving them
-    here once keeps each text to a single suffix sort.
-    """
-    sa0 = suffix_array(symbols)
-    isa0 = [0] * len(sa0)
-    for r, j in enumerate(sa0):
-        isa0[j] = r
-    return sa0, isa0, _lcp_kasai(symbols, sa0, isa0)
-
-
 @dataclass(frozen=True)
 class SuffixArrayBundle:
     """The nine arrays of a text, each 1-indexed with a placeholder at 0."""
@@ -274,57 +243,87 @@ def live_bundle(text: Text) -> SuffixArrayBundle | None:
     return bundle if bundle is not None and bundle.text is text else None
 
 
+def _sorted_ranks(symbols: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
+    """SA and ISA of one SA-IS sort, and the pool ids = [0, 1, ..., n] that
+    every value of theirs is drawn from."""
+    ids = list(range(len(symbols) + 1))
+    sa = [0, *map(ids[1:].__getitem__, suffix_array(symbols))]
+    isa = [0] * len(ids)
+    for j, r in zip(sa, ids):
+        isa[j] = r
+    return tuple(sa), tuple(isa), ids
+
+
+def _lcp_kasai(
+    symbols: Sequence[int], sa: Sequence[int], isa: Sequence[int], ids: list[int]
+) -> tuple[int, ...]:
+    # LCP[r] = LCE(SA[r], SA[r-1]) for r >= 2, by Kasai's pass in text
+    # order.  s[j] = T[j]; the None after T[n] equals no symbol, so it ends
+    # every extension unchecked.
+    n = len(symbols)
+    s = [None, *symbols, None]
+    lcp = [0] * (n + 1)
+    h = 0
+    for j in range(1, n + 1):
+        r = isa[j]
+        if r > 1:
+            j2 = sa[r - 1]
+            while s[j + h] == s[j2 + h]:
+                h += 1
+            lcp[r] = ids[h]
+            if h:
+                h -= 1
+        else:
+            h = 0
+    return tuple(lcp)
+
+
+def suffix_core(text: Text) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The rows SA, ISA and LCP of a text: its live bundle's own tuples,
+    else one SA-IS sort and Kasai's LCP pass in the same format."""
+    bundle = live_bundle(text)
+    if bundle is not None:
+        return bundle.sa, bundle.isa, bundle.lcp
+    sa, isa, ids = _sorted_ranks(text.symbols)
+    return sa, isa, _lcp_kasai(text.symbols, sa, isa, ids)
+
+
+def suffix_ranks(text: Text) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """SA and ISA as suffix_core gives them, with no LCP pass."""
+    bundle = live_bundle(text)
+    if bundle is not None:
+        return bundle.sa, bundle.isa
+    return _sorted_ranks(text.symbols)[:2]
+
+
 def build_bundle(text: Text) -> SuffixArrayBundle:
-    """Compute all nine arrays of ``text`` from its suffix core."""
+    """Compute all nine arrays of ``text`` from one suffix sort, and record
+    the bundle as the text's live bundle."""
     n = text.n
     if n == 0:
         raise ValueError("cannot build a suffix-array bundle for an empty text")
     syms = text.symbols
-    sa0, isa0, lcp0 = suffix_core(syms)
-    # One int object per value in [0..n], shared by every row instead of a
-    # fresh set per row: positions, ranks and LCP values all lie in it.
-    ids = list(range(n + 1))
-    pos = ids[1:]  # pos[j] = j + 1
-    sa = [0] + [pos[j] for j in sa0]
-    isa = [0] + [pos[r] for r in isa0]
-    lcp = [0] + [ids[h] for h in lcp0]
-
-    plcp = [0] * (n + 1)
-    for r in range(1, n + 1):
-        plcp[sa[r]] = lcp[r]
-
-    bwt = [0] * (n + 1)
-    lf = [0] * (n + 1)
-    isa_last = isa[n]
-    for r in range(1, n + 1):
-        j = sa[r]
-        if j > 1:
-            bwt[r] = syms[j - 2]
-            lf[r] = isa[j - 1]
-        else:
-            bwt[r] = syms[n - 1]
-            lf[r] = isa_last
-
-    ilf = [0] * (n + 1)
-    for r in pos:
-        ilf[lf[r]] = r
-
-    phi = [0] * (n + 1)
-    phi[sa[1]] = sa[n]
-    for r in range(2, n + 1):
-        phi[sa[r]] = sa[r - 1]
-    inv_phi = [0] * (n + 1)
-    for j in pos:
-        inv_phi[phi[j]] = j
-
+    sa, isa, ids = _sorted_ranks(syms)
+    lcp = _lcp_kasai(syms, sa, isa, ids)
+    # At rank r, BWT and LF read the text position before SA[r] and PHI the
+    # rank before r, each wrapping to n at 1; the placeholders read 0.  The
+    # loop inverts LF and PHI and writes every value from the shared pool.
+    bwt = tuple(map((0, syms[-1], *syms[:-1]).__getitem__, sa))
+    lf = tuple(map((0, isa[n], *isa[1:n]).__getitem__, sa))
+    plcp, ilf, phi, inv_phi = ([0] * (n + 1) for _ in range(4))
+    for r, j, h, l, p in zip(ids, sa, lcp, lf, (0, sa[n], *sa[1:n])):
+        plcp[j] = h
+        ilf[l] = r
+        phi[j] = p
+        inv_phi[p] = j
     bundle = _LIVE_BUNDLES[id(text)] = SuffixArrayBundle(
         text=text,
-        sa=tuple(sa),
-        isa=tuple(isa),
-        lcp=tuple(lcp),
+        sa=sa,
+        isa=isa,
+        lcp=lcp,
         plcp=tuple(plcp),
-        bwt=tuple(bwt),
-        lf=tuple(lf),
+        bwt=bwt,
+        lf=lf,
         ilf=tuple(ilf),
         phi=tuple(phi),
         inv_phi=tuple(inv_phi),

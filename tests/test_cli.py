@@ -11,6 +11,7 @@ import json
 import os
 import pathlib
 import sys
+import threading
 
 import pytest
 
@@ -381,6 +382,48 @@ def test_raw_text_over_the_budget_by_size_is_not_read(tmp_path, capsys, monkeypa
         assert code == 2
         assert out == ""
         assert err == f"error: {path} holds {n} symbols, over the text-length budget of {budget}\n"
+
+
+def test_raw_text_from_a_pipe_is_read_two_bytes_past_the_budget_at_most(tmp_path, capsys):
+    """A pipe tells no size, so the refusal comes from a read of at most
+    budget + 2 bytes: a writer offering 3 MiB cannot get them all out."""
+    budget = csq.gadgets.TEXT_LENGTH_BUDGET
+    fifo = tmp_path / "text.fifo"
+    os.mkfifo(fifo)
+    offered = 3 * 2**20
+    written = []
+
+    def writer():
+        fd = os.open(fifo, os.O_WRONLY)
+        sent = 0
+        try:
+            while sent < offered:
+                sent += os.write(fd, b"a" * min(2**16, offered - sent))
+        except BrokenPipeError:
+            pass
+        finally:
+            os.close(fd)
+            written.append(sent)
+
+    thread = threading.Thread(target=writer, daemon=True)
+    thread.start()
+    code, out, err = run_cli(capsys, ["measures", "--input", str(fifo)])
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: {fifo} holds more than {budget} symbols, over the text-length budget of {budget}\n"
+    )
+    assert written and written[0] < 2 * budget
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero device")
+def test_raw_text_from_an_endless_device_is_refused(capsys):
+    code, out, err = run_cli(capsys, ["measures", "--input", "/dev/zero"])
+    assert code == 2
+    assert out == ""
+    assert "holds more than 1000000 symbols" in err
 
 
 def test_gadget_verify_pool_gets_one_window_at_a_time(capsys, monkeypatch):

@@ -212,9 +212,9 @@ def _count_stack_passes(monkeypatch) -> list[int]:
     calls = []
     stack_pass = measures._lpf_from_core
 
-    def counted(sa0, lcp0):
-        calls.append(len(sa0))
-        return stack_pass(sa0, lcp0)
+    def counted(sa, lcp):
+        calls.append(len(sa) - 1)
+        return stack_pass(sa, lcp)
 
     monkeypatch.setattr(measures, "_lpf_from_core", counted)
     return calls

@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 from csq import cli
 from csq.gadgets import KINDS, build_gadget, random_input, verify_reduction
 from csq.grammar_lcp_rmq import build_lcp_rmq_index
-from csq.measures import lz77_factorize, validate_lz_like
+from csq.measures import (
+    bwt_run_count,
+    distinct_substring_counts,
+    lpf_array,
+    lpf_with_sources,
+    lz77_factorize,
+    substring_complexity,
+    text_measures,
+    validate_lz_like,
+)
 from csq.rlbwt_ilf import build_ilf_index
 from csq.text_core import (
     PatternRange,
@@ -21,6 +30,8 @@ from csq.text_core import (
     pattern_range,
     suffix_array,
     suffix_array_naive,
+    suffix_core,
+    suffix_ranks,
 )
 
 from conftest import (
@@ -219,9 +230,50 @@ def test_suffix_array_matches_naive(symbols):
     assert suffix_array(symbols) == suffix_array_naive(symbols)
 
 
+def _naive_core(symbols: list[int]) -> tuple[tuple[int, ...], ...]:
+    """1-indexed SA, ISA and LCP from a suffix_array_naive sort and direct
+    symbol comparison."""
+    n = len(symbols)
+    sa = [0] + [j + 1 for j in suffix_array_naive(symbols)]
+    isa = [0] * (n + 1)
+    for r in range(1, n + 1):
+        isa[sa[r]] = r
+    text = Text.from_symbols(symbols)
+    lcp = [0, 0] + [lce_naive(text, sa[r - 1], sa[r]) for r in range(2, n + 1)]
+    return tuple(sa), tuple(isa), tuple(lcp)
+
+
+core_texts = st.one_of(
+    st.sampled_from([1, 2, 4]).flatmap(
+        lambda sigma: st.lists(st.integers(0, sigma - 1), min_size=1, max_size=80)
+    ),
+    st.integers(1, 80).map(lambda n: [0] * n),
+    st.tuples(st.lists(st.integers(0, 3), min_size=1, max_size=8), st.integers(1, 80)).map(
+        lambda unit_n: (unit_n[0] * unit_n[1])[: unit_n[1]]
+    ),
+)
+
+
+@given(core_texts)
+@settings(max_examples=200, deadline=None)
+def test_suffix_core_rows_cold_and_held(symbols):
+    """Cold, suffix_core sorts into the bundle's own row format; while the
+    bundle is held, it and suffix_ranks hand over the bundle's tuples."""
+    text = Text.from_symbols(symbols)
+    cold = suffix_core(text)
+    assert cold == _naive_core(symbols)
+    assert suffix_ranks(text) == cold[:2]
+    bundle = build_bundle(text)
+    rows = (bundle.sa, bundle.isa, bundle.lcp)
+    assert cold == rows
+    assert all(got is row for got, row in zip(suffix_core(text), rows))
+    assert all(got is row for got, row in zip(suffix_ranks(text), rows))
+
+
 def test_one_suffix_sort_per_entry_point(monkeypatch, tmp_path, fig_text):
-    """Every structure of a text derives from a single suffix sort, and a
-    serve set-up that holds the bundle sorts once for all three builds."""
+    """Every structure of a text derives from a single suffix sort, a
+    serve set-up that holds the bundle sorts once for all three builds, and
+    a measure of a text whose bundle is held sorts nothing."""
     sorts = []
 
     def counted(symbols):
@@ -263,6 +315,15 @@ def test_one_suffix_sort_per_entry_point(monkeypatch, tmp_path, fig_text):
         del bundle
         gc.collect()
         assert sort_count(lambda: builder(text)) == 1, builder.__name__
+    measures = (lpf_with_sources, lpf_array, lz77_factorize, bwt_run_count,
+                distinct_substring_counts, substring_complexity, text_measures)
+    bundle = build_bundle(text)
+    for measure in measures:
+        assert sort_count(lambda: measure(text)) == 0, measure.__name__
+    del bundle
+    gc.collect()
+    for measure in measures:
+        assert sort_count(lambda: measure(text)) == 1, measure.__name__
     factorization = lz77_factorize(fig_text)
     assert sort_count(lambda: validate_lz_like(fig_text, factorization)) == 0
     rng = random.Random(0x50)
