@@ -28,9 +28,12 @@ start symbol down, each reachable rule's parse tree at depth k, which caps
 right-hand sides at l = 2*2^k symbols and divides the height by k.
 Terminal values may be any integers; all sums use exact integer arithmetic.
 
-Each grammar is derived once: make_slg validates the rules and computes
-every expansion length and height in one topological pass, and the
-builder reads sizes and heights off the grammars it made.  The builder's
+Rules are numbered children first, so a rule refers only to earlier rules
+(the textbook straight-line program); pairing makes its rules bottom-up and
+widening keeps its survivors in order.  make_slg, the one grammar
+constructor, checks that numbering and derives every expansion length and
+height in one forward pass, so each grammar is derived once, and the
+statistics and the builder read lengths and heights off it.  The builder's
 contracts raise AssertionError explicitly, so they hold under ``python
 -O``: the widened height is at most ceil(h/k) + 1 for a pairing grammar
 of height h, no right-hand side exceeds l symbols, and the start symbol
@@ -42,29 +45,26 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import ceil, log2
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .predecessor import SmallSet, smallset_build
 from .text_core import Text, suffix_core
 
 __all__ = [
-    "DiffLcpArray",
     "LcpRmqIndex",
     "Nt",
     "RuleStats",
     "Slg",
     "build_lcp_rmq_index",
     "build_rule_stats",
-    "diff_lcp_from_bundle",
     "expand",
     "interval_argmin_prefix_sum",
     "lce_query",
     "lcp_rmq",
     "make_slg",
     "prefix_stats_query",
-    "slg_from_rule_list",
     "suffix_stats_query",
-    "validate_slg",
+    "widen_slg",
 ]
 
 
@@ -82,103 +82,58 @@ Atom = Union[int, "Nt"]
 class Slg:
     """A straight-line grammar: rules[x] is the right-hand side of x.
 
+    Rules are numbered children first: an Nt(a) inside rules[x] has a < x,
+    so every cycle is ruled out and one forward pass derives the grammar.
     exp_lens and heights cache, per nonterminal, the expansion length and
     the parse-tree height (a rule of terminals has height 1).  Construct
-    through make_slg, which validates and fills the caches.
+    through make_slg, which validates the numbering and fills the caches.
     """
 
     rules: tuple[tuple[Atom, ...], ...]
     start: int
-    exp_lens: tuple[int, ...] = ()
-    heights: tuple[int, ...] = ()
-
-
-def _topological_order(rules: Sequence[Sequence[Atom]]) -> list[int]:
-    """Children-first order of nonterminal ids; rejects cycles and bad refs."""
-    L = len(rules)
-    state = [0] * L  # 0 unvisited, 1 in progress, 2 done
-    order: list[int] = []
-    for root in range(L):
-        if state[root]:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        state[root] = 1
-        while stack:
-            x, t = stack[-1]
-            if t == len(rules[x]):
-                stack.pop()
-                state[x] = 2
-                order.append(x)
-                continue
-            stack[-1] = (x, t + 1)
-            a = rules[x][t]
-            if isinstance(a, Nt):
-                if not 0 <= a.id < L:
-                    raise ValueError(f"rule {x} references missing nonterminal {a.id}")
-                if state[a.id] == 1:
-                    raise ValueError(f"cyclic rule involving nonterminal {a.id}")
-                if state[a.id] == 0:
-                    state[a.id] = 1
-                    stack.append((a.id, 0))
-    return order
+    exp_lens: tuple[int, ...]
+    heights: tuple[int, ...]
 
 
 def _derive(rules: Sequence[Sequence[Atom]], start: int) -> tuple[list[int], list[int]]:
-    """Validate a rule table in one topological pass and return every
-    nonterminal's expansion length and parse-tree height."""
-    if not 0 <= start < len(rules):
+    """Validate a children-first rule table in one forward pass and return
+    every nonterminal's expansion length and parse-tree height."""
+    L = len(rules)
+    if not 0 <= start < L:
         raise ValueError(f"start symbol {start} has no rule")
-    exp_lens = [0] * len(rules)
-    heights = [0] * len(rules)
-    for x in _topological_order(rules):
+    exp_lens: list[int] = []
+    heights: list[int] = []
+    for x, rhs in enumerate(rules):
         total = best = 0
-        for a in rules[x]:
+        for a in rhs:
             if isinstance(a, Nt):
-                total += exp_lens[a.id]
-                if heights[a.id] > best:
-                    best = heights[a.id]
+                y = a.id
+                if not 0 <= y < x:
+                    kind = "itself" if y == x else "a later rule" if x < y < L else "a missing rule"
+                    raise ValueError(f"rule {x} references {kind}, nonterminal {y}")
+                total += exp_lens[y]
+                if heights[y] > best:
+                    best = heights[y]
             else:
                 total += 1
-        exp_lens[x] = total
-        heights[x] = 1 + best
+        exp_lens.append(total)
+        heights.append(1 + best)
     return exp_lens, heights
 
 
 def _size(slg: Slg) -> int:
+    """Sum over rules of max(|rhs|, 1)."""
     return sum(max(len(r), 1) for r in slg.rules)
 
 
-def validate_slg(slg: Slg) -> tuple[int, int]:
-    """Check well-formedness and return (size, height).
-
-    Size is the sum over rules of max(|rhs|, 1); height is the parse-tree
-    height of the start symbol.  Raises ValueError naming the offending
-    nonterminal on a cycle or a dangling reference.
-    """
-    _, heights = _derive(slg.rules, slg.start)
-    return _size(slg), heights[slg.start]
-
-
 def make_slg(rules: Sequence[Sequence[Atom]], start: int) -> Slg:
-    """Validate a dense rule table and attach expansion-length/height caches."""
+    """The one grammar constructor: freeze a dense rule table, check that it
+    is numbered children first, and attach the expansion-length and height
+    caches.  Raises ValueError naming the rule and the referenced id on a
+    reference to the rule itself, to a later rule or to a missing rule."""
     frozen = tuple(tuple(r) for r in rules)
     exp_lens, heights = _derive(frozen, start)
     return Slg(frozen, start, tuple(exp_lens), tuple(heights))
-
-
-def slg_from_rule_list(
-    pairs: Iterable[tuple[int, Sequence[Atom]]], start: int
-) -> Slg:
-    """Build from (nonterminal, rhs) pairs; ids must cover 0..L-1 exactly."""
-    table: dict[int, tuple[Atom, ...]] = {}
-    for x, rhs in pairs:
-        if x in table:
-            raise ValueError(f"multiply defined nonterminal {x}")
-        table[x] = tuple(rhs)
-    missing = [x for x in range(len(table)) if x not in table]
-    if missing:
-        raise ValueError(f"missing rule for nonterminal {missing[0]}")
-    return make_slg([table[x] for x in range(len(table))], start)
 
 
 def expand(slg: Slg, nonterminal: int) -> list[int]:
@@ -250,13 +205,14 @@ class RuleStats:
 
 
 def build_rule_stats(slg: Slg) -> RuleStats:
-    """Compute all per-rule statistics, children before parents.
+    """Compute all per-rule statistics in rule order, which is children
+    before parents; exp_len is the grammar's own exp_lens tuple.
 
     Every rule must have a nonempty right-hand side (so every expansion is
     nonempty and the boundary keys are strictly increasing).
     """
     rules = slg.rules
-    exp_len = [0] * len(rules)
+    exp_len = slg.exp_lens
     exp_sum = [0] * len(rules)
     nt_min = [0] * len(rules)
     nt_pos = [0] * len(rules)
@@ -270,7 +226,7 @@ def build_rule_stats(slg: Slg) -> RuleStats:
             return exp_len[a.id], exp_sum[a.id], nt_min[a.id], nt_pos[a.id]
         return 1, a, a, 1
 
-    for x in _topological_order(rules):
+    for x in range(len(rules)):
         rhs = rules[x]
         L = len(rhs)
         if L == 0:
@@ -311,7 +267,6 @@ def build_rule_stats(slg: Slg) -> RuleStats:
             else:
                 smin[d] = alt
                 spos[d] = ln1 + spos[d + 1]
-        exp_len[x] = plen[L + 1]
         exp_sum[x] = psum[L + 1]
         nt_min[x] = pmin[L + 1]
         nt_pos[x] = ppos[L + 1]
@@ -320,9 +275,7 @@ def build_rule_stats(slg: Slg) -> RuleStats:
             smallset_build(plen[1:]),
         )
     columns = tuple(zip(*rows)) or ((),) * 11
-    return RuleStats(
-        slg, tuple(exp_len), tuple(exp_sum), tuple(nt_min), tuple(nt_pos), *columns
-    )
+    return RuleStats(slg, exp_len, tuple(exp_sum), tuple(nt_min), tuple(nt_pos), *columns)
 
 
 # ---------------------------------------------------------------------------
@@ -373,46 +326,40 @@ def suffix_stats_query(stats: RuleStats, x: int, p: int) -> tuple[int, int, int]
     """(sum, min, argmin) of the partial sums of the last p symbols of exp(x).
 
     With C = exp(x)[m-p+1..m]: returns (C[1]+...+C[p], min over t of
-    C[1]+...+C[t], smallest minimizing t).  The first element of C always
-    wins ties, since every other candidate region lies strictly to its
-    right.
+    C[1]+...+C[t], smallest minimizing t).  One rule descent per level, as
+    in prefix_stats_query, keeps the best partial sum of exp(x) from its
+    start over each level's suffix region.  A deeper region lies further
+    left, and the leaf C[1] leftmost of all, so later candidates win ties;
+    the sum of exp(x) before C, known at the leaf, is subtracted last.
     """
     if not 0 <= x < len(stats.exp_len):
         raise ValueError(f"no rule for nonterminal {x}")
     if not 1 <= p <= stats.exp_len[x]:
         raise ValueError(f"suffix length {p} outside [1..{stats.exp_len[x]}]")
-    rules, plen = stats.slg.rules, stats.plen
-    smin, spos, ssum, slen = stats.smin, stats.spos, stats.ssum, stats.slen
-    path: list[tuple[int, int]] = []
-    cur, p_cur = x, stats.exp_len[x] - p + 1
+    rules, plen, psum = stats.slg.rules, stats.plen, stats.psum
+    smin, spos = stats.smin, stats.spos
+    acc_sum = 0  # sum of exp(x) before the current rule's expansion
+    best_v: int | None = None
+    best_pos = 0
+    cur, p_cur = x, stats.exp_len[x] - p + 1  # p_cur: where C starts in exp(cur)
     while True:
         d = bisect_left(plen[cur], p_cur, 1) - 1
-        path.append((cur, d))
+        sm = smin[cur][d]
+        if sm is not None:
+            v = acc_sum + psum[cur][d + 1] + sm
+            if best_v is None or v <= best_v:
+                best_v = v
+                best_pos = plen[cur][d + 1] - p_cur + 1 + spos[cur][d]
+        acc_sum += psum[cur][d]
         a = rules[cur][d - 1]
         if not isinstance(a, Nt):
-            leaf = a
             break
         p_cur -= plen[cur][d]
         cur = a.id
-    # Walk the suffix regions left to right (deepest level first); track the
-    # best minimum relative to the leading leaf element.
-    tail_sum = 0
-    tail_len = 0
-    best_rel: int | None = None
-    best_pos = 0
-    for cur_i, d in reversed(path):
-        sm = smin[cur_i][d]
-        if sm is not None:
-            v = tail_sum + sm
-            if best_rel is None or v < best_rel:
-                best_rel = v
-                best_pos = 1 + tail_len + spos[cur_i][d]
-        tail_sum += ssum[cur_i][d]
-        tail_len += slen[cur_i][d]
-    total = leaf + tail_sum
-    if best_rel is None or best_rel >= 0:
-        return total, leaf, 1
-    return total, leaf + best_rel, best_pos
+    v = acc_sum + a  # acc_sum is now the sum of exp(x) before C
+    if best_v is None or v <= best_v:
+        best_v, best_pos = v, 1
+    return stats.exp_sum[x] - acc_sum, best_v - acc_sum, best_pos
 
 
 def _interval_min(stats: RuleStats, b: int, e: int) -> tuple[int, int]:
@@ -496,29 +443,6 @@ def interval_argmin_prefix_sum(stats: RuleStats, b: int, e: int) -> int:
 # Differential LCP grammar
 
 
-@dataclass(frozen=True)
-class DiffLcpArray:
-    """A[1] = LCP[1] and A[i] = LCP[i] - LCP[i-1]; prefix sums give LCP back."""
-
-    values: tuple[int, ...]
-
-    def prefix_sums(self) -> list[int]:
-        out = []
-        total = 0
-        for v in self.values:
-            total += v
-            out.append(total)
-        return out
-
-
-def diff_lcp_from_bundle(bundle) -> DiffLcpArray:
-    lcp = bundle.lcp
-    values = [lcp[1]]
-    for i in range(2, bundle.n + 1):
-        values.append(lcp[i] - lcp[i - 1])
-    return DiffLcpArray(tuple(values))
-
-
 def _pairing_slp(values: Sequence[int]) -> tuple[list[tuple[Atom, ...]], int]:
     """Round-based pairing: each round replaces adjacent pairs by memoized
     nonterminals, carrying an odd element; height is logarithmic.
@@ -563,8 +487,9 @@ def widen_slg(slg: Slg, k: int) -> Slg:
 
     Rules are cut as they are reached from the start symbol, so rules that
     only the cuts bypass are never cut; the survivors keep their relative
-    order.  Right-hand sides grow by at most 2^k symbols each while the
-    height drops to about height/k; the expansion is unchanged.
+    order, so a children-first grammar widens to a children-first grammar.
+    Right-hand sides grow by at most 2^k symbols each while the height
+    drops to about height/k; the expansion is unchanged.
     """
     if k < 1:
         raise ValueError("widening depth must be at least 1")

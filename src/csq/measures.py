@@ -34,6 +34,7 @@ __all__ = [
     "bwt_run_count",
     "bwt_run_count_from_isa",
     "delta_append_check",
+    "distinct_substring_counts",
     "lpf_array",
     "lpf_with_sources",
     "lz77_factorize",
@@ -313,12 +314,13 @@ def repeat_factorization(blocks: Iterable[tuple[Sequence[int], int]], n: int) ->
 
     Each block (unit, copies) stands for ``copies`` repetitions of ``unit``.
     A nonempty block contributes the unit's literals plus, when repeated,
-    one self-overlapping copy of the remaining copies.
+    one self-overlapping copy of the remaining copies; a block with an
+    empty unit or no copies spells nothing and contributes no phrase.
     """
     phrases: list[tuple[int, int]] = []
     j = 1
     for unit, copies in blocks:
-        if copies == 0:
+        if copies == 0 or not unit:
             continue
         phrases += [(s, 0) for s in unit]
         if copies > 1:

@@ -79,7 +79,7 @@ class Text:
 
     def slice(self, i: int, j: int) -> tuple[int, ...]:
         """T[i..j] inclusive, 1-based; empty when j < i."""
-        return self.symbols[max(i, 1) - 1 : j]
+        return self.symbols[max(i, 1) - 1 : max(j, 0)]
 
     def reverse(self) -> "Text":
         return Text(tuple(reversed(self.symbols)), self.sigma)

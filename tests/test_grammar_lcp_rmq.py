@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import random
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -10,19 +11,15 @@ from hypothesis import strategies as st
 from csq import grammar_lcp_rmq as grammar
 from csq.grammar_lcp_rmq import (
     Nt,
-    Slg,
     build_lcp_rmq_index,
     build_rule_stats,
-    diff_lcp_from_bundle,
     expand,
     interval_argmin_prefix_sum,
     lce_query,
     lcp_rmq,
     make_slg,
     prefix_stats_query,
-    slg_from_rule_list,
     suffix_stats_query,
-    validate_slg,
     widen_slg,
 )
 from csq.text_core import Text, build_bundle, lce_naive
@@ -73,30 +70,39 @@ def _random_slg(rng):
 def test_direct_rule():
     g = make_slg([[ord("a"), ord("b")]], 0)
     assert expand(g, 0) == [ord("a"), ord("b")]
-    assert validate_slg(g) == (2, 1)
+    assert (grammar._size(g), g.heights[g.start]) == (2, 1)
 
 
 def test_two_level_rule():
-    g = make_slg([[Nt(1), Nt(1)], [ord("a"), ord("b")]], 0)
-    assert bytes(expand(g, 0)).decode() == "abab"
-    assert validate_slg(g) == (4, 2)
-    assert g.exp_lens[0] == 4
-    assert g.heights[0] == 2
+    g = make_slg([[ord("a"), ord("b")], [Nt(0), Nt(0)]], 1)
+    assert bytes(expand(g, 1)).decode() == "abab"
+    assert (grammar._size(g), g.heights[g.start]) == (4, 2)
+    assert g.exp_lens[1] == 4
+    assert g.heights[1] == 2
 
 
 def test_validate_rejects_bad_grammars():
-    with pytest.raises(ValueError, match="cyclic.*0"):
-        validate_slg(Slg(((Nt(0),),), 0))
-    with pytest.raises(ValueError, match="cyclic"):
-        validate_slg(Slg(((Nt(1),), (Nt(0),)), 0))
-    with pytest.raises(ValueError, match="missing nonterminal 5"):
-        validate_slg(Slg(((Nt(5),),), 0))
-    with pytest.raises(ValueError, match="multiply defined nonterminal 0"):
-        slg_from_rule_list([(0, [1]), (0, [2])], 0)
-    with pytest.raises(ValueError, match="missing rule for nonterminal 1"):
-        slg_from_rule_list([(0, [1]), (2, [3])], 0)
+    """make_slg accepts only rules numbered children first: a reference to
+    the rule itself, to a later rule (every cycle has one) or to a missing
+    rule is refused, naming the rule and the id."""
+    with pytest.raises(ValueError, match="rule 0 references itself, nonterminal 0"):
+        make_slg([[Nt(0)]], 0)
+    with pytest.raises(ValueError, match="rule 1 references itself, nonterminal 1"):
+        make_slg([[1], [2, Nt(1)]], 1)
+    with pytest.raises(ValueError, match="rule 0 references a later rule, nonterminal 1"):
+        make_slg([[Nt(1), 2], [3]], 0)
+    with pytest.raises(ValueError, match="rule 0 references a later rule, nonterminal 1"):
+        make_slg([[Nt(1)], [Nt(0)]], 0)
+    with pytest.raises(ValueError, match="rule 0 references a missing rule, nonterminal 5"):
+        make_slg([[Nt(5)]], 0)
+    with pytest.raises(ValueError, match="rule 1 references a missing rule, nonterminal 2"):
+        make_slg([[1], [Nt(2)]], 1)
+    with pytest.raises(ValueError, match="rule 1 references a missing rule, nonterminal -1"):
+        make_slg([[1], [Nt(-1)]], 1)
+    with pytest.raises(ValueError, match="start symbol 2 has no rule"):
+        make_slg([[1], [Nt(0)]], 2)
     with pytest.raises(ValueError, match="empty right-hand side"):
-        build_rule_stats(Slg(((),), 0))
+        build_rule_stats(make_slg([[]], 0))
 
 
 def test_expand_unknown_nonterminal():
@@ -110,18 +116,18 @@ def test_expand_unknown_nonterminal():
 
 
 def test_prefix_suffix_trivial_cases():
-    g = make_slg([[Nt(1), Nt(1)], [3, -2]], 0)  # expansion [3,-2,3,-2]
+    g = make_slg([[3, -2], [Nt(0), Nt(0)]], 1)  # expansion [3,-2,3,-2]
     stats = build_rule_stats(g)
-    assert prefix_stats_query(stats, 0, 1) == (3, 3, 1)
-    assert suffix_stats_query(stats, 0, 1) == (-2, -2, 1)
-    assert prefix_stats_query(stats, 0, 4) == (2, 1, 2)
-    assert suffix_stats_query(stats, 0, 4) == (2, 1, 2)
+    assert prefix_stats_query(stats, 1, 1) == (3, 3, 1)
+    assert suffix_stats_query(stats, 1, 1) == (-2, -2, 1)
+    assert prefix_stats_query(stats, 1, 4) == (2, 1, 2)
+    assert suffix_stats_query(stats, 1, 4) == (2, 1, 2)
 
 
 def test_suffix_tie_breaks_to_first_position():
-    g = make_slg([[Nt(1), Nt(1)], [0]], 0)  # expansion [0, 0]
+    g = make_slg([[0], [Nt(0), Nt(0)]], 1)  # expansion [0, 0]
     stats = build_rule_stats(g)
-    assert suffix_stats_query(stats, 0, 2) == (0, 0, 1)
+    assert suffix_stats_query(stats, 1, 2) == (0, 0, 1)
 
 
 def test_stats_queries_match_oracle_on_random_grammars():
@@ -227,11 +233,12 @@ def test_diff_lcp_grammar_properties(symbols):
     t = Text.from_symbols(symbols, 4)
     index = build_lcp_rmq_index(t)
     slg, stats = index.slg, index.stats
-    b = build_bundle(t)
-    diff = diff_lcp_from_bundle(b)
-    assert expand(slg, slg.start) == list(diff.values)
-    assert diff.prefix_sums() == list(b.lcp[1:])
-    validate_slg(slg)
+    lcp = build_bundle(t).lcp
+    values = expand(slg, slg.start)
+    assert values == [lcp[i] - lcp[i - 1] for i in range(1, t.n + 1)]
+    assert list(accumulate(values)) == list(lcp[1:])
+    assert make_slg(slg.rules, slg.start) == slg
+    assert stats.exp_len is slg.exp_lens
     assert stats.exp_len[slg.start] == t.n
 
 
@@ -279,49 +286,66 @@ def test_widening_preserves_expansion_and_caps_rhs():
     idx = build_lcp_rmq_index(t, epsilon=0.5)
     assert max(len(r) for r in idx.slg.rules) <= idx.ell
     assert idx.height <= -(-idx.slp_height // idx.k_widen) + 1
-    assert expand(idx.slg, idx.slg.start) == list(
-        diff_lcp_from_bundle(build_bundle(t)).values
-    )
+    lcp = build_bundle(t).lcp
+    assert expand(idx.slg, idx.slg.start) == [lcp[i] - lcp[i - 1] for i in range(1, t.n + 1)]
 
 
 def test_widen_slg_direct():
-    g = make_slg([[Nt(1), Nt(2)], [Nt(2), 5], [1, 2]], 0)
+    g = make_slg([[1, 2], [Nt(0), 5], [Nt(1), Nt(0)]], 2)
     w = widen_slg(g, 2)
-    assert expand(w, w.start) == expand(g, 0)
+    assert expand(w, w.start) == expand(g, 2)
     assert max(len(r) for r in w.rules) <= 2 * 4
 
 
 def test_one_derivation_per_grammar(monkeypatch):
-    """A build derives each grammar once: one topological pass each for the
-    pairing grammar, the widened grammar and the statistics, no separate
-    validation, and one cut per rule the widened grammar keeps."""
-    counts = {"passes": 0, "validations": 0, "cuts": 0}
-    real_order, real_cut, real_validate = (
-        grammar._topological_order,
-        grammar._depth_cut,
-        grammar.validate_slg,
-    )
+    """A build derives each grammar once: one forward pass each for the
+    pairing grammar and the widened grammar, none for the statistics, and
+    one cut per rule the widened grammar keeps."""
+    counts = {"derivations": 0, "cuts": 0}
+    real_derive, real_cut = grammar._derive, grammar._depth_cut
 
-    def order(rules):
-        counts["passes"] += 1
-        return real_order(rules)
+    def derive(rules, start):
+        counts["derivations"] += 1
+        return real_derive(rules, start)
 
     def cut(rules, rhs, d):
         counts["cuts"] += 1
         return real_cut(rules, rhs, d)
 
-    def validate(slg):
-        counts["validations"] += 1
-        return real_validate(slg)
-
-    monkeypatch.setattr(grammar, "_topological_order", order)
+    monkeypatch.setattr(grammar, "_derive", derive)
     monkeypatch.setattr(grammar, "_depth_cut", cut)
-    monkeypatch.setattr(grammar, "validate_slg", validate)
     rng = random.Random(0xC07)
     for symbols in ([rng.randrange(4) for _ in range(3000)], [0, 1, 2, 1] * 700 + [3]):
-        counts.update(passes=0, validations=0, cuts=0)
+        counts.update(derivations=0, cuts=0)
         index = build_lcp_rmq_index(Text.from_symbols(symbols, 4))
-        assert counts == {"passes": 3, "validations": 0, "cuts": len(index.slg.rules)}
+        assert counts == {"derivations": 2, "cuts": len(index.slg.rules)}
+
+
+def _shape_text(family: str) -> Text:
+    rng = random.Random(0x5A9E)
+    if family == "random":
+        return Text.from_symbols([rng.randrange(4) for _ in range(3000)], 4)
+    block = [rng.randrange(4) for _ in range(50)]
+    symbols = [block[i % 50] for i in range(3000)]
+    for _ in range(30):
+        symbols[rng.randrange(3000)] = rng.randrange(4)
+    return Text.from_symbols(symbols, 4)
+
+
+@pytest.mark.parametrize(
+    "family, shape",
+    [
+        ("random", (2626, 12, 3412, 4, 2, 56022)),
+        ("period-50-edits", (1586, 12, 2070, 4, 2, 34877)),
+    ],
+)
+def test_grammar_shape_is_pinned(family, shape):
+    """Pairing, widening and the statistics build the same grammars as ever:
+    (slp_size, slp_height, size, height, k_widen, stored_integers) on a
+    random and a period-50 text of n = 3000, σ = 4."""
+    idx = build_lcp_rmq_index(_shape_text(family))
+    got = (idx.slp_size, idx.slp_height, idx.size, idx.height, idx.k_widen, idx.stored_integers)
+    assert got == shape
 
 
 def test_build_contracts_raise(monkeypatch):

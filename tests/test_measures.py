@@ -17,6 +17,7 @@ from csq.measures import (
     lz77_factorize,
     lz77_from_bundle,
     morphism_expand,
+    repeat_factorization,
     run_length_encode,
     run_length_factorization,
     substring_complexity,
@@ -329,6 +330,14 @@ def test_run_length_factorization_validates(symbols):
     assert validate_lz_like(t, fact) == fact.phrase_count
     assert fact.phrase_count <= 2 * k
     assert lz77_factorize(t).phrase_count <= 2 * k
+
+
+def test_repeat_factorization_skips_blocks_that_spell_nothing():
+    """An empty unit spells nothing however many copies it has, so it adds
+    no phrase; the rest still factorizes the text it spells."""
+    fact = repeat_factorization([((), 3), ((1,), 2), ((0, 1), 0), ([], 1), ((2, 1), 2)], 6)
+    assert fact.phrases == ((1, 0), (1, 1), (2, 0), (1, 0), (3, 2))
+    assert validate_lz_like(Text.from_symbols([1, 1, 2, 1, 2, 1], 3), fact) == 5
 
 
 # ---------------------------------------------------------------------------

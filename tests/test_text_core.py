@@ -79,6 +79,15 @@ def test_text_at_is_one_based(fig_text):
         fig_text.at(20)
 
 
+def test_text_slice_is_inclusive_and_clamped():
+    t = Text.from_ascii("abcde")
+    assert t.slice(2, 4) == (98, 99, 100)
+    assert t.slice(-3, 2) == (97, 98)
+    assert t.slice(4, 9) == (100, 101)
+    for i, j in [(1, -1), (3, -2), (3, 2), (4, 0), (6, 9), (-2, 0)]:
+        assert t.slice(i, j) == ()
+
+
 # ---------------------------------------------------------------------------
 # build_bundle: frozen worked example
 
