@@ -5,7 +5,7 @@ A straight-line grammar (SLG) has one rule per nonterminal over terminals
 string, the expansion of its start symbol.  This module builds an SLG whose
 expansion is the differential LCP array of a text (A[1] = LCP[1] and
 A[i] = LCP[i] - LCP[i-1], so prefix sums of A reconstruct LCP), equips every
-rule with prefix/suffix/child statistics, and answers
+rule with the prefix/suffix/child statistics its queries read, and answers
 
 * prefix_stats_query / suffix_stats_query — sum, minimum, and leftmost
   argmin of the partial sums of a prefix or suffix of a nonterminal's
@@ -166,11 +166,12 @@ class RuleStats:
       of e_1..e_{delta-1};
     * pmin/ppos[delta]: minimum and leftmost argmin of the partial sums
       inside that prefix region (None marks the empty region at delta = 1);
-    * slen/ssum/smin/spos[delta], delta in [1..L]: the same for the suffix
-      region e_{delta+1}..e_L (None sentinel at delta = L);
-    * mmin/mpos[delta], delta in [1..L]: minimum partial sum and leftmost
-      argmin of the prefix of the full expansion ending inside e_delta;
-      a query reads the middle children's minimum off one slice of the row;
+    * smin/spos[delta], delta in [1..L]: the same minimum and argmin for
+      the suffix region e_{delta+1}..e_L (None sentinel at delta = L);
+    * mmin[delta], delta in [1..L]: minimum partial sum of the prefix of the
+      full expansion ending inside e_delta; a query reads the middle
+      children's minimum off one slice of the row, and the winning child's
+      argmin is plen[delta] plus its own (nt_pos, or 1 for a terminal);
     * pred[x]: a small-set predecessor over the boundary keys plen[1..L+1],
       which no query reads (see the field's comment).
 
@@ -187,20 +188,21 @@ class RuleStats:
     psum: tuple[tuple[int | None, ...], ...]
     pmin: tuple[tuple[int | None, ...], ...]
     ppos: tuple[tuple[int | None, ...], ...]
-    slen: tuple[tuple[int | None, ...], ...]
-    ssum: tuple[tuple[int | None, ...], ...]
     smin: tuple[tuple[int | None, ...], ...]
     spos: tuple[tuple[int | None, ...], ...]
     mmin: tuple[tuple[int | None, ...], ...]
-    mpos: tuple[tuple[int | None, ...], ...]
     # No query reads pred: a descent bisects the plen row, whose entries
     # 1..L+1 are exactly these keys.  It is still built and counted, as rmq
     # is, because perfbench's space counter iterates it and its traced
     # head-to-head probes it; it goes with ROADMAP item 1.
     pred: tuple[SmallSet, ...]
-    # Always empty: no query keeps a per-rule RMQ table.  The field stays
-    # only because perfbench's space counter iterates it; it goes when
-    # perfbench reads public entry points (ROADMAP item 1).
+    # Always empty: no query keeps a per-rule RMQ table, suffix length or
+    # sum rows, or a middle-argmin row (derived from plen and nt_pos).  The
+    # fields stay only because perfbench's space counter iterates them; they
+    # go when perfbench reads public entry points (ROADMAP item 1).
+    slen: tuple = ()
+    ssum: tuple = ()
+    mpos: tuple = ()
     rmq: tuple = ()
 
 
@@ -216,8 +218,8 @@ def build_rule_stats(slg: Slg) -> RuleStats:
     exp_sum = [0] * len(rules)
     nt_min = [0] * len(rules)
     nt_pos = [0] * len(rules)
-    # rows[x] holds rule x's plen, psum, pmin, ppos, slen, ssum, smin, spos,
-    # mmin, mpos and pred, the per-rule fields of RuleStats in order.
+    # rows[x] holds rule x's plen, psum, pmin, ppos, smin, spos, mmin and
+    # pred, the per-rule fields of RuleStats in order.
     rows: list[tuple] = [()] * len(rules)
 
     def item(a: Atom) -> tuple[int, int, int, int]:
@@ -236,30 +238,23 @@ def build_rule_stats(slg: Slg) -> RuleStats:
         pmin: list = [None, None]
         ppos: list = [None, None]
         mmin: list = [None]
-        mpos: list = [None]
+        items = list(map(item, rhs))
         for d in range(1, L + 1):
-            ln, sm, mn, pos = item(rhs[d - 1])
+            ln, sm, mn, pos = items[d - 1]
             cand_v = psum[d] + mn
-            cand_p = plen[d] + pos
             mmin.append(cand_v)
-            mpos.append(cand_p)
             if pmin[d] is None or cand_v < pmin[d]:
                 pmin.append(cand_v)
-                ppos.append(cand_p)
+                ppos.append(plen[d] + pos)
             else:
                 pmin.append(pmin[d])
                 ppos.append(ppos[d])
             plen.append(plen[d] + ln)
             psum.append(psum[d] + sm)
-        slen: list = [None] * (L + 1)
-        ssum: list = [None] * (L + 1)
         smin: list = [None] * (L + 1)
         spos: list = [None] * (L + 1)
-        slen[L], ssum[L] = 0, 0
         for d in range(L - 1, 0, -1):
-            ln1, sm1, mn1, pos1 = item(rhs[d])  # item e_{d+1}
-            slen[d] = ln1 + slen[d + 1]
-            ssum[d] = sm1 + ssum[d + 1]
+            ln1, sm1, mn1, pos1 = items[d]  # item e_{d+1}
             alt = None if smin[d + 1] is None else sm1 + smin[d + 1]
             if alt is None or mn1 <= alt:
                 smin[d] = mn1
@@ -271,10 +266,10 @@ def build_rule_stats(slg: Slg) -> RuleStats:
         nt_min[x] = pmin[L + 1]
         nt_pos[x] = ppos[L + 1]
         rows[x] = (
-            *map(tuple, (plen, psum, pmin, ppos, slen, ssum, smin, spos, mmin, mpos)),
+            *map(tuple, (plen, psum, pmin, ppos, smin, spos, mmin)),
             smallset_build(plen[1:]),
         )
-    columns = tuple(zip(*rows)) or ((),) * 11
+    columns = tuple(zip(*rows)) or ((),) * 8
     return RuleStats(slg, exp_len, tuple(exp_sum), tuple(nt_min), tuple(nt_pos), *columns)
 
 
@@ -371,7 +366,8 @@ def _interval_min(stats: RuleStats, b: int, e: int) -> tuple[int, int]:
     becomes a suffix of the left child, full middle children and a prefix of
     the right child, combined left to right with strict-inequality updates.
     The middle children's leftmost minimum is one scan of a slice of the
-    rule's mmin row, at most l entries.  The prefix sums of the regions
+    rule's mmin row, at most l entries; its position is the winning child's
+    offset plus that child's own argmin.  The prefix sums of the regions
     passed on the way down give A[1]+...+A[b], which turns the best relative
     minimum into the minimum itself.
     """
@@ -414,7 +410,9 @@ def _interval_min(stats: RuleStats, b: int, e: int) -> tuple[int, int]:
     if p_mid > 0:
         mid = stats.mmin[x][i + 1 : j]
         v_m = min(mid)
-        pos_m = stats.mpos[x][i + 1 + mid.index(v_m)] - plen_x[i + 1]
+        t = i + 1 + mid.index(v_m)
+        a = rules[x][t - 1]
+        pos_m = plen_x[t] - plen_x[i + 1] + (stats.nt_pos[a.id] if isinstance(a, Nt) else 1)
         v_m -= psum_x[i + 1]
         if best_v is None or acc_sum + v_m < best_v:
             best_v = acc_sum + v_m
@@ -538,15 +536,15 @@ class LcpRmqIndex:
 
     @property
     def stored_integers(self) -> int:
-        """Slots the index keeps: the grammar's symbols and caches, every
-        RuleStats row (placeholders included), the small-set blocks and
-        minima, and the ISA.  The ISA has an entry per text position, so
-        the index is O(n) however small the grammar is."""
+        """Slots the index keeps: the grammar's symbols and caches, the
+        plen, psum, pmin, ppos, smin, spos and mmin rows of RuleStats
+        (placeholders included), the small-set blocks and minima, and the
+        ISA.  The ISA has an entry per text position, so the index is O(n)
+        however small the grammar is."""
         slg, stats = self.slg, self.stats
         stored = sum(map(len, slg.rules)) + len(slg.exp_lens) + len(slg.heights)
         stored += 4 * len(stats.exp_len)  # exp_len, exp_sum, nt_min, nt_pos
-        rows = (stats.plen, stats.psum, stats.pmin, stats.ppos, stats.slen,
-                stats.ssum, stats.smin, stats.spos, stats.mmin, stats.mpos)
+        rows = (stats.plen, stats.psum, stats.pmin, stats.ppos, stats.smin, stats.spos, stats.mmin)
         stored += sum(len(row) for per_rule in rows for row in per_rule)
         stored += sum(len(s.minima) + sum(map(len, s.blocks)) for s in stats.pred)
         return stored + len(self.isa)

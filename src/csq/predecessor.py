@@ -136,12 +136,15 @@ def yfast_build(keys: Sequence[int], u: int) -> YFastTrie:
         checked[t : t + bucket_size] for t in range(0, len(checked), bucket_size)
     )
     reps = tuple(b[0] for b in buckets)
-    levels: list[dict[int, tuple[int, int]]] = [dict() for _ in range(width + 1)]
-    for t, v in enumerate(reps):
-        for d in range(width + 1):
-            prefix = v >> (width - d)
-            lo, hi = levels[d].get(prefix, (t, t))
-            levels[d][prefix] = (min(lo, t), max(hi, t))
+    # dict() keeps the last index zipped with each prefix, so zipping the
+    # prefixes backwards keeps each one's first index, forwards its last.
+    m = len(reps)
+    levels: list[dict[int, tuple[int, int]]] = []
+    for shift in range(width, -1, -1):  # level d = width - shift
+        prefixes = [v >> shift for v in reps]
+        first = dict(zip(reversed(prefixes), range(m - 1, -1, -1)))
+        last = dict(zip(prefixes, range(m)))
+        levels.append({prefix: (first[prefix], t) for prefix, t in last.items()})
     return YFastTrie(u, width, bucket_size, buckets, reps, tuple(levels))
 
 

@@ -24,6 +24,8 @@ Two layers make the index work for arbitrary texts:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 
 from .predecessor import StaticKeySet, YFastTrie, pred, yfast_build, yfast_pred
 from .text_core import Text, suffix_ranks
@@ -139,10 +141,10 @@ def build_ilf_index(text: Text, use_yfast: bool = True) -> IlfIndex:
     # shift is not applied) precedes the full text.
     before = (text.symbols[-1],) * 2 + text.symbols
     bwt1: list[int | None] = list(map(before.__getitem__, sa))
-    r_original = 1 + sum(1 for t in range(2, n + 1) if bwt1[t] != bwt1[t - 1])
+    r_original = 1 + sum(map(ne, bwt1[2:], bwt1[1:]))
     i_first = isa[1]
     bwt1[i_first] = None
-    heads = [0] + [t for t in range(1, n + 1) if bwt1[t] != bwt1[t - 1]]
+    heads = [0, *compress(range(1, n + 1), map(ne, bwt1[1:], bwt1))]
     r_shifted = len(heads)
     if r_shifted > r_original + 3:
         raise AssertionError(

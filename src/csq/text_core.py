@@ -48,15 +48,16 @@ class Text:
 
     @staticmethod
     def from_symbols(symbols: Sequence[int], sigma: int | None = None) -> "Text":
-        syms = tuple(int(s) for s in symbols)
+        syms = tuple(map(int, symbols))
         if syms and min(syms) < 0:
             raise ValueError("symbols must be non-negative integers")
+        top = max(syms, default=0)
         if sigma is None:
-            sigma = max(syms) + 1 if syms else 1
+            sigma = top + 1
         if sigma < 1:
             raise ValueError("sigma must be at least 1")
-        if syms and max(syms) >= sigma:
-            raise ValueError(f"symbol {max(syms)} out of range for sigma={sigma}")
+        if top >= sigma:
+            raise ValueError(f"symbol {top} out of range for sigma={sigma}")
         return Text(syms, sigma)
 
     @staticmethod

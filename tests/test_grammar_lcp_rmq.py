@@ -335,8 +335,8 @@ def _shape_text(family: str) -> Text:
 @pytest.mark.parametrize(
     "family, shape",
     [
-        ("random", (2626, 12, 3412, 4, 2, 56022)),
-        ("period-50-edits", (1586, 12, 2070, 4, 2, 34877)),
+        ("random", (2626, 12, 3412, 4, 2, 44184)),
+        ("period-50-edits", (1586, 12, 2070, 4, 2, 27737)),
     ],
 )
 def test_grammar_shape_is_pinned(family, shape):
@@ -474,6 +474,61 @@ def test_queries_read_no_small_sets(family, epsilon):
         p = rng.randint(1, idx.stats.exp_len[x])
         for query in (prefix_stats_query, suffix_stats_query):
             assert query(bare.stats, x, p) == query(idx.stats, x, p)
+
+
+def _spanning_ranges(idx, rng: random.Random, count: int):
+    """Ranges (b..e] of whole children c..u, u > c, of a rule reached by a
+    random descent from the start symbol, plus part of the child on either
+    side; b falls inside child c - 1, so the query splits at that rule and
+    children c..u are among its middle children."""
+    rules, plen = idx.slg.rules, idx.stats.plen
+    ranges = []
+    while len(ranges) < count:
+        x, off = idx.slg.start, 0
+        while True:
+            down = [t for t, a in enumerate(rules[x], 1) if isinstance(a, Nt)]
+            if not down or (len(rules[x]) >= 3 and rng.random() < 0.4):
+                break
+            t = rng.choice(down)
+            x, off = rules[x][t - 1].id, off + plen[x][t]
+        L = len(rules[x])
+        if L < 3:
+            continue
+        c = rng.randint(2, L - 1)
+        u = rng.randint(c + 1, L)
+        b = off + rng.randint(plen[x][c - 1] + 1, plen[x][c])
+        e = off + (plen[x][L + 1] if u == L else rng.randint(plen[x][u + 1], plen[x][u + 2] - 1))
+        ranges.append((b, e))
+    return ranges
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("family", ["random-2", "random-4", "period-7", "period-50-edits"])
+def test_middle_children_argmin_is_derived(family, epsilon):
+    """RuleStats keeps no slen, ssum or mpos rows: the middle-children scan
+    derives the winning child's position from plen and nt_pos (1 for a
+    terminal child).  lcp_rmq matches the leftmost linear-scan argmin on
+    ranges that span at least two whole children of the rule where the
+    query splits; periodic texts give ties inside and across children."""
+    rng = random.Random(f"{family}-{epsilon}")
+    n = 2000
+    if family.startswith("random"):
+        sigma = int(family[-1])
+        symbols = [rng.randrange(sigma) for _ in range(n)]
+    elif family == "period-7":
+        symbols = [(0, 1, 0, 0, 1, 1, 0)[i % 7] for i in range(n)]
+    else:
+        block = [rng.randrange(4) for _ in range(50)]
+        symbols = [block[i % 50] for i in range(n)]
+        for _ in range(20):
+            symbols[rng.randrange(n)] = rng.randrange(4)
+    t = Text.from_symbols(symbols, 4)
+    idx = build_lcp_rmq_index(t, epsilon)
+    assert idx.stats.slen == idx.stats.ssum == idx.stats.mpos == ()
+    lcp = build_bundle(t).lcp
+    for b, e in _spanning_ranges(idx, rng, 300):
+        window = lcp[b + 1 : e + 1]
+        assert lcp_rmq(idx, b, e) == b + 1 + window.index(min(window))
 
 
 def test_lce_reads_no_prefix_sum_back(monkeypatch):

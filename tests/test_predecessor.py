@@ -86,6 +86,26 @@ def test_flavors_agree_with_oracle(keys, x):
     _assert_pred_invariant(keys, x, expected)
 
 
+def _reference_levels(reps, width):
+    """The y-fast prefix levels built one representative at a time."""
+    levels = [dict() for _ in range(width + 1)]
+    for t, v in enumerate(reps):
+        for d in range(width + 1):
+            prefix = v >> (width - d)
+            lo, hi = levels[d].get(prefix, (t, t))
+            levels[d][prefix] = (min(lo, t), max(hi, t))
+    return tuple(levels)
+
+
+@given(st.sets(st.integers(0, 5000), min_size=1, max_size=400).map(sorted), st.integers(0, 3000))
+@settings(max_examples=100, deadline=None)
+def test_yfast_levels_match_reference_loop(keys, slack):
+    u = keys[-1] + slack
+    trie = yfast_build(keys, u)
+    assert trie.levels == _reference_levels(trie.reps, trie.width)
+    assert trie.reps == tuple(keys[:: trie.bucket_size])
+
+
 def test_exhaustive_small_universe():
     """Every nonempty A over [0..8], every query in [-1..10], both flavors."""
     universe = list(range(9))

@@ -111,6 +111,23 @@ def test_boundary_invariants(symbols):
     assert list(idx.boundary_keys) == sorted(idx.boundary_keys)
 
 
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=200))
+@settings(max_examples=80, deadline=None)
+def test_boundaries_match_terminated_bundle(symbols):
+    """The run counts and the boundary samples equal a per-rank loop over
+    the terminated text's own BWT and LF rows."""
+    t = Text.from_symbols(symbols, 4)
+    idx = build_ilf_index(t)
+    shifted = append_terminator(t).shifted
+    tb = build_bundle(shifted)
+    heads = [h for h in range(1, shifted.n + 1) if h == 1 or tb.bwt[h] != tb.bwt[h - 1]]
+    pairs = sorted((tb.lf[h], h) for h in heads)
+    assert idx.r_original == bwt_run_count(t)
+    assert idx.r_shifted == len(heads)
+    assert idx.boundary_keys == tuple(p for p, _ in pairs)
+    assert idx.ilf_at_boundary == tuple(h for _, h in pairs)
+
+
 def test_remap_leaves_answers_unchanged():
     t = Text.from_symbols([5, 1000, 5, 7, 1000], 1001)
     b = build_bundle(t)

@@ -70,6 +70,23 @@ def test_text_rejects_bad_symbols():
         Text.from_symbols([3], sigma=3)
 
 
+def test_text_from_symbols_messages_and_default_sigma():
+    """A negative symbol is reported before a bad sigma, and sigma before a
+    symbol out of its range; sigma defaults to the largest symbol plus one,
+    and to 1 for an empty text."""
+    for symbols, sigma, message in [
+        ([4, -1], 2, "symbols must be non-negative integers"),
+        ([4], 0, "sigma must be at least 1"),
+        ([], 0, "sigma must be at least 1"),
+        ([1, 7, 2], 7, "symbol 7 out of range for sigma=7"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Text.from_symbols(symbols, sigma)
+    assert Text.from_symbols([]) == Text((), 1)
+    assert Text.from_symbols([2, 0, 5]) == Text((2, 0, 5), 6)
+    assert Text.from_symbols([True, 3.0], 4) == Text((1, 3), 4)
+
+
 def test_text_at_is_one_based(fig_text):
     assert fig_text.at(1) == ord("b")
     assert fig_text.at(19) == ord("a")
