@@ -40,6 +40,9 @@ _POOL_WINDOW = 4096
 _ILF_BENCH_BATCH_MAX = 10**6
 """The most query positions ``ilf-bench --batch`` draws (about 8 MiB)."""
 
+_READ_CHUNK = 2**16
+"""Bytes per read of an integer file."""
+
 
 class CliError(Exception):
     """Unusable input or configuration; rendered as an error and exit 2."""
@@ -76,7 +79,7 @@ def _human(value: object) -> str:
 # Input loading and shared checks
 
 
-def _read(path: str, size: int = -1) -> str:
+def _read(path: str, size: int) -> str:
     try:
         with open(path, "rb") as handle:
             return handle.read(size).decode("latin-1")
@@ -90,26 +93,39 @@ def _read_file(path: str) -> str:
     budget = gadgets.TEXT_LENGTH_BUDGET
     raw = _read(path, budget + 2)
     if len(raw) > budget + 1:
-        raise CliError(
-            f"{path} holds more than {budget} symbols, over the text-length budget of {budget}"
-        )
+        raise _text_too_long(path, f"more than {budget}")
     return raw
 
 
-def _read_ints(path: str) -> list[int]:
-    """The whitespace-separated integers of a file."""
-    values = []
-    for token in _read(path).split():
-        try:
-            values.append(int(token))
-        except ValueError:
-            raise CliError(f"malformed integer {token!r} in {path}") from None
-    return values
+def _read_ints(path: str, budget: int | None = None) -> list[int]:
+    """The whitespace-separated integers of a file, read in chunks.  Once
+    more than ``budget`` are counted with input left, the file is refused
+    unread to its end, so a pipe or a device is never drained."""
+    values: list[int] = []
+    tail = ""
+    try:
+        with open(path, "rb") as handle:
+            while True:
+                piece = handle.read(_READ_CHUNK).decode("latin-1")
+                tokens = (tail + piece).split()
+                # A token that reaches a chunk's end may go on in the next.
+                tail = tokens.pop() if piece and not piece[-1].isspace() else ""
+                for token in tokens:
+                    try:
+                        values.append(int(token))
+                    except ValueError:
+                        raise CliError(f"malformed integer {token!r} in {path}") from None
+                if not piece:
+                    return values
+                if budget is not None and len(values) > budget and handle.peek(1):
+                    raise _text_too_long(path, f"more than {budget}")
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_text(args: argparse.Namespace) -> Text:
     if args.format == "ints":
-        symbols = _read_ints(args.input)
+        symbols = _read_ints(args.input, gadgets.TEXT_LENGTH_BUDGET)
         if not symbols:
             raise CliError(f"{args.input} holds no integers")
         _within_text_budget(args.input, len(symbols))
@@ -127,9 +143,12 @@ def _load_text(args: argparse.Namespace) -> Text:
 
 def _within_text_budget(path: str, n: int) -> None:
     if n > gadgets.TEXT_LENGTH_BUDGET:
-        raise CliError(
-            f"{path} holds {n} symbols, over the text-length budget of {gadgets.TEXT_LENGTH_BUDGET}"
-        )
+        raise _text_too_long(path, n)
+
+
+def _text_too_long(path: str, shown: object) -> CliError:
+    budget = gadgets.TEXT_LENGTH_BUDGET
+    return CliError(f"{path} holds {shown} symbols, over the text-length budget of {budget}")
 
 
 def _raw_length_over_budget(path: str) -> int:

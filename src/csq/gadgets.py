@@ -170,12 +170,15 @@ def _expect_kind(gadget: GadgetInstance, kind: str) -> None:
 
 
 def _instance(kind: str, data: tuple[int, ...], text: Text) -> GadgetInstance:
-    """Check the closed-form length, then sort once and derive the anchors."""
+    """Check the closed-form length, then sort once and derive the rows the
+    kind's replay reads and the anchors."""
     spec = _TABLE[kind]
     want = spec.length(data)
     if text.n != want:
         raise AssertionError(f"{kind} text has length {text.n}, not the closed-form {want}")
     bundle = build_bundle(text)
+    for row in spec.rows:  # derived here, so verification derives none
+        getattr(bundle, row)
     return GadgetInstance(kind, data, text, spec.anchors(data, text, bundle.sa), bundle)
 
 
@@ -636,7 +639,9 @@ class _Kind:
 
     ``anchors`` derives the anchors from the input, the text and its suffix
     array; ``length`` and ``runs`` give an input's closed-form text length
-    and, where one exists, run count.
+    and, where one exists, run count.  ``rows`` names the derived bundle
+    rows the replay reads (SA, ISA and LCP are always stored); a build
+    derives exactly these, and no other.
     """
 
     family: _Family
@@ -644,6 +649,7 @@ class _Kind:
     anchors: Callable[[tuple[int, ...], Text, Sequence[int]], dict[str, object]]
     length: Callable[[tuple[int, ...]], int]
     replay: Replay
+    rows: tuple[str, ...] = ()
     runs: Callable[[tuple[int, ...]], int] | None = None
     certificate: Callable[[GadgetInstance, RunLengthEncoding], tuple[Blocks, int]] = (
         _run_certificate
@@ -680,6 +686,7 @@ _TABLE: dict[str, _Kind] = {
         ),
     ),
     "bwt-color": _Kind(
+        rows=("bwt",),
         family=_SETS,
         build=bwt_color_gadget,
         anchors=lambda a, text, sa: _code_anchors(a, text, sa, b=1),
@@ -691,6 +698,7 @@ _TABLE: dict[str, _Kind] = {
         ),
     ),
     "plcp-pred": _Kind(
+        rows=("plcp",),
         family=_SETS,
         build=plcp_pred_gadget,
         anchors=lambda a, text, sa: {"m": len(a), "delta": text.n - (len(a) ** 2 + len(a) + 2)},
@@ -701,6 +709,7 @@ _TABLE: dict[str, _Kind] = {
         replay=_replay(pred_via_plcp, _definition_pred, _universe_queries),
     ),
     "phi-pred": _Kind(
+        rows=("phi",),
         family=_SETS,
         build=phi_pred_gadget,
         anchors=lambda a, text, sa: {"m": len(a), "delta": text.n - 2 * (len(a) ** 2 + 1)},
@@ -709,6 +718,7 @@ _TABLE: dict[str, _Kind] = {
         replay=_replay(pred_via_phi, _definition_pred, _universe_queries),
     ),
     "ilf-pred": _Kind(
+        rows=("ilf",),
         family=_SETS,
         build=ilf_pred_gadget,
         anchors=lambda a, text, sa: _code_anchors(a, text, sa, alpha=2, beta=1),
@@ -720,6 +730,7 @@ _TABLE: dict[str, _Kind] = {
         ),
     ),
     "phi-inverse": _Kind(
+        rows=("phi", "inv_phi"),
         family=_BITS,
         build=lambda s: phi_inverse_transform(Text.from_symbols(s, max(2, max(s, default=1) + 1))),
         anchors=_phi_inverse_anchors,

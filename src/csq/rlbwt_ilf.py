@@ -14,8 +14,9 @@ Two layers make the index work for arbitrary texts:
   terminator suffix sorts first and leaves every other suffix in order,
   so the terminated text's SA, BWT and LF are read off the original
   text's SA and ISA rows (text_core.suffix_ranks: a live bundle's, else
-  one sort), one rank further down; no symbol is rewritten and any
-  alphabet works;
+  one sort), one rank further down.  The terminated text itself is never
+  built (the tests keep a builder of it as a reference), no symbol is
+  rewritten, and any alphabet works;
 * unwrapping — inverse-LF answers for the terminated text are mapped back
   to the original text, with the lexicographically last suffix handled by
   the defining wrap-around i_last -> i_first.
@@ -32,54 +33,9 @@ from .text_core import Text, suffix_ranks
 
 __all__ = [
     "IlfIndex",
-    "TerminatedText",
-    "append_terminator",
     "build_ilf_index",
     "ilf_query",
 ]
-
-# Shifting must keep symbols within the 32-bit width the format promises.
-_SYMBOL_WIDTH_LIMIT = 2**31 - 1
-
-
-@dataclass(frozen=True)
-class TerminatedText:
-    """A text plus its copy shifted up by one with a fresh 0 terminator.
-
-    i_first and i_last are ISA[1] and ISA[n] of the *original* text: the
-    suffix-order positions of the full text and of its last symbol.
-    """
-
-    original: Text
-    shifted: Text
-    i_first: int
-    i_last: int
-
-
-def append_terminator(text: Text) -> TerminatedText:
-    """Shift the alphabet up by one and append a unique smallest 0.
-
-    The terminator suffix sorts first and leaves the relative order of all
-    other suffixes unchanged, so the shifted text's suffix array is [n+1]
-    followed by the original one, and i_first/i_last are the original
-    text's ISA[1] and ISA[n].  Appending costs at most 3 extra BWT runs,
-    which build_ilf_index checks on every build.
-    """
-    n = text.n
-    if n == 0:
-        raise ValueError("cannot terminate an empty text")
-    if text.sigma >= _SYMBOL_WIDTH_LIMIT:
-        raise ValueError(
-            f"alphabet size {text.sigma} leaves no room to shift within the symbol width"
-        )
-    _, isa = suffix_ranks(text)
-    return TerminatedText(
-        original=text,
-        shifted=Text.from_symbols([c + 1 for c in text.symbols] + [0], text.sigma + 1),
-        i_first=isa[1],
-        i_last=isa[n],
-    )
-
 
 @dataclass(frozen=True)
 class IlfIndex:

@@ -17,15 +17,19 @@ Text object while a caller still holds it (the registry holds it weakly);
 only without one do they sort the text, once, by SA-IS induced sorting in
 linear time, and suffix_core adds Kasai's LCP pass.  build_bundle always
 sorts, draws every position, rank and LCP value from one pool of n + 1 int
-objects, and derives nine arrays:
+objects, and stores three arrays:
 
     SA       suffix array: SA[i] = start of the i-th suffix in sorted order
     ISA      inverse permutation of SA
     LCP      LCP[1] = 0; LCP[i] = LCE of the suffixes ranked i and i-1
+
+The bundle derives six more on first read, each in one pass over SA or ISA
+whose values are objects the stored rows (or the text) already hold:
+
     PLCP     LCP in text order: PLCP[SA[i]] = LCP[i]
     BWT      BWT[i] = T[SA[i]-1], wrapping to T[n] when SA[i] = 1
     LF       LF[i] = ISA[SA[i]-1], wrapping to ISA[n] when SA[i] = 1
-    ILF      inverse permutation of LF
+    ILF      inverse of LF: ILF[ISA[j]] = ISA[j+1], wrapping to ISA[1] at j = n
     PHI      PHI[SA[i]] = SA[i-1]; PHI[SA[1]] = SA[n]
     INV_PHI  inverse permutation of PHI
 """
@@ -35,6 +39,7 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Sequence, Union
 
@@ -214,22 +219,54 @@ def suffix_array_naive(symbols: Sequence[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class SuffixArrayBundle:
-    """The nine arrays of a text, each 1-indexed with a placeholder at 0."""
+    """The nine arrays of a text, each 1-indexed with a placeholder at 0.
+
+    Only the text and its SA, ISA and LCP are stored, and ``==`` and
+    ``hash`` read them alone, since they determine the rest.  The other six rows are derived on first
+    read and cached on the instance, so a reader pays for the rows it reads.
+    """
 
     text: Text
     sa: tuple[int, ...]
     isa: tuple[int, ...]
     lcp: tuple[int, ...]
-    plcp: tuple[int, ...]
-    bwt: tuple[int, ...]
-    lf: tuple[int, ...]
-    ilf: tuple[int, ...]
-    phi: tuple[int, ...]
-    inv_phi: tuple[int, ...]
 
     @property
     def n(self) -> int:
         return self.text.n
+
+    # Each derived row is one gather, row[i] = src[idx[i]]: idx is SA or ISA,
+    # and src a stored row or the text, shifted by at most one place with
+    # wrap-around at the ends; idx[0] = 0 reads src[0] = 0, the placeholder.
+
+    @cached_property
+    def plcp(self) -> tuple[int, ...]:
+        return tuple(map(self.lcp.__getitem__, self.isa))
+
+    @cached_property
+    def bwt(self) -> tuple[int, ...]:
+        syms = self.text.symbols
+        return tuple(map((0, syms[-1], *syms[:-1]).__getitem__, self.sa))
+
+    @cached_property
+    def lf(self) -> tuple[int, ...]:
+        isa = self.isa
+        return tuple(map((0, isa[-1], *isa[1:-1]).__getitem__, self.sa))
+
+    @cached_property
+    def ilf(self) -> tuple[int, ...]:
+        isa = self.isa
+        return tuple(map((0, *isa[2:], isa[1]).__getitem__, self.sa))
+
+    @cached_property
+    def phi(self) -> tuple[int, ...]:
+        sa = self.sa
+        return tuple(map((0, sa[-1], *sa[1:-1]).__getitem__, self.isa))
+
+    @cached_property
+    def inv_phi(self) -> tuple[int, ...]:
+        sa = self.sa
+        return tuple(map((0, *sa[2:], sa[1]).__getitem__, self.isa))
 
 
 # id(text) -> the last bundle built for that text object, held weakly.  The
@@ -298,37 +335,13 @@ def suffix_ranks(text: Text) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def build_bundle(text: Text) -> SuffixArrayBundle:
-    """Compute all nine arrays of ``text`` from one suffix sort, and record
-    the bundle as the text's live bundle."""
-    n = text.n
-    if n == 0:
+    """Sort ``text`` once into its SA, ISA and LCP rows, and record the
+    bundle as the text's live bundle; the other six rows wait for a read."""
+    if text.n == 0:
         raise ValueError("cannot build a suffix-array bundle for an empty text")
-    syms = text.symbols
-    sa, isa, ids = _sorted_ranks(syms)
-    lcp = _lcp_kasai(syms, sa, isa, ids)
-    # At rank r, BWT and LF read the text position before SA[r] and PHI the
-    # rank before r, each wrapping to n at 1; the placeholders read 0.  The
-    # loop inverts LF and PHI and writes every value from the shared pool.
-    bwt = tuple(map((0, syms[-1], *syms[:-1]).__getitem__, sa))
-    lf = tuple(map((0, isa[n], *isa[1:n]).__getitem__, sa))
-    plcp, ilf, phi, inv_phi = ([0] * (n + 1) for _ in range(4))
-    for r, j, h, l, p in zip(ids, sa, lcp, lf, (0, sa[n], *sa[1:n])):
-        plcp[j] = h
-        ilf[l] = r
-        phi[j] = p
-        inv_phi[p] = j
-    bundle = _LIVE_BUNDLES[id(text)] = SuffixArrayBundle(
-        text=text,
-        sa=sa,
-        isa=isa,
-        lcp=lcp,
-        plcp=tuple(plcp),
-        bwt=bwt,
-        lf=lf,
-        ilf=tuple(ilf),
-        phi=tuple(phi),
-        inv_phi=tuple(inv_phi),
-    )
+    sa, isa, ids = _sorted_ranks(text.symbols)
+    lcp = _lcp_kasai(text.symbols, sa, isa, ids)
+    bundle = _LIVE_BUNDLES[id(text)] = SuffixArrayBundle(text, sa, isa, lcp)
     return bundle
 
 

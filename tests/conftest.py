@@ -1,9 +1,10 @@
 import random
 import time
+from dataclasses import dataclass
 
 import pytest
 
-from csq.text_core import Text, build_bundle
+from csq.text_core import Text, build_bundle, suffix_ranks
 
 # Wall-clock anchor used by the acceptance suite's runtime budget check.
 SESSION_T0 = time.monotonic()
@@ -35,3 +36,50 @@ def fig_bundle(fig_text):
 
 def random_text(rng: random.Random, n: int, sigma: int) -> Text:
     return Text.from_symbols([rng.randrange(sigma) for _ in range(n)], sigma)
+
+
+# ---------------------------------------------------------------------------
+# The terminated text, built in full: a reference for build_ilf_index, which
+# reads the terminated rows off the original text's SA and ISA instead.
+
+# Shifting must keep symbols within the 32-bit width the format promises.
+_SYMBOL_WIDTH_LIMIT = 2**31 - 1
+
+
+@dataclass(frozen=True)
+class TerminatedText:
+    """A text plus its copy shifted up by one with a fresh 0 terminator.
+
+    i_first and i_last are ISA[1] and ISA[n] of the *original* text: the
+    suffix-order positions of the full text and of its last symbol.
+    """
+
+    original: Text
+    shifted: Text
+    i_first: int
+    i_last: int
+
+
+def append_terminator(text: Text) -> TerminatedText:
+    """Shift the alphabet up by one and append a unique smallest 0.
+
+    The terminator suffix sorts first and leaves the relative order of all
+    other suffixes unchanged, so the shifted text's suffix array is [n+1]
+    followed by the original one, and i_first/i_last are the original
+    text's ISA[1] and ISA[n].  Appending costs at most 3 extra BWT runs,
+    which build_ilf_index checks on every build.
+    """
+    n = text.n
+    if n == 0:
+        raise ValueError("cannot terminate an empty text")
+    if text.sigma >= _SYMBOL_WIDTH_LIMIT:
+        raise ValueError(
+            f"alphabet size {text.sigma} leaves no room to shift within the symbol width"
+        )
+    _, isa = suffix_ranks(text)
+    return TerminatedText(
+        original=text,
+        shifted=Text.from_symbols([c + 1 for c in text.symbols] + [0], text.sigma + 1),
+        i_first=isa[1],
+        i_last=isa[n],
+    )

@@ -50,7 +50,7 @@ from csq.predecessor import (
     yfast_build,
     yfast_pred,
 )
-from csq.rlbwt_ilf import append_terminator, build_ilf_index, ilf_query
+from csq.rlbwt_ilf import build_ilf_index, ilf_query
 from csq.text_core import Text, build_bundle, lce_naive, occurrences, pattern_range
 
 from conftest import (
@@ -65,6 +65,7 @@ from conftest import (
     FIG_PHI,
     FIG_PLCP,
     FIG_SA,
+    append_terminator,
     random_text,
 )
 

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import random
 import sys
 import threading
 
@@ -416,6 +417,62 @@ def test_raw_text_from_a_pipe_is_read_two_bytes_past_the_budget_at_most(tmp_path
         f"error: {fifo} holds more than {budget} symbols, over the text-length budget of {budget}\n"
     )
     assert written and written[0] < 2 * budget
+
+
+def test_integer_text_from_a_pipe_is_refused_before_it_is_drained(tmp_path, capsys):
+    """Integers are read in chunks and counted as they come: once more than
+    the budget are counted with input left, the text is refused, so a
+    writer offering 3 MiB of ``0 `` cannot get them all out."""
+    budget = csq.gadgets.TEXT_LENGTH_BUDGET
+    fifo = tmp_path / "ints.fifo"
+    os.mkfifo(fifo)
+    offered = 3 * 2**20
+    written = []
+
+    def writer():
+        fd = os.open(fifo, os.O_WRONLY)
+        sent = 0
+        try:
+            while sent < offered:
+                sent += os.write(fd, b"0 " * (min(2**16, offered - sent) // 2))
+        except BrokenPipeError:
+            pass
+        finally:
+            os.close(fd)
+            written.append(sent)
+
+    thread = threading.Thread(target=writer, daemon=True)
+    thread.start()
+    code, out, err = run_cli(capsys, ["measures", "--input", str(fifo), "--format", "ints"])
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: {fifo} holds more than {budget} symbols, over the text-length budget of {budget}\n"
+    )
+    assert written and written[0] < offered
+
+
+def test_integer_reads_split_tokens_across_chunks_as_one_read_would(tmp_path, monkeypatch):
+    """Chunk edges fall inside tokens and whitespace runs alike; the values
+    and the malformed-token message are those of one whole-file split."""
+    monkeypatch.setattr(cli, "_READ_CHUNK", 5)
+    rng = random.Random(0x1D5)
+    tokens = [str(rng.randrange(10 ** rng.randint(1, 12))) for _ in range(400)]
+    path = tmp_path / "ints.txt"
+
+    def write() -> None:
+        gaps = [" ", "\n", "\t ", "\xa0", "  \r\n"]
+        path.write_bytes("".join(t + rng.choice(gaps) for t in tokens).encode("latin-1"))
+
+    write()
+    assert cli._read_ints(str(path)) == list(map(int, tokens))
+    tokens[300] = "12x4"
+    write()
+    with pytest.raises(cli.CliError) as info:
+        cli._read_ints(str(path), csq.gadgets.TEXT_LENGTH_BUDGET)
+    assert str(info.value) == f"malformed integer '12x4' in {path}"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero device")

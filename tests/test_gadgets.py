@@ -327,7 +327,9 @@ def test_verify_rejects_bundle_with_faulty_lcp():
     g = plcp_pred_gadget([2, 5, 9])
 
     def with_lcp(lcp):
-        return dataclasses.replace(g, bundle=dataclasses.replace(g.bundle, lcp=lcp))
+        bad = dataclasses.replace(g.bundle, lcp=lcp)
+        vars(bad)["plcp"] = g.bundle.plcp  # the replay reads the true row
+        return dataclasses.replace(g, bundle=bad)
 
     with pytest.raises(AssertionError, match="certificate"):
         verify_reduction("plcp-pred", with_lcp((0,) * len(g.bundle.lcp)))
@@ -344,8 +346,9 @@ def test_contracts_raise_on_doctored_instances(monkeypatch):
         verify_reduction("lcp-select", extra_run)
 
     g = build_gadget("phi-inverse", (1, 0, 1, 1))
-    shifted = tuple(p + 1 for p in g.bundle.inv_phi)
-    bad = dataclasses.replace(g, bundle=dataclasses.replace(g.bundle, inv_phi=shifted))
+    bundle = dataclasses.replace(g.bundle)
+    vars(bundle)["inv_phi"] = tuple(p + 1 for p in g.bundle.inv_phi)
+    bad = dataclasses.replace(g, bundle=bundle)
     with pytest.raises(AssertionError, match="not a block start"):
         verify_reduction("phi-inverse", bad)
 
@@ -374,6 +377,19 @@ def test_one_run_length_encoding_per_verify(monkeypatch):
         assert calls == [], kind
         verify_reduction(kind, gadget)
         assert calls == [gadget.text.n], kind
+
+
+def test_each_kind_derives_only_the_rows_its_replay_reads():
+    """A build derives the kind's ``rows`` and no other bundle row, so
+    verification derives none."""
+    derived_rows = {"plcp", "bwt", "lf", "ilf", "phi", "inv_phi"}
+    rng = random.Random(0x8075)
+    for kind in KINDS:
+        g = build_gadget(kind, random_input(kind, 3, rng))
+        rows = set(gadgets._TABLE[kind].rows)
+        assert derived_rows & set(vars(g.bundle)) == rows, kind
+        assert verify_reduction(kind, g).ok
+        assert derived_rows & set(vars(g.bundle)) == rows, kind
 
 
 def test_recompute_anchors_is_idempotent():

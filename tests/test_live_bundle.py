@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from csq.gadgets import build_gadget, random_input
 from csq.grammar_lcp_rmq import build_lcp_rmq_index, lce_query, lcp_rmq
+from csq.measures import text_measures
 from csq.rlbwt_ilf import build_ilf_index, ilf_query
 from csq.text_core import Text, build_bundle, lce_naive, live_bundle, suffix_array_naive
 
@@ -22,19 +23,32 @@ def _builds(text: Text) -> tuple:
     return build_ilf_index(text), build_ilf_index(text, use_yfast=False), build_lcp_rmq_index(text)
 
 
-def _naive_rows(text: Text) -> tuple[list[int], list[int]]:
-    """1-indexed ILF and LCP from a suffix_array_naive sort and direct
-    symbol comparison, independent of every row a bundle holds."""
+ROWS = ("sa", "isa", "lcp", "plcp", "bwt", "lf", "ilf", "phi", "inv_phi")
+DERIVED = ROWS[3:]
+
+
+def _naive_rows(text: Text, names: tuple[str, ...] = ("ilf", "lcp")) -> tuple[list[int], ...]:
+    """The named 1-indexed rows (ILF and LCP by default) by their textbook
+    definitions, from a suffix_array_naive sort and direct symbol
+    comparison, independent of every row a bundle holds."""
     n = text.n
     sa = [0] + [j + 1 for j in suffix_array_naive(text.symbols)]
     isa = [0] * (n + 1)
     for r in range(1, n + 1):
         isa[sa[r]] = r
-    ilf = [0] * (n + 1)
-    for r in range(1, n + 1):
-        ilf[isa[sa[r] - 1] if sa[r] > 1 else isa[n]] = r
     lcp = [0, 0] + [lce_naive(text, sa[r - 1], sa[r]) for r in range(2, n + 1)]
-    return ilf, lcp
+    rows = {"sa": sa, "isa": isa, "lcp": lcp}
+    rows["bwt"] = [0] + [text.at(sa[r] - 1 if sa[r] > 1 else n) for r in range(1, n + 1)]
+    rows["lf"] = [0] + [isa[sa[r] - 1 if sa[r] > 1 else n] for r in range(1, n + 1)]
+    for name in ("plcp", "ilf", "phi", "inv_phi"):
+        rows[name] = [0] * (n + 1)
+    for r in range(1, n + 1):
+        rows["plcp"][sa[r]] = lcp[r]
+        rows["ilf"][rows["lf"][r]] = r
+        before = sa[r - 1] if r > 1 else sa[n]
+        rows["phi"][sa[r]] = before
+        rows["inv_phi"][before] = sa[r]
+    return tuple(rows[name] for name in names)
 
 
 def _check_warm_equals_cold(symbols: list[int], sigma: int, queries: int = 200) -> None:
@@ -114,3 +128,47 @@ def test_registry_follows_the_latest_bundle_of_a_text():
     gc.collect()
     assert live_bundle(text) is None
     assert indexes == _builds(text)
+
+
+def _derived(bundle) -> set[str]:
+    return set(DERIVED) & set(vars(bundle))
+
+
+def test_serving_and_measures_derive_no_row():
+    """A bundle stores SA, ISA and LCP; serve set-up (both inverse-LF
+    flavors and the LCP-RMQ index) and the measures read only those."""
+    rng = random.Random(0xB0D)
+    for symbols, sigma in [([rng.randrange(4) for _ in range(400)], 4), ([0, 1, 1] * 50, 2)]:
+        text = Text.from_symbols(symbols, sigma)
+        bundle = build_bundle(text)
+        assert _derived(bundle) == set()
+        _builds(text)
+        assert _derived(bundle) == set()
+        text_measures(text)
+        assert _derived(bundle) == set()
+
+
+@given(
+    st.integers(1, 4).flatmap(lambda sigma: st.tuples(
+        st.lists(st.integers(0, sigma - 1), min_size=1, max_size=80), st.just(sigma))),
+    st.permutations(ROWS),
+)
+@settings(max_examples=60, deadline=None)
+def test_rows_read_in_any_order_match_their_definitions(case, order):
+    """Each derived row, read in any order, equals its definition, is kept
+    once read, and changes neither ``==`` nor ``hash``."""
+    symbols, sigma = case
+    text = Text.from_symbols(symbols, sigma)
+    bundle = build_bundle(text)
+    unread = build_bundle(Text.from_symbols(symbols, sigma))
+    key = hash(unread)
+    naive = dict(zip(ROWS, _naive_rows(text, ROWS)))
+    read = set()
+    for name in order:
+        row = getattr(bundle, name)
+        assert list(row) == naive[name], name
+        assert getattr(bundle, name) is row
+        read.add(name)
+        assert _derived(bundle) == read & set(DERIVED)
+        assert bundle == unread and hash(bundle) == key
+    assert _derived(unread) == set()

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from csq import rlbwt_ilf
 from csq.measures import bwt_run_count
-from csq.rlbwt_ilf import append_terminator, build_ilf_index, ilf_query
+from csq.rlbwt_ilf import build_ilf_index, ilf_query
 from csq.text_core import Text, build_bundle
+
+from conftest import append_terminator
 
 small_texts = st.lists(st.integers(0, 3), min_size=1, max_size=64)
 
