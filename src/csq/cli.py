@@ -43,6 +43,9 @@ _ILF_BENCH_BATCH_MAX = 10**6
 _READ_CHUNK = 2**16
 """Bytes per read of an integer file."""
 
+_TOKEN_MAX = _READ_CHUNK
+"""The most characters of one integer token; an endless one is refused."""
+
 
 class CliError(Exception):
     """Unusable input or configuration; rendered as an error and exit 2."""
@@ -99,8 +102,8 @@ def _read_file(path: str) -> str:
 
 def _read_ints(path: str, budget: int | None = None) -> list[int]:
     """The whitespace-separated integers of a file, read in chunks.  Once
-    more than ``budget`` are counted with input left, the file is refused
-    unread to its end, so a pipe or a device is never drained."""
+    more than ``budget`` are counted with input left, or a token is too long,
+    the file is refused unread to its end, so a pipe or a device is never drained."""
     values: list[int] = []
     tail = ""
     try:
@@ -110,6 +113,9 @@ def _read_ints(path: str, budget: int | None = None) -> list[int]:
                 tokens = (tail + piece).split()
                 # A token that reaches a chunk's end may go on in the next.
                 tail = tokens.pop() if piece and not piece[-1].isspace() else ""
+                if len(tail) > _TOKEN_MAX:
+                    raise CliError(f"malformed integer {tail[:20]!r}... in {path}: "
+                                   f"over {_TOKEN_MAX} characters")
                 for token in tokens:
                     try:
                         values.append(int(token))
@@ -257,13 +263,12 @@ def _cmd_measures(args: argparse.Namespace, report: Report) -> int:
 def _cmd_ilf(args: argparse.Namespace, report: Report) -> int:
     text = _load_text(args)
     bundle = build_bundle(text)  # held, so the index reads its rows: one sort
-    index = build_ilf_index(text, use_yfast=args.flavor == "yfast")
+    index = build_ilf_index(text)
     oracle = bundle.ilf
     mismatches = sum(
         1 for i in range(1, text.n + 1) if ilf_query(index, i) != oracle[i]
     )
     report.add("n", text.n)
-    report.add("flavor", args.flavor)
     for key in ("boundary_count", "r_original", "r_shifted", "stored_integers"):
         report.add(key, getattr(index, key))
     report.add("oracle_mismatches", mismatches)
@@ -276,7 +281,7 @@ def _cmd_ilf_bench(args: argparse.Namespace, report: Report) -> int:
     if args.batch > _ILF_BENCH_BATCH_MAX:
         raise CliError(f"--batch must be at most {_ILF_BENCH_BATCH_MAX}")
     text = _load_text(args)
-    build = partial(build_ilf_index, text, use_yfast=args.flavor == "yfast")
+    build = partial(build_ilf_index, text)
     build_ms, index = _median_pass(build, args.repeat, 1e-3)
     rng = random.Random(args.seed)
     positions = [rng.randint(1, text.n) for _ in range(args.batch)]
@@ -287,7 +292,6 @@ def _cmd_ilf_bench(args: argparse.Namespace, report: Report) -> int:
 
     query_us, _ = _median_pass(queries, args.repeat, 1e-6 * args.batch)
     report.add("n", text.n)
-    report.add("flavor", args.flavor)
     report.add("boundary_count", index.boundary_count)
     report.add("repeat", args.repeat)
     report.add("batch", args.batch)
@@ -431,12 +435,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ilf", parents=text_in, help=(
         "build the run-boundary inverse-LF index, check it against the bundle, answer queries"))
     p.add_argument("--queries", metavar="PATH", help="file of positions, one per inverse-LF query")
-    p.add_argument("--flavor", choices=("yfast", "bisect"), default="yfast",
-                   help="predecessor structure answering the boundary searches")
 
     p = sub.add_parser("ilf-bench", parents=text_in,
                        help="time inverse-LF index builds and queries (never gates verification)")
-    p.add_argument("--flavor", choices=("yfast", "bisect"), default="yfast")
     timing(p)
 
     p = sub.add_parser("lcp-rmq", parents=[*text_in, epsilon],

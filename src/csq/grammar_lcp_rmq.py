@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil, log2
 from typing import Sequence, Union
 
@@ -172,8 +173,8 @@ class RuleStats:
       full expansion ending inside e_delta; a query reads the middle
       children's minimum off one slice of the row, and the winning child's
       argmin is plen[delta] plus its own (nt_pos, or 1 for a terminal);
-    * pred[x]: a small-set predecessor over the boundary keys plen[1..L+1],
-      which no query reads (see the field's comment).
+    * pred[x]: a small-set predecessor over plen[1..L+1], which no query
+      reads; unlike the seven rows, it is derived on first read.
 
     exp_len/exp_sum/nt_min/nt_pos aggregate each nonterminal's full
     expansion: length, sum, minimum partial sum, leftmost argmin.
@@ -191,11 +192,6 @@ class RuleStats:
     smin: tuple[tuple[int | None, ...], ...]
     spos: tuple[tuple[int | None, ...], ...]
     mmin: tuple[tuple[int | None, ...], ...]
-    # No query reads pred: a descent bisects the plen row, whose entries
-    # 1..L+1 are exactly these keys.  It is still built and counted, as rmq
-    # is, because perfbench's space counter iterates it and its traced
-    # head-to-head probes it; it goes with ROADMAP item 1.
-    pred: tuple[SmallSet, ...]
     # Always empty: no query keeps a per-rule RMQ table, suffix length or
     # sum rows, or a middle-argmin row (derived from plen and nt_pos).  The
     # fields stay only because perfbench's space counter iterates them; they
@@ -204,6 +200,14 @@ class RuleStats:
     ssum: tuple = ()
     mpos: tuple = ()
     rmq: tuple = ()
+
+    # No query reads pred: a descent bisects the plen row, whose entries
+    # 1..L+1 are exactly these keys.  perfbench's space count iterates it
+    # and its traced head-to-head probes it, so it is built from the plen
+    # rows, key checks and all, on first read.  It goes with ROADMAP item 1.
+    @cached_property
+    def pred(self) -> tuple[SmallSet, ...]:
+        return tuple(smallset_build(row[1:]) for row in self.plen)
 
 
 def build_rule_stats(slg: Slg) -> RuleStats:
@@ -218,8 +222,8 @@ def build_rule_stats(slg: Slg) -> RuleStats:
     exp_sum = [0] * len(rules)
     nt_min = [0] * len(rules)
     nt_pos = [0] * len(rules)
-    # rows[x] holds rule x's plen, psum, pmin, ppos, smin, spos, mmin and
-    # pred, the per-rule fields of RuleStats in order.
+    # rows[x] holds rule x's plen, psum, pmin, ppos, smin, spos and mmin,
+    # the per-rule fields of RuleStats in order.
     rows: list[tuple] = [()] * len(rules)
 
     def item(a: Atom) -> tuple[int, int, int, int]:
@@ -265,11 +269,8 @@ def build_rule_stats(slg: Slg) -> RuleStats:
         exp_sum[x] = psum[L + 1]
         nt_min[x] = pmin[L + 1]
         nt_pos[x] = ppos[L + 1]
-        rows[x] = (
-            *map(tuple, (plen, psum, pmin, ppos, smin, spos, mmin)),
-            smallset_build(plen[1:]),
-        )
-    columns = tuple(zip(*rows)) or ((),) * 8
+        rows[x] = tuple(map(tuple, (plen, psum, pmin, ppos, smin, spos, mmin)))
+    columns = tuple(zip(*rows)) or ((),) * 7
     return RuleStats(slg, exp_len, tuple(exp_sum), tuple(nt_min), tuple(nt_pos), *columns)
 
 
@@ -538,9 +539,9 @@ class LcpRmqIndex:
     def stored_integers(self) -> int:
         """Slots the index keeps: the grammar's symbols and caches, the
         plen, psum, pmin, ppos, smin, spos and mmin rows of RuleStats
-        (placeholders included), the small-set blocks and minima, and the
-        ISA.  The ISA has an entry per text position, so the index is O(n)
-        however small the grammar is."""
+        (placeholders included), the ISA, and the blocks and minima of the
+        pred view, which this count derives.  The ISA has an entry per text
+        position, so the index is O(n) however small the grammar is."""
         slg, stats = self.slg, self.stats
         stored = sum(map(len, slg.rules)) + len(slg.exp_lens) + len(slg.heights)
         stored += 4 * len(stats.exp_len)  # exp_len, exp_sum, nt_min, nt_pos

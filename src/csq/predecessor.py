@@ -12,10 +12,11 @@ Three interchangeable flavors are provided:
   representatives stored as per-level prefix dictionaries, with sorted
   buckets of Theta(log u) keys at the bottom;
 * ``smallset_build``/``smallset_pred`` — two bisects, one over the minima
-  of small sorted blocks and one inside the chosen block.  It is the
-  small-block model that criterion c09 tests against binary search, and the
-  grammar's ``RuleStats.pred`` field that perfbench still counts; no grammar
-  query searches it, since a descent bisects the rule's ``plen`` row.
+  of small sorted blocks and one inside the chosen block.
+
+No index searches a y-fast trie or a small set: every query bisects its
+sorted keys.  They are criterion c09's tested models, and the views that
+perfbench derives on first read (``IlfIndex.trie``, ``RuleStats.pred``).
 
 Builds validate their input; queries accept any integer x.  All structures
 are immutable after build, so queries are safe to run concurrently.

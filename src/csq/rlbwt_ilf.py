@@ -3,9 +3,9 @@
 The index stores one entry per run of the BWT of the terminated text: the
 LF-images of the run heads form a set J of positions, ILF is arithmetic
 (+1 per step) between consecutive elements of J, so a query is one strict
-predecessor search over J, a one-step successor adjustment, and O(1)
-arithmetic.  Space is therefore proportional to the BWT run count r rather
-than the text length.
+predecessor search over J (one bisect), a one-step successor adjustment,
+and O(1) arithmetic.  Two integers are kept per element of J, so space is
+proportional to the BWT run count r rather than the text length.
 
 Two layers make the index work for arbitrary texts:
 
@@ -24,11 +24,13 @@ Two layers make the index work for arbitrary texts:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from operator import ne
 
-from .predecessor import StaticKeySet, YFastTrie, pred, yfast_build, yfast_pred
+from .predecessor import StaticKeySet, YFastTrie, yfast_build
 from .text_core import Text, suffix_ranks
 
 __all__ = [
@@ -42,9 +44,8 @@ class IlfIndex:
     """Run-boundary samples answering inverse-LF queries on the original text.
 
     boundary_keys holds J = {LF[i] : i a BWT run head of the terminated
-    text}; ilf_at_boundary[k] is ILF at boundary_keys[k].  pred_keys is the
-    binary-search flavor of the predecessor structure and trie the y-fast
-    flavor; queries use the trie unless it was built disabled.
+    text} in increasing order, the keys a query bisects; ilf_at_boundary[k]
+    is ILF at boundary_keys[k].  These two rows are all a query reads.
     """
 
     n: int
@@ -52,8 +53,6 @@ class IlfIndex:
     i_last: int
     boundary_keys: tuple[int, ...]
     ilf_at_boundary: tuple[int, ...]
-    pred_keys: StaticKeySet
-    trie: YFastTrie | None
     r_original: int
     r_shifted: int
 
@@ -63,28 +62,29 @@ class IlfIndex:
 
     @property
     def stored_integers(self) -> int:
-        """Integers the index retains, counting both predecessor flavors.
+        """Integers the index retains: a key and an ILF sample per boundary."""
+        return len(self.boundary_keys) + len(self.ilf_at_boundary)
 
-        Each y-fast level entry keeps a prefix and a (first, last) pair.
-        """
-        stored = len(self.boundary_keys) + len(self.ilf_at_boundary)
-        stored += len(self.pred_keys.keys)
-        if self.trie is not None:
-            stored += len(self.trie.reps)
-            stored += sum(len(bucket) for bucket in self.trie.buckets)
-            stored += 3 * sum(len(level) for level in self.trie.levels)
-        return stored
+    # No query reads pred_keys or trie: ilf_query bisects boundary_keys.
+    # perfbench's space count and its traced predecessor head-to-head read
+    # both by name, so each is built over boundary_keys, key checks and all,
+    # on first read.  They go with ROADMAP item 1.
+    @cached_property
+    def pred_keys(self) -> StaticKeySet:
+        return StaticKeySet.build(self.boundary_keys, u=self.n + 1)
+
+    @cached_property
+    def trie(self) -> YFastTrie:
+        return yfast_build(self.boundary_keys, u=self.n + 1)
 
 
-def build_ilf_index(text: Text, use_yfast: bool = True) -> IlfIndex:
+def build_ilf_index(text: Text) -> IlfIndex:
     """Build the O(r)-entry inverse-LF index for an arbitrary-alphabet text.
 
     The original text's SA and ISA (a live bundle's rows with no sort,
     else one sort with no LCP pass; the index is equal either way) give
-    the terminated text's BWT and LF, and one boundary entry is stored per
-    BWT run of the terminated text.  use_yfast selects the default y-fast
-    predecessor flavor; the fallback answers predecessor queries by binary
-    search.
+    the terminated text's BWT and LF, and one boundary entry (a key and its
+    ILF sample) is stored per BWT run of the terminated text.
     """
     n = text.n
     if n == 0:
@@ -118,8 +118,6 @@ def build_ilf_index(text: Text, use_yfast: bool = True) -> IlfIndex:
         i_last=isa[n],
         boundary_keys=boundary_keys,
         ilf_at_boundary=ilf_at_boundary,
-        pred_keys=StaticKeySet.build(boundary_keys, u=n + 1),
-        trie=yfast_build(boundary_keys, u=n + 1) if use_yfast else None,
         r_original=r_original,
         r_shifted=r_shifted,
     )
@@ -131,20 +129,17 @@ def ilf_query(index: IlfIndex, i: int) -> int:
     The lexicographically last suffix wraps to the first by definition;
     every other position is answered inside the terminated text, where the
     answer sits (j - p_k) steps after the nearest boundary p_k <= j, and is
-    shifted back down by one.
+    shifted back down by one.  p_k is found by one bisect of boundary_keys.
     """
     if not 1 <= i <= index.n:
         raise IndexError(f"position {i} outside [1..{index.n}]")
     if i == index.i_last:
         return index.i_first
     j = i + 1
-    if index.trie is not None:
-        k = yfast_pred(index.trie, j)
-    else:
-        k = pred(index.pred_keys, j)
+    keys = index.boundary_keys
     # Strict predecessor, then a one-step successor equality adjustment so
     # that boundary positions use their own stored entry.
-    if k < len(index.boundary_keys) and index.boundary_keys[k] == j:
+    k = bisect_left(keys, j)
+    if k < len(keys) and keys[k] == j:
         k += 1
-    p_k = index.boundary_keys[k - 1]
-    return index.ilf_at_boundary[k - 1] + (j - p_k) - 1
+    return index.ilf_at_boundary[k - 1] + (j - keys[k - 1]) - 1

@@ -6,7 +6,9 @@ stderr, and the exit code; nothing shells out.
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import pathlib
@@ -15,6 +17,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import csq.gadgets
 from csq import cli
@@ -157,17 +161,13 @@ def test_measures_single_symbol_omits_log_ratios(capsys, tmp_path):
 # ilf
 
 
-@pytest.mark.parametrize("flavor", ["yfast", "bisect"])
-def test_ilf_oracle_sweep_and_queries(capsys, tmp_path, fig_file, flavor):
+def test_ilf_oracle_sweep_and_queries(capsys, tmp_path, fig_file):
     queries = tmp_path / "q.txt"
     queries.write_text("1 5 12\n")
-    code, out, _ = run_cli(
-        capsys,
-        ["ilf", "--input", fig_file, "--queries", str(queries), "--flavor", flavor],
-    )
+    code, out, _ = run_cli(capsys, ["ilf", "--input", fig_file, "--queries", str(queries)])
     assert code == 0
     report = parse_human(out)
-    assert report["flavor"] == flavor
+    assert "flavor" not in report
     assert report["oracle_mismatches"] == "0"
     assert report["r_original"] == "6"
     assert int(report["boundary_count"]) == int(report["r_shifted"])
@@ -475,6 +475,56 @@ def test_integer_reads_split_tokens_across_chunks_as_one_read_would(tmp_path, mo
     assert str(info.value) == f"malformed integer '12x4' in {path}"
 
 
+def test_endless_integer_token_from_a_pipe_is_refused_before_it_is_drained(tmp_path, capsys):
+    """A token is carried from chunk to chunk only while it is at most one
+    chunk long, so a writer offering 3 MiB of ``7`` with no whitespace
+    cannot get them all out, and the message shows only the token's start."""
+    fifo = tmp_path / "ints.fifo"
+    os.mkfifo(fifo)
+    offered = 3 * 2**20
+    written = []
+
+    def writer():
+        fd = os.open(fifo, os.O_WRONLY)
+        sent = 0
+        try:
+            while sent < offered:
+                sent += os.write(fd, b"7" * min(2**16, offered - sent))
+        except BrokenPipeError:
+            pass
+        finally:
+            os.close(fd)
+            written.append(sent)
+
+    thread = threading.Thread(target=writer, daemon=True)
+    thread.start()
+    code, out, err = run_cli(capsys, ["measures", "--input", str(fifo), "--format", "ints"])
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert code == 2
+    assert out == ""
+    limit = cli._TOKEN_MAX
+    assert err == f"error: malformed integer '{'7' * 20}'... in {fifo}: over {limit} characters\n"
+    assert written and written[0] < offered
+
+
+def test_integer_tokens_of_one_chunk_keep_their_messages(tmp_path):
+    """A token of one chunk that spans two reads is refused with its whole
+    text, as before; a token carried on past one chunk's length is refused
+    by its length, and only its start is shown."""
+    path = tmp_path / "ints.txt"
+    limit = cli._TOKEN_MAX
+    long = "7" * (limit - 1) + "x"
+    path.write_text(f"1 {long} 2\n")
+    with pytest.raises(cli.CliError) as info:
+        cli._read_ints(str(path))
+    assert str(info.value) == f"malformed integer {long!r} in {path}"
+    path.write_text(f"1 {'7' * (2 * limit)} 2\n")
+    with pytest.raises(cli.CliError) as info:
+        cli._read_ints(str(path))
+    assert str(info.value) == f"malformed integer '{'7' * 20}'... in {path}: over {limit} characters"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero device")
 def test_raw_text_from_an_endless_device_is_refused(capsys):
     code, out, err = run_cli(capsys, ["measures", "--input", "/dev/zero"])
@@ -698,8 +748,7 @@ FIGURE_COMMANDS = {
     "arrays": ["arrays", "--input", "{fig}"],
     "arrays-ints": ["arrays", "--input", "{ints}", "--format", "ints"],
     "measures": ["measures", "--input", "{fig}"],
-    "ilf-yfast": ["ilf", "--input", "{fig}", "--queries", "{queries}", "--flavor", "yfast"],
-    "ilf-bisect": ["ilf", "--input", "{fig}", "--queries", "{queries}", "--flavor", "bisect"],
+    "ilf": ["ilf", "--input", "{fig}", "--queries", "{queries}"],
     "lcp-rmq": ["lcp-rmq", "--input", "{fig}", "--queries", "{queries}"],
     "lce": ["lce", "--input", "{fig}", "--queries", "{queries}"],
     "gadget-verify-trials": ["gadget-verify", "--kind", "isa-count", "--size", "4",
@@ -742,3 +791,70 @@ def test_closed_stdout_ends_quietly(capsys, monkeypatch, fig_file):
     finally:
         closed.close()
     assert capsys.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------------
+# fuzzed command lines
+
+_TOKENS = st.one_of(
+    st.integers(-3, 9).map(str),
+    st.sampled_from(["-0", "+7", str(2**70), str(-(2**70)), "9" * 40, "x", "1.5", "0x1f",
+                     "--2", "1_0", "\xb2", "\x00"]),
+)
+
+
+@given(
+    raw=st.binary(max_size=40),
+    ints=st.lists(_TOKENS, max_size=40),
+    queries=st.lists(_TOKENS, max_size=12),
+    use_ints=st.booleans(),
+    use_queries=st.booleans(),
+    epsilon=st.sampled_from(["0", "-1", "0.5", "0.99", "nan", "inf", "1e308"]),
+    size=st.integers(-3, 4),
+    counts=st.tuples(st.integers(-1, 3), st.integers(-1, 3), st.integers(-1, 3)),
+    workers=st.sampled_from(["-1", "0", "1"]),
+    kind=st.sampled_from(csq.gadgets.KINDS),
+    mode=st.sampled_from(["default", "trials", "exhaustive", "both"]),
+    bench=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_command_lines_exit_zero_one_or_two(
+    tmp_path_factory, raw, ints, queries, use_ints, use_queries, epsilon, size, counts, workers,
+    kind, mode, bench,
+):
+    """Every subcommand, called in-process on random files and flag values,
+    returns or exits with 0, 1 or 2 and never raises anything else.  Only
+    --workers of at most 1 are drawn, so no process pool starts; exhaustive
+    runs are drawn only up to size 3, which take milliseconds."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    paths = {name: folder / name for name in ("raw.txt", "ints.txt", "queries.txt")}
+    paths["raw.txt"].write_bytes(raw)
+    paths["ints.txt"].write_bytes(" ".join(ints).encode("latin-1"))
+    paths["queries.txt"].write_bytes("\n".join(queries).encode("latin-1"))
+    text = ["--input", str(paths["ints.txt"]), "--format", "ints"] if use_ints else [
+        "--input", str(paths["raw.txt"])]
+    asked = ["--queries", str(paths["queries.txt"])] if use_queries else []
+    trials, repeat, batch = map(str, counts)
+    timing = ["--repeat", repeat, "--batch", batch]
+    verify = ["gadget-verify", "--kind", kind, "--size", str(size), "--workers", workers]
+    if mode in ("exhaustive", "both") and size <= 3:
+        verify.append("--exhaustive")
+    if mode in ("trials", "both"):
+        verify += ["--trials", trials]
+    argvs = [
+        ["arrays", *text],
+        ["measures", *text],
+        ["ilf", *text, *asked],
+        ["ilf-bench", *text, *timing],
+        ["lcp-rmq", *text, *asked, "--epsilon", epsilon, *(["--bench", *timing] if bench else [])],
+        ["lce", *text, *asked, "--epsilon", epsilon],
+        verify,
+    ]
+    for argv in argvs:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code, err.getvalue())

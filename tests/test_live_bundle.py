@@ -13,14 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csq.gadgets import build_gadget, random_input
-from csq.grammar_lcp_rmq import build_lcp_rmq_index, lce_query, lcp_rmq
+from csq.grammar_lcp_rmq import (
+    build_lcp_rmq_index,
+    lce_query,
+    lcp_rmq,
+    prefix_stats_query,
+    suffix_stats_query,
+)
 from csq.measures import text_measures
 from csq.rlbwt_ilf import build_ilf_index, ilf_query
 from csq.text_core import Text, build_bundle, lce_naive, live_bundle, suffix_array_naive
 
 
 def _builds(text: Text) -> tuple:
-    return build_ilf_index(text), build_ilf_index(text, use_yfast=False), build_lcp_rmq_index(text)
+    return build_ilf_index(text), build_lcp_rmq_index(text)
 
 
 ROWS = ("sa", "isa", "lcp", "plcp", "bwt", "lf", "ilf", "phi", "inv_phi")
@@ -63,14 +69,13 @@ def _check_warm_equals_cold(symbols: list[int], sigma: int, queries: int = 200) 
         for field in dataclasses.fields(c):
             assert getattr(w, field.name) == getattr(c, field.name), field.name
         assert w == c
-    ilf_yfast, ilf_bisect, rmq = warm
+    ilf, rmq = warm
     assert rmq.isa is bundle.isa  # the bundle's own ISA, not a copy
 
     n = text.n
     naive_ilf, naive_lcp = _naive_rows(text)
     assert list(bundle.ilf) == naive_ilf
-    for index in (ilf_yfast, ilf_bisect):
-        assert [ilf_query(index, i) for i in range(1, n + 1)] == naive_ilf[1:]
+    assert [ilf_query(ilf, i) for i in range(1, n + 1)] == naive_ilf[1:]
     rng = random.Random(n)
     for _ in range(queries):
         b = rng.randrange(n)
@@ -135,8 +140,8 @@ def _derived(bundle) -> set[str]:
 
 
 def test_serving_and_measures_derive_no_row():
-    """A bundle stores SA, ISA and LCP; serve set-up (both inverse-LF
-    flavors and the LCP-RMQ index) and the measures read only those."""
+    """A bundle stores SA, ISA and LCP; serve set-up (the inverse-LF and
+    LCP-RMQ indexes) and the measures read only those."""
     rng = random.Random(0xB0D)
     for symbols, sigma in [([rng.randrange(4) for _ in range(400)], 4), ([0, 1, 1] * 50, 2)]:
         text = Text.from_symbols(symbols, sigma)
@@ -146,6 +151,36 @@ def test_serving_and_measures_derive_no_row():
         assert _derived(bundle) == set()
         text_measures(text)
         assert _derived(bundle) == set()
+
+
+def test_serving_derives_no_unread_structure():
+    """Queries bisect boundary_keys and the rules' plen rows, so answering
+    every inverse-LF position and a sample of each grammar query, with the
+    text's bundle held or not, derives none of the predecessor views that
+    only perfbench reads (IlfIndex.trie and pred_keys, RuleStats.pred)."""
+    rng = random.Random(0x5E2F)
+    for symbols, sigma in [([rng.randrange(4) for _ in range(400)], 4), ([0, 1, 1] * 50, 2)]:
+        text = Text.from_symbols(symbols, sigma)
+        n = text.n
+        for held in (True, False):
+            bundle = build_bundle(text) if held else None
+            assert live_bundle(text) is bundle
+            ilf, grammar = _builds(text)
+            stats = grammar.stats
+            for i in range(1, n + 1):
+                ilf_query(ilf, i)
+            for _ in range(200):
+                b = rng.randrange(n)
+                lcp_rmq(grammar, b, rng.randint(b + 1, n))
+                lce_query(grammar, rng.randint(1, n), rng.randint(1, n))
+                x = rng.randrange(len(grammar.slg.rules))
+                p = rng.randint(1, stats.exp_len[x])
+                prefix_stats_query(stats, x, p)
+                suffix_stats_query(stats, x, p)
+            assert {"trie", "pred_keys"}.isdisjoint(vars(ilf))
+            assert "pred" not in vars(stats)
+            del bundle
+            gc.collect()
 
 
 @given(

@@ -16,6 +16,9 @@ from csq.predecessor import (
     yfast_build,
     yfast_pred,
 )
+from csq.grammar_lcp_rmq import build_lcp_rmq_index
+from csq.rlbwt_ilf import build_ilf_index
+from csq.text_core import Text
 
 key_sets = st.sets(st.integers(0, 200), min_size=1, max_size=40).map(sorted)
 
@@ -142,3 +145,24 @@ def test_single_key_edge_cases():
             expected = int(x > key)
             assert yfast_pred(trie, x) == expected
             assert smallset_pred(flat, x) == expected
+
+
+# ---------------------------------------------------------------------------
+# Views derived for perfbench
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda sigma: st.lists(st.integers(0, sigma - 1), min_size=1, max_size=120)))
+@settings(max_examples=60, deadline=None)
+def test_derived_views_answer_as_bisect(symbols):
+    """perfbench's predecessor head-to-head reads IlfIndex.trie and
+    pred_keys and RuleStats.pred, which are derived on first read; each
+    answers every probe as a bisect of the keys the queries search."""
+    text = Text.from_symbols(symbols)
+    idx = build_ilf_index(text)
+    for x in range(-1, text.n + 3):
+        assert yfast_pred(idx.trie, x) == pred(idx.pred_keys, x) == bisect_left(idx.boundary_keys, x)
+    stats = build_lcp_rmq_index(text).stats
+    for r, plen in enumerate(stats.plen):
+        for p in range(stats.exp_len[r] + 2):
+            assert smallset_pred(stats.pred[r], p) == bisect_left(plen[1:], p)

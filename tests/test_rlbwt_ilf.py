@@ -164,12 +164,12 @@ def test_ilf_query_out_of_range(fig_text):
         ilf_query(idx, 20)
 
 
-@given(small_texts, st.booleans())
+@given(small_texts)
 @settings(max_examples=60, deadline=None)
-def test_ilf_query_full_sweep_both_flavors(symbols, use_yfast):
+def test_ilf_query_full_sweep_both_flavors(symbols):
     t = Text.from_symbols(symbols, 4)
     b = build_bundle(t)
-    idx = build_ilf_index(t, use_yfast=use_yfast)
+    idx = build_ilf_index(t)
     for i in range(1, t.n + 1):
         assert ilf_query(idx, i) == b.ilf[i]
 
@@ -187,33 +187,24 @@ def test_ilf_query_larger_random_sweep():
 
 def test_one_predecessor_query_per_lookup(fig_text, monkeypatch):
     calls = []
+    search = rlbwt_ilf.bisect_left
 
-    def counting(name):
-        search = getattr(rlbwt_ilf, name)
+    def counted(keys, x):
+        calls.append(x)
+        return search(keys, x)
 
-        def counted(keys, x):
-            calls.append(name)
-            return search(keys, x)
-
-        return counted
-
-    for name in ("yfast_pred", "pred"):
-        monkeypatch.setattr(rlbwt_ilf, name, counting(name))
-    for use_yfast, flavor in ((True, "yfast_pred"), (False, "pred")):
-        idx = build_ilf_index(fig_text, use_yfast=use_yfast)
-        calls.clear()
-        for i in range(1, 20):
-            ilf_query(idx, i)
-        # Every position except the wrap-around i_last costs one search.
-        assert calls == [flavor] * (19 - 1)
+    monkeypatch.setattr(rlbwt_ilf, "bisect_left", counted)
+    idx = build_ilf_index(fig_text)
+    calls.clear()
+    for i in range(1, 20):
+        ilf_query(idx, i)
+    # Every position except the wrap-around i_last costs one search.
+    assert len(calls) == 19 - 1
 
 
 def test_stored_integers_figure(fig_text):
-    # 8 boundary keys, 8 samples and the 8 binary-search keys; the y-fast
-    # trie adds 10 representatives and bucket keys plus 10 level entries of
-    # 3 integers each.
-    assert build_ilf_index(fig_text, use_yfast=False).stored_integers == 24
-    assert build_ilf_index(fig_text, use_yfast=True).stored_integers == 64
+    # 8 boundary keys and their 8 samples.
+    assert build_ilf_index(fig_text).stored_integers == 16
 
 
 @pytest.mark.parametrize("sigma", [2, 5, 40])
@@ -228,6 +219,6 @@ def test_wide_alphabet_matches_bundle(sigma):
         with pytest.raises(ValueError):
             append_terminator(t)
         b = build_bundle(t)
-        idx = build_ilf_index(t, use_yfast=bool(n % 2))
+        idx = build_ilf_index(t)
         assert idx.r_original == bwt_run_count(t)
         assert [ilf_query(idx, i) for i in range(1, n + 1)] == list(b.ilf[1:])
