@@ -21,9 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csq.gadgets
-from csq import cli
+from csq import cli, rlbwt_ilf
 from csq.cli import main
 from csq.gadgets import build_gadget, verify_reduction
+from csq.predecessor import yfast_build, yfast_pred
 from csq.text_core import Text, build_bundle
 
 from conftest import (
@@ -161,11 +162,30 @@ def test_measures_single_symbol_omits_log_ratios(capsys, tmp_path):
 # ilf
 
 
-def test_ilf_oracle_sweep_and_queries(capsys, tmp_path, fig_file):
+def _yfast_bisect_left(keys, x):
+    """bisect_left over keys, answered by a y-fast trie over them."""
+    return yfast_pred(yfast_build(keys, u=keys[-1] + 1), x)
+
+
+@pytest.mark.parametrize("flavor", ["yfast", "bisect"])
+def test_ilf_oracle_sweep_and_queries(capsys, monkeypatch, tmp_path, fig_file, flavor):
+    """csq ilf serves by one bisect of boundary_keys; with that step answered
+    by the y-fast trie instead, the sweep and queries come out the same.
+    --flavor no longer chooses the path: it is an unknown flag."""
+    with pytest.raises(SystemExit) as info:
+        main(["ilf", "--input", fig_file, "--flavor", flavor])
+    assert info.value.code == 2
+    assert "--flavor" in capsys.readouterr().err
+    searches = []
+    search = _yfast_bisect_left if flavor == "yfast" else rlbwt_ilf.bisect_left
+    monkeypatch.setattr(
+        rlbwt_ilf, "bisect_left", lambda keys, x: searches.append(x) or search(keys, x)
+    )
     queries = tmp_path / "q.txt"
     queries.write_text("1 5 12\n")
     code, out, _ = run_cli(capsys, ["ilf", "--input", fig_file, "--queries", str(queries)])
     assert code == 0
+    assert searches
     report = parse_human(out)
     assert "flavor" not in report
     assert report["oracle_mismatches"] == "0"
@@ -748,7 +768,7 @@ FIGURE_COMMANDS = {
     "arrays": ["arrays", "--input", "{fig}"],
     "arrays-ints": ["arrays", "--input", "{ints}", "--format", "ints"],
     "measures": ["measures", "--input", "{fig}"],
-    "ilf": ["ilf", "--input", "{fig}", "--queries", "{queries}"],
+    "ilf-bisect": ["ilf", "--input", "{fig}", "--queries", "{queries}"],
     "lcp-rmq": ["lcp-rmq", "--input", "{fig}", "--queries", "{queries}"],
     "lce": ["lce", "--input", "{fig}", "--queries", "{queries}"],
     "gadget-verify-trials": ["gadget-verify", "--kind", "isa-count", "--size", "4",
