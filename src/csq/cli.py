@@ -113,9 +113,11 @@ def _read_ints(path: str, budget: int | None = None) -> list[int]:
                 tokens = (tail + piece).split()
                 # A token that reaches a chunk's end may go on in the next.
                 tail = tokens.pop() if piece and not piece[-1].isspace() else ""
-                if len(tail) > _TOKEN_MAX:
-                    raise CliError(f"malformed integer {tail[:20]!r}... in {path}: "
-                                   f"over {_TOKEN_MAX} characters")
+                # Any other token lies inside one chunk, so within _TOKEN_MAX.
+                for token in (*tokens[:1], tail):
+                    if len(token) > _TOKEN_MAX:
+                        raise CliError(f"malformed integer {token[:20]!r}... in {path}: "
+                                       f"over {_TOKEN_MAX} characters")
                 for token in tokens:
                     try:
                         values.append(int(token))

@@ -170,14 +170,15 @@ def _expect_kind(gadget: GadgetInstance, kind: str) -> None:
 
 
 def _instance(kind: str, data: tuple[int, ...], text: Text) -> GadgetInstance:
-    """Check the closed-form length, then sort once and derive the rows the
-    kind's replay reads and the anchors."""
+    """Check the closed-form length, then sort once and derive LCP (which
+    verification's LZ77 reads for every kind), the rows the kind's replay
+    reads, and the anchors."""
     spec = _TABLE[kind]
     want = spec.length(data)
     if text.n != want:
         raise AssertionError(f"{kind} text has length {text.n}, not the closed-form {want}")
     bundle = build_bundle(text)
-    for row in spec.rows:  # derived here, so verification derives none
+    for row in ("lcp", *spec.rows):  # derived here, so verification derives none
         getattr(bundle, row)
     return GadgetInstance(kind, data, text, spec.anchors(data, text, bundle.sa), bundle)
 
@@ -640,8 +641,8 @@ class _Kind:
     ``anchors`` derives the anchors from the input, the text and its suffix
     array; ``length`` and ``runs`` give an input's closed-form text length
     and, where one exists, run count.  ``rows`` names the derived bundle
-    rows the replay reads (SA, ISA and LCP are always stored); a build
-    derives exactly these, and no other.
+    rows the replay reads besides LCP (SA and ISA are stored, and every
+    build derives LCP); a build derives exactly these, and no other.
     """
 
     family: _Family

@@ -49,7 +49,7 @@ from math import ceil, log2
 from typing import Sequence, Union
 
 from .predecessor import SmallSet, smallset_build
-from .text_core import Text, suffix_core
+from .text_core import Text, bundle_of
 
 __all__ = [
     "LcpRmqIndex",
@@ -557,14 +557,16 @@ def build_lcp_rmq_index(text: Text, epsilon: float = 0.5) -> LcpRmqIndex:
 
     The pairing construction is widened by k = ceil(epsilon * log2 log2 n)
     levels, so every right-hand side has at most l = 2*2^k symbols.  LCP and
-    ISA come from text_core.suffix_core: a live bundle's rows with no sort,
+    ISA come from text_core.bundle_of: a live bundle's rows with no sort,
     else one sort's; the index is equal either way.
     """
     n = text.n
     if n == 0:
         raise ValueError("cannot index an empty text")
     k = _widening_depth(n, epsilon)
-    _, isa, lcp = suffix_core(text)
+    bundle = bundle_of(text)
+    isa, lcp = bundle.isa, bundle.lcp
+    del bundle  # a cold call frees its SA here, before the grammar is built
     diff = [lcp[i] - lcp[i - 1] for i in range(1, n + 1)]  # the pad LCP[0] is 0
     slp = make_slg(*_pairing_slp(diff))
     widened = widen_slg(slp, k)

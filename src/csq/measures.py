@@ -11,8 +11,9 @@ repeated blocks, such as its runs).
 Conventions match text_core: texts are 1-indexed in the API, phrase sources
 are 1-based text positions, and all quantities are exact (delta is kept as a
 reduced integer fraction, never a float).  Every measure reads the text's
-rows from text_core.suffix_core (suffix_ranks where it needs no LCP), so it
-sorts nothing while the text's bundle is held and sorts once otherwise.
+rows from text_core.bundle_of, so it sorts nothing while the text's bundle
+is held and sorts once otherwise, and runs Kasai's LCP pass only where it
+reads LCP and the bundle has not derived it yet.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import gcd
 from operator import ne
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .text_core import SuffixArrayBundle, Text, suffix_core, suffix_ranks
+from .text_core import SuffixArrayBundle, Text, bundle_of
 
 __all__ = [
     "DeltaValue",
@@ -105,8 +106,8 @@ def lpf_with_sources(text: Text) -> tuple[list[int], list[int]]:
     """
     if text.n == 0:
         raise ValueError("cannot compute LPF of an empty text")
-    sa, _, lcp = suffix_core(text)
-    return _lpf_from_core(sa, lcp)
+    bundle = bundle_of(text)
+    return _lpf_from_core(bundle.sa, bundle.lcp)
 
 
 def _lpf_from_core(sa: Sequence[int], lcp: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -174,22 +175,13 @@ def lz77_factorize(text: Text) -> LZFactorization:
     Each phrase is the longest prefix of the remaining text that occurs
     starting earlier (possibly overlapping itself), or a single literal when
     no such prefix exists.  The greedy factorization has the minimum phrase
-    count among all factorizations accepted by validate_lz_like.  Reads the
-    text's SA, ISA and LCP rows (one suffix sort, or none while its bundle
-    is held), then takes one step per phrase; the phrases and their
-    sources equal the parse read off lpf_with_sources.
+    count among all factorizations accepted by validate_lz_like.  This is
+    lz77_from_bundle over text_core.bundle_of(text): one suffix sort, or
+    none while the text's bundle is held.
     """
     if text.n == 0:
         raise ValueError("cannot factorize an empty text")
-    return _lz77_greedy(text.symbols, *suffix_core(text))
-
-
-def lz77_from_bundle(bundle: SuffixArrayBundle) -> LZFactorization:
-    """Greedy LZ77 factorization read off a text's stored bundle, with no
-    suffix sort: the same per-phrase parse as lz77_factorize over the
-    bundle's SA, ISA and LCP rows.  Pair it with validate_lz_like to check
-    the parse against the text itself rather than trust the bundle."""
-    return _lz77_greedy(bundle.text.symbols, bundle.sa, bundle.isa, bundle.lcp)
+    return lz77_from_bundle(bundle_of(text))
 
 
 # Ranks the per-phrase parse may scan per text symbol before it gives up and
@@ -199,18 +191,19 @@ def lz77_from_bundle(bundle: SuffixArrayBundle) -> LZFactorization:
 _LZ_SCAN_BUDGET = 32
 
 
-def _lz77_greedy(
-    syms: Sequence[int], sa: Sequence[int], isa: Sequence[int], lcp: Sequence[int]
-) -> LZFactorization:
-    """Greedy LZ77 in one step per phrase (Kärkkäinen, Kempa & Puglisi).
+def lz77_from_bundle(bundle: SuffixArrayBundle) -> LZFactorization:
+    """Greedy LZ77 in one step per phrase (Kärkkäinen, Kempa & Puglisi),
+    read off a text's bundle with no suffix sort.
 
-    sa, isa and lcp are the text's 1-indexed rows.  At a phrase start j,
-    the longest earlier match is with one of the two ranks nearest ISA[j]
-    whose positions lie before j; a bitmap of the ranks parsed so far
-    yields both with one C-level scan each.  A tie goes to the lower rank,
-    as in the LPF stack pass, so the phrases and their sources equal the
-    parse read off _lpf_from_core.
+    At a phrase start j, the longest earlier match is with one of the two
+    ranks nearest ISA[j] whose positions lie before j; a bitmap of the
+    ranks parsed so far yields both with one C-level scan each.  A tie goes
+    to the lower rank, as in the LPF stack pass, so the phrases and their
+    sources equal the parse read off lpf_with_sources.  Pair it with
+    validate_lz_like to check the parse against the text itself rather
+    than trust the bundle.
     """
+    syms, sa, isa, lcp = bundle.text.symbols, bundle.sa, bundle.isa, bundle.lcp
     n = len(syms)
     seen = bytearray(n + 1)
     budget = _LZ_SCAN_BUDGET * n
@@ -348,7 +341,7 @@ def bwt_run_count(text: Text) -> int:
     """Number of maximal equal-symbol runs in the BWT of the text."""
     if text.n == 0:
         raise ValueError("cannot compute BWT runs of an empty text")
-    return _bwt_runs_from_sa(text.symbols, suffix_ranks(text)[0])
+    return _bwt_runs_from_sa(text.symbols, bundle_of(text).sa)
 
 
 def bwt_run_count_from_isa(text: Text, isa: Sequence[int]) -> int:
@@ -397,7 +390,7 @@ def distinct_substring_counts(text: Text) -> list[int]:
     """
     if text.n == 0:
         raise ValueError("cannot count substrings of an empty text")
-    return list(_distinct_counts(suffix_core(text)[2]))
+    return list(_distinct_counts(bundle_of(text).lcp))
 
 
 def _distinct_counts(lcp: Sequence[int]) -> Iterator[int]:
@@ -416,7 +409,7 @@ def substring_complexity(text: Text) -> DeltaValue:
     """Exact substring complexity delta = max over l in [1..n] of d_l / l."""
     if text.n == 0:
         raise ValueError("cannot count substrings of an empty text")
-    return _delta_from_lcp(suffix_core(text)[2])
+    return _delta_from_lcp(bundle_of(text).lcp)
 
 
 def _delta_from_lcp(lcp: Sequence[int]) -> DeltaValue:
@@ -436,14 +429,14 @@ def _delta_from_lcp(lcp: Sequence[int]) -> DeltaValue:
 
 def text_measures(text: Text) -> tuple[LZFactorization, int, DeltaValue]:
     """The greedy LZ77 factorization, the BWT run count r, and delta, all
-    read off one set of SA, ISA and LCP rows (one suffix sort, or none
-    while the text's bundle is held): LZ77 in one step per phrase over
-    the three rows, r from SA, and delta from LCP."""
+    read off one bundle of the text (bundle_of: one suffix sort, or none
+    while the text's bundle is held): LZ77 in one step per phrase over its
+    SA, ISA and LCP, r from SA, and delta from LCP."""
     if text.n == 0:
         raise ValueError("cannot measure an empty text")
-    syms = text.symbols
-    sa, isa, lcp = suffix_core(text)
-    return _lz77_greedy(syms, sa, isa, lcp), _bwt_runs_from_sa(syms, sa), _delta_from_lcp(lcp)
+    bundle = bundle_of(text)
+    r = _bwt_runs_from_sa(text.symbols, bundle.sa)
+    return lz77_from_bundle(bundle), r, _delta_from_lcp(bundle.lcp)
 
 
 def delta_append_check(text: Text, symbol: int) -> tuple[DeltaValue, DeltaValue]:

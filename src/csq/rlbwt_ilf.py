@@ -2,10 +2,10 @@
 
 The index stores one entry per run of the BWT of the terminated text: the
 LF-images of the run heads form a set J of positions, ILF is arithmetic
-(+1 per step) between consecutive elements of J, so a query is one strict
-predecessor search over J (one bisect), a one-step successor adjustment,
-and O(1) arithmetic.  Two integers are kept per element of J, so space is
-proportional to the BWT run count r rather than the text length.
+(+1 per step) between consecutive elements of J, so a query is one
+predecessor search over J (one bisect) and O(1) arithmetic.  Two integers
+are kept per element of J, so space is proportional to the BWT run count r
+rather than the text length.
 
 Two layers make the index work for arbitrary texts:
 
@@ -13,8 +13,8 @@ Two layers make the index work for arbitrary texts:
   unique smallest 0 is appended, which appends at most 3 BWT runs.  The
   terminator suffix sorts first and leaves every other suffix in order,
   so the terminated text's SA, BWT and LF are read off the original
-  text's SA and ISA rows (text_core.suffix_ranks: a live bundle's, else
-  one sort), one rank further down.  The terminated text itself is never
+  text's SA and ISA rows (text_core.bundle_of: a live bundle's, else one
+  sort), one rank further down.  The terminated text itself is never
   built (the tests keep a builder of it as a reference), no symbol is
   rewritten, and any alphabet works;
 * unwrapping — inverse-LF answers for the terminated text are mapped back
@@ -24,14 +24,14 @@ Two layers make the index work for arbitrary texts:
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from operator import ne
 
 from .predecessor import StaticKeySet, YFastTrie, yfast_build
-from .text_core import Text, suffix_ranks
+from .text_core import Text, bundle_of
 
 __all__ = [
     "IlfIndex",
@@ -81,15 +81,17 @@ class IlfIndex:
 def build_ilf_index(text: Text) -> IlfIndex:
     """Build the O(r)-entry inverse-LF index for an arbitrary-alphabet text.
 
-    The original text's SA and ISA (a live bundle's rows with no sort,
-    else one sort with no LCP pass; the index is equal either way) give
-    the terminated text's BWT and LF, and one boundary entry (a key and its
-    ILF sample) is stored per BWT run of the terminated text.
+    The original text's SA and ISA (text_core.bundle_of: a live bundle's
+    rows with no sort, else one sort; the index is equal either way, and
+    no LCP pass runs) give the terminated text's BWT and LF, and one
+    boundary entry (a key and its ILF sample) is stored per BWT run of the
+    terminated text.
     """
     n = text.n
     if n == 0:
         raise ValueError("cannot index an empty text")
-    sa, isa = suffix_ranks(text)
+    bundle = bundle_of(text)
+    sa, isa = bundle.sa, bundle.isa
     # Terminated BWT by 0-based rank: before[j] = T[j - 1], wrapping to T[n]
     # at j = 1, so bwt1[t] = BWT[t] for t >= 1; at the placeholder SA[0] = 0
     # it reads T[n], which precedes the terminator suffix.  The terminator
@@ -137,9 +139,7 @@ def ilf_query(index: IlfIndex, i: int) -> int:
         return index.i_first
     j = i + 1
     keys = index.boundary_keys
-    # Strict predecessor, then a one-step successor equality adjustment so
-    # that boundary positions use their own stored entry.
-    k = bisect_left(keys, j)
-    if k < len(keys) and keys[k] == j:
-        k += 1
+    # The keys are strictly increasing, so keys[k - 1] is the largest key
+    # <= j: a boundary position uses its own stored entry.
+    k = bisect_right(keys, j)
     return index.ilf_at_boundary[k - 1] + (j - keys[k - 1]) - 1

@@ -9,23 +9,21 @@ Conventions used throughout the package:
   the sorters' raw 0-based output (suffix_array, suffix_array_naive) is
   the one exception.
 
-This module alone turns sort output into rows.  suffix_core(text) hands
-every structure and measure the text's SA, ISA and LCP rows, as tuples in
-the bundle's own format, and suffix_ranks(text) its SA and ISA.  Both
-return the rows of live_bundle(text), the bundle last built for that very
-Text object while a caller still holds it (the registry holds it weakly);
-only without one do they sort the text, once, by SA-IS induced sorting in
-linear time, and suffix_core adds Kasai's LCP pass.  build_bundle always
-sorts, draws every position, rank and LCP value from one pool of n + 1 int
-objects, and stores three arrays:
+This module alone turns sort output into rows.  bundle_of(text) hands every
+structure and measure the text's rows: live_bundle(text), the bundle last
+built for that very Text object while a caller still holds it (the registry
+holds it weakly), else a new one from build_bundle.  build_bundle sorts the
+text once, by SA-IS induced sorting in linear time, draws every position and
+rank from one pool of n + 1 int objects, and stores two arrays:
 
     SA       suffix array: SA[i] = start of the i-th suffix in sorted order
     ISA      inverse permutation of SA
+
+The bundle derives seven more on first read: LCP by Kasai's pass in text
+order, and each other row by one pass over SA or ISA.  Every value of a
+derived row is an object the stored rows (or the text) already hold:
+
     LCP      LCP[1] = 0; LCP[i] = LCE of the suffixes ranked i and i-1
-
-The bundle derives six more on first read, each in one pass over SA or ISA
-whose values are objects the stored rows (or the text) already hold:
-
     PLCP     LCP in text order: PLCP[SA[i]] = LCP[i]
     BWT      BWT[i] = T[SA[i]-1], wrapping to T[n] when SA[i] = 1
     LF       LF[i] = ISA[SA[i]-1], wrapping to ISA[n] when SA[i] = 1
@@ -221,22 +219,26 @@ def suffix_array_naive(symbols: Sequence[int]) -> list[int]:
 class SuffixArrayBundle:
     """The nine arrays of a text, each 1-indexed with a placeholder at 0.
 
-    Only the text and its SA, ISA and LCP are stored, and ``==`` and
-    ``hash`` read them alone, since they determine the rest.  The other six rows are derived on first
-    read and cached on the instance, so a reader pays for the rows it reads.
+    Only the text and its SA and ISA are stored, and ``==`` and ``hash``
+    read them alone, since they determine the rest.  The other seven rows
+    are derived on first read and cached on the instance, so a reader pays
+    for the rows it reads.
     """
 
     text: Text
     sa: tuple[int, ...]
     isa: tuple[int, ...]
-    lcp: tuple[int, ...]
 
     @property
     def n(self) -> int:
         return self.text.n
 
-    # Each derived row is one gather, row[i] = src[idx[i]]: idx is SA or ISA,
-    # and src a stored row or the text, shifted by at most one place with
+    @cached_property
+    def lcp(self) -> tuple[int, ...]:
+        return _lcp_kasai(self.text.symbols, self.sa, self.isa)
+
+    # Each other derived row is one gather, row[i] = src[idx[i]]: idx is SA
+    # or ISA, and src a row or the text, shifted by at most one place with
     # wrap-around at the ends; idx[0] = 0 reads src[0] = 0, the placeholder.
 
     @cached_property
@@ -281,23 +283,11 @@ def live_bundle(text: Text) -> SuffixArrayBundle | None:
     return bundle if bundle is not None and bundle.text is text else None
 
 
-def _sorted_ranks(symbols: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
-    """SA and ISA of one SA-IS sort, and the pool ids = [0, 1, ..., n] that
-    every value of theirs is drawn from."""
-    ids = list(range(len(symbols) + 1))
-    sa = [0, *map(ids[1:].__getitem__, suffix_array(symbols))]
-    isa = [0] * len(ids)
-    for j, r in zip(sa, ids):
-        isa[j] = r
-    return tuple(sa), tuple(isa), ids
-
-
-def _lcp_kasai(
-    symbols: Sequence[int], sa: Sequence[int], isa: Sequence[int], ids: list[int]
-) -> tuple[int, ...]:
+def _lcp_kasai(symbols: Sequence[int], sa: Sequence[int], isa: Sequence[int]) -> tuple[int, ...]:
     # LCP[r] = LCE(SA[r], SA[r-1]) for r >= 2, by Kasai's pass in text
     # order.  s[j] = T[j]; the None after T[n] equals no symbol, so it ends
-    # every extension unchecked.
+    # every extension unchecked.  The value h is stored as sa[isa[h]], the
+    # int object SA and ISA already share (sa[isa[0]] is the placeholder 0).
     n = len(symbols)
     s = [None, *symbols, None]
     lcp = [0] * (n + 1)
@@ -308,7 +298,7 @@ def _lcp_kasai(
             j2 = sa[r - 1]
             while s[j + h] == s[j2 + h]:
                 h += 1
-            lcp[r] = ids[h]
+            lcp[r] = sa[isa[h]]
             if h:
                 h -= 1
         else:
@@ -316,33 +306,27 @@ def _lcp_kasai(
     return tuple(lcp)
 
 
-def suffix_core(text: Text) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """The rows SA, ISA and LCP of a text: its live bundle's own tuples,
-    else one SA-IS sort and Kasai's LCP pass in the same format."""
-    bundle = live_bundle(text)
-    if bundle is not None:
-        return bundle.sa, bundle.isa, bundle.lcp
-    sa, isa, ids = _sorted_ranks(text.symbols)
-    return sa, isa, _lcp_kasai(text.symbols, sa, isa, ids)
-
-
-def suffix_ranks(text: Text) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """SA and ISA as suffix_core gives them, with no LCP pass."""
-    bundle = live_bundle(text)
-    if bundle is not None:
-        return bundle.sa, bundle.isa
-    return _sorted_ranks(text.symbols)[:2]
-
-
 def build_bundle(text: Text) -> SuffixArrayBundle:
-    """Sort ``text`` once into its SA, ISA and LCP rows, and record the
-    bundle as the text's live bundle; the other six rows wait for a read."""
+    """Sort ``text`` once into its SA and ISA rows, drawing every position
+    and rank from one pool of n + 1 int objects, and record the bundle as
+    the text's live bundle; LCP and the other six rows wait for a read."""
     if text.n == 0:
         raise ValueError("cannot build a suffix-array bundle for an empty text")
-    sa, isa, ids = _sorted_ranks(text.symbols)
-    lcp = _lcp_kasai(text.symbols, sa, isa, ids)
-    bundle = _LIVE_BUNDLES[id(text)] = SuffixArrayBundle(text, sa, isa, lcp)
+    ids = list(range(text.n + 1))
+    sa = [0, *map(ids[1:].__getitem__, suffix_array(text.symbols))]
+    isa = [0] * len(ids)
+    for j, r in zip(sa, ids):
+        isa[j] = r
+    bundle = _LIVE_BUNDLES[id(text)] = SuffixArrayBundle(text, tuple(sa), tuple(isa))
     return bundle
+
+
+def bundle_of(text: Text) -> SuffixArrayBundle:
+    """The text's live bundle, else a new one from build_bundle: a held
+    bundle is never sorted again, and a caller that keeps only the rows it
+    reads lets the new bundle go when it returns."""
+    bundle = live_bundle(text)
+    return bundle if bundle is not None else build_bundle(text)
 
 
 @dataclass(frozen=True, slots=True)

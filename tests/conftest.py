@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from csq.text_core import Text, build_bundle, suffix_ranks
+from csq.text_core import Text, build_bundle, bundle_of
 
 # Wall-clock anchor used by the acceptance suite's runtime budget check.
 SESSION_T0 = time.monotonic()
@@ -76,7 +76,7 @@ def append_terminator(text: Text) -> TerminatedText:
         raise ValueError(
             f"alphabet size {text.sigma} leaves no room to shift within the symbol width"
         )
-    _, isa = suffix_ranks(text)
+    isa = bundle_of(text).isa
     return TerminatedText(
         original=text,
         shifted=Text.from_symbols([c + 1 for c in text.symbols] + [0], text.sigma + 1),

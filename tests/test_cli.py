@@ -162,9 +162,9 @@ def test_measures_single_symbol_omits_log_ratios(capsys, tmp_path):
 # ilf
 
 
-def _yfast_bisect_left(keys, x):
-    """bisect_left over keys, answered by a y-fast trie over them."""
-    return yfast_pred(yfast_build(keys, u=keys[-1] + 1), x)
+def _yfast_bisect_right(keys, x):
+    """bisect_right over keys, answered by a y-fast trie over them."""
+    return yfast_pred(yfast_build(keys, u=keys[-1] + 1), x + 1)
 
 
 @pytest.mark.parametrize("flavor", ["yfast", "bisect"])
@@ -177,9 +177,9 @@ def test_ilf_oracle_sweep_and_queries(capsys, monkeypatch, tmp_path, fig_file, f
     assert info.value.code == 2
     assert "--flavor" in capsys.readouterr().err
     searches = []
-    search = _yfast_bisect_left if flavor == "yfast" else rlbwt_ilf.bisect_left
+    search = _yfast_bisect_right if flavor == "yfast" else rlbwt_ilf.bisect_right
     monkeypatch.setattr(
-        rlbwt_ilf, "bisect_left", lambda keys, x: searches.append(x) or search(keys, x)
+        rlbwt_ilf, "bisect_right", lambda keys, x: searches.append(x) or search(keys, x)
     )
     queries = tmp_path / "q.txt"
     queries.write_text("1 5 12\n")
@@ -540,6 +540,18 @@ def test_integer_tokens_of_one_chunk_keep_their_messages(tmp_path):
         cli._read_ints(str(path))
     assert str(info.value) == f"malformed integer {long!r} in {path}"
     path.write_text(f"1 {'7' * (2 * limit)} 2\n")
+    with pytest.raises(cli.CliError) as info:
+        cli._read_ints(str(path))
+    assert str(info.value) == f"malformed integer '{'7' * 20}'... in {path}: over {limit} characters"
+
+
+def test_integer_token_across_two_chunks_is_refused_by_its_length(tmp_path):
+    """A token that starts inside one chunk and ends in the next is never
+    carried past one chunk's length, yet is refused by its length too, and
+    the message shows only its start."""
+    path = tmp_path / "ints.txt"
+    limit = cli._TOKEN_MAX
+    path.write_text(f"1 {'7' * limit}x 2\n")
     with pytest.raises(cli.CliError) as info:
         cli._read_ints(str(path))
     assert str(info.value) == f"malformed integer '{'7' * 20}'... in {path}: over {limit} characters"

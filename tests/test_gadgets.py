@@ -327,7 +327,8 @@ def test_verify_rejects_bundle_with_faulty_lcp():
     g = plcp_pred_gadget([2, 5, 9])
 
     def with_lcp(lcp):
-        bad = dataclasses.replace(g.bundle, lcp=lcp)
+        bad = dataclasses.replace(g.bundle)
+        vars(bad)["lcp"] = lcp
         vars(bad)["plcp"] = g.bundle.plcp  # the replay reads the true row
         return dataclasses.replace(g, bundle=bad)
 
@@ -380,13 +381,13 @@ def test_one_run_length_encoding_per_verify(monkeypatch):
 
 
 def test_each_kind_derives_only_the_rows_its_replay_reads():
-    """A build derives the kind's ``rows`` and no other bundle row, so
-    verification derives none."""
-    derived_rows = {"plcp", "bwt", "lf", "ilf", "phi", "inv_phi"}
+    """A build derives LCP and the kind's ``rows`` and no other bundle row,
+    so verification derives none."""
+    derived_rows = {"lcp", "plcp", "bwt", "lf", "ilf", "phi", "inv_phi"}
     rng = random.Random(0x8075)
     for kind in KINDS:
         g = build_gadget(kind, random_input(kind, 3, rng))
-        rows = set(gadgets._TABLE[kind].rows)
+        rows = {"lcp", *gadgets._TABLE[kind].rows}
         assert derived_rows & set(vars(g.bundle)) == rows, kind
         assert verify_reduction(kind, g).ok
         assert derived_rows & set(vars(g.bundle)) == rows, kind

@@ -140,14 +140,19 @@ def _derived(bundle) -> set[str]:
 
 
 def test_serving_and_measures_derive_no_row():
-    """A bundle stores SA, ISA and LCP; serve set-up (the inverse-LF and
-    LCP-RMQ indexes) and the measures read only those."""
+    """A bundle stores SA and ISA; serve set-up (the inverse-LF and LCP-RMQ
+    indexes) and the measures read only those and LCP, which the inverse-LF
+    build leaves underived and the LCP-RMQ build derives."""
     rng = random.Random(0xB0D)
     for symbols, sigma in [([rng.randrange(4) for _ in range(400)], 4), ([0, 1, 1] * 50, 2)]:
         text = Text.from_symbols(symbols, sigma)
         bundle = build_bundle(text)
         assert _derived(bundle) == set()
-        _builds(text)
+        assert "lcp" not in vars(bundle)
+        build_ilf_index(text)
+        assert "lcp" not in vars(bundle)
+        build_lcp_rmq_index(text)
+        assert "lcp" in vars(bundle)
         assert _derived(bundle) == set()
         text_measures(text)
         assert _derived(bundle) == set()

@@ -187,13 +187,13 @@ def test_ilf_query_larger_random_sweep():
 
 def test_one_predecessor_query_per_lookup(fig_text, monkeypatch):
     calls = []
-    search = rlbwt_ilf.bisect_left
+    search = rlbwt_ilf.bisect_right
 
     def counted(keys, x):
         calls.append(x)
         return search(keys, x)
 
-    monkeypatch.setattr(rlbwt_ilf, "bisect_left", counted)
+    monkeypatch.setattr(rlbwt_ilf, "bisect_right", counted)
     idx = build_ilf_index(fig_text)
     calls.clear()
     for i in range(1, 20):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csq import cli
+from csq import cli, text_core
 from csq.gadgets import KINDS, build_gadget, random_input, verify_reduction
 from csq.grammar_lcp_rmq import build_lcp_rmq_index
 from csq.measures import (
@@ -25,13 +25,13 @@ from csq.text_core import (
     PatternRange,
     Text,
     build_bundle,
+    bundle_of,
     lce_naive,
+    live_bundle,
     occurrences,
     pattern_range,
     suffix_array,
     suffix_array_naive,
-    suffix_core,
-    suffix_ranks,
 )
 
 from conftest import (
@@ -282,25 +282,24 @@ core_texts = st.one_of(
 
 @given(core_texts)
 @settings(max_examples=200, deadline=None)
-def test_suffix_core_rows_cold_and_held(symbols):
-    """Cold, suffix_core sorts into the bundle's own row format; while the
-    bundle is held, it and suffix_ranks hand over the bundle's tuples."""
+def test_bundle_of_rows_cold_and_held(symbols):
+    """Cold, bundle_of sorts into a new bundle with the textbook SA, ISA
+    and LCP rows; while a bundle is held, bundle_of hands over that one."""
     text = Text.from_symbols(symbols)
-    cold = suffix_core(text)
-    assert cold == _naive_core(symbols)
-    assert suffix_ranks(text) == cold[:2]
+    cold = bundle_of(text)
+    assert (cold.sa, cold.isa, cold.lcp) == _naive_core(symbols)
     bundle = build_bundle(text)
-    rows = (bundle.sa, bundle.isa, bundle.lcp)
-    assert cold == rows
-    assert all(got is row for got, row in zip(suffix_core(text), rows))
-    assert all(got is row for got, row in zip(suffix_ranks(text), rows))
+    assert bundle == cold
+    assert bundle_of(text) is bundle
 
 
 def test_one_suffix_sort_per_entry_point(monkeypatch, tmp_path, fig_text):
     """Every structure of a text derives from a single suffix sort, a
     serve set-up that holds the bundle sorts once for all three builds, and
-    a measure of a text whose bundle is held sorts nothing."""
-    sorts = []
+    a measure of a text whose bundle is held sorts nothing.  Kasai's LCP
+    pass runs at most once per text, and only for a reader of LCP, and no
+    cold build leaves its bundle behind."""
+    sorts, kasai_passes = [], []
 
     def counted(symbols):
         sorts.append(len(symbols))
@@ -309,38 +308,55 @@ def test_one_suffix_sort_per_entry_point(monkeypatch, tmp_path, fig_text):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "csq" and hasattr(module, "suffix_array"):
             monkeypatch.setattr(module, "suffix_array", counted)
+    real_kasai = text_core._lcp_kasai
+
+    def counted_kasai(symbols, sa, isa):
+        kasai_passes.append(len(symbols))
+        return real_kasai(symbols, sa, isa)
+
+    monkeypatch.setattr(text_core, "_lcp_kasai", counted_kasai)
+
+    def counts(call):
+        """(suffix sorts, Kasai passes) of one call."""
+        sorts.clear()
+        kasai_passes.clear()
+        call()
+        return len(sorts), len(kasai_passes)
 
     def sort_count(call):
-        sorts.clear()
-        call()
-        return len(sorts)
+        return counts(call)[0]
 
     path = tmp_path / "fig.txt"
     path.write_text(FIG_ASCII)
-    assert sort_count(lambda: cli.main(["arrays", "--input", str(path)])) == 1
-    assert sort_count(lambda: cli.main(["measures", "--input", str(path)])) == 1
-    # the oracle bundle, held while the index reads its rows
-    assert sort_count(lambda: cli.main(["ilf", "--input", str(path)])) == 1
-    assert sort_count(lambda: cli.main(["lcp-rmq", "--input", str(path)])) == 1
-    assert sort_count(lambda: cli.main(["lce", "--input", str(path)])) == 1
+    assert counts(lambda: cli.main(["arrays", "--input", str(path)])) == (1, 1)
+    assert counts(lambda: cli.main(["measures", "--input", str(path)])) == (1, 1)
+    # the oracle bundle, held while the index reads its rows; none reads LCP
+    assert counts(lambda: cli.main(["ilf", "--input", str(path)])) == (1, 0)
+    assert counts(lambda: cli.main(["lcp-rmq", "--input", str(path)])) == (1, 1)
+    assert counts(lambda: cli.main(["lce", "--input", str(path)])) == (1, 1)
     # A fresh text: the session's fig_bundle keeps fig_text's bundle alive.
     text = Text.from_ascii(FIG_ASCII)
-    assert sort_count(lambda: build_bundle(text)) == 1
-    assert sort_count(lambda: build_ilf_index(text)) == 1
-    assert sort_count(lambda: build_lcp_rmq_index(text)) == 1
+    assert counts(lambda: build_bundle(text)) == (1, 0)
+    assert live_bundle(text) is None
+    assert counts(lambda: build_ilf_index(text)) == (1, 0)
+    assert live_bundle(text) is None
+    assert counts(lambda: build_lcp_rmq_index(text)) == (1, 1)
+    assert live_bundle(text) is None
 
     def serve_setup():
         bundle = build_bundle(text)
         build_ilf_index(text)
         build_lcp_rmq_index(text)
+        text_measures(text)
         del bundle
 
-    assert sort_count(serve_setup) == 1
+    assert counts(serve_setup) == (1, 1)
     for builder in (build_ilf_index, build_lcp_rmq_index):
         bundle = build_bundle(text)
         del bundle
         gc.collect()
         assert sort_count(lambda: builder(text)) == 1, builder.__name__
+        assert live_bundle(text) is None, builder.__name__
     measures = (lpf_with_sources, lpf_array, lz77_factorize, bwt_run_count,
                 distinct_substring_counts, substring_complexity, text_measures)
     bundle = build_bundle(text)
@@ -350,6 +366,7 @@ def test_one_suffix_sort_per_entry_point(monkeypatch, tmp_path, fig_text):
     gc.collect()
     for measure in measures:
         assert sort_count(lambda: measure(text)) == 1, measure.__name__
+        assert live_bundle(text) is None, measure.__name__
     factorization = lz77_factorize(fig_text)
     assert sort_count(lambda: validate_lz_like(fig_text, factorization)) == 0
     rng = random.Random(0x50)
