@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 from . import gadgets
 from .grammar_lcp_rmq import build_lcp_rmq_index, lce_query, lcp_rmq
-from .measures import bwt_run_count_from_isa, run_length_encode, text_measures
+from .measures import bwt_run_count, lz77_factorize, run_length_encode, substring_complexity
 from .rlbwt_ilf import build_ilf_index, ilf_query
 from .text_core import Text, build_bundle
 
@@ -39,6 +39,14 @@ _POOL_WINDOW = 4096
 
 _ILF_BENCH_BATCH_MAX = 10**6
 """The most query positions ``ilf-bench --batch`` draws (about 8 MiB)."""
+
+_BENCH_REPEAT_MAX = 1000
+"""The most timed passes ``--repeat`` asks of a benchmark, which keeps one
+time per pass."""
+
+_QUERY_BUDGET = 10**6
+"""The most queries a ``--queries`` file may hold; every answer is kept in
+the report until it is printed (about 210 bytes per query)."""
 
 _READ_CHUNK = 2**16
 """Bytes per read of an integer file."""
@@ -100,10 +108,11 @@ def _read_file(path: str) -> str:
     return raw
 
 
-def _read_ints(path: str, budget: int | None = None) -> list[int]:
+def _read_ints(path: str, budget: int | None = None, refusal: CliError | None = None) -> list[int]:
     """The whitespace-separated integers of a file, read in chunks.  Once
-    more than ``budget`` are counted with input left, or a token is too long,
-    the file is refused unread to its end, so a pipe or a device is never drained."""
+    more than ``budget`` are counted with input left (raising ``refusal``,
+    by default the text-length one), or a token is too long, the file is
+    refused unread to its end, so a pipe or a device is never drained."""
     values: list[int] = []
     tail = ""
     try:
@@ -126,7 +135,7 @@ def _read_ints(path: str, budget: int | None = None) -> list[int]:
                 if not piece:
                     return values
                 if budget is not None and len(values) > budget and handle.peek(1):
-                    raise _text_too_long(path, f"more than {budget}")
+                    raise refusal or _text_too_long(path, f"more than {budget}")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
@@ -180,6 +189,12 @@ def _at_least_one(args: argparse.Namespace, *flags: str) -> None:
             raise CliError(f"--{flag} must be at least 1")
 
 
+def _check_timing(args: argparse.Namespace) -> None:
+    _at_least_one(args, "repeat", "batch")
+    if args.repeat > _BENCH_REPEAT_MAX:
+        raise CliError(f"--repeat must be at most {_BENCH_REPEAT_MAX}")
+
+
 # Per subcommand: the query function, the integers per query, the range
 # check given n, the message for a query out of range, and the report key.
 _QUERIES = {
@@ -197,7 +212,12 @@ def _answer_queries(args: argparse.Namespace, report: Report, index, n: int) -> 
     if args.queries is None:
         return
     query, arity, valid, invalid, key = _QUERIES[args.subcommand]
-    values = _read_ints(args.queries)
+    budget = arity * _QUERY_BUDGET
+    too_many = CliError(f"{args.queries} holds more than {_QUERY_BUDGET} queries, "
+                        f"over the query budget of {_QUERY_BUDGET}")
+    values = _read_ints(args.queries, budget, too_many)
+    if len(values) > budget:
+        raise too_many
     if len(values) % arity:
         raise CliError(
             f"{args.subcommand} queries come in pairs; {args.queries} holds {len(values)} integers"
@@ -240,10 +260,12 @@ def _cmd_arrays(args: argparse.Namespace, report: Report) -> int:
 
 def _cmd_measures(args: argparse.Namespace, report: Report) -> int:
     text = _load_text(args)
+    bundle = build_bundle(text)  # held, so each measure reads its rows: one sort
     n = text.n
     runs = run_length_encode(text).run_count
-    factorization, r, delta = text_measures(text)
-    z = factorization.phrase_count
+    z = lz77_factorize(text).phrase_count
+    r = bwt_run_count(text)
+    delta = substring_complexity(text)
     value = delta.numerator / delta.denominator
     report.add("n", n)
     report.add("sigma", len(set(text.symbols)))
@@ -279,7 +301,7 @@ def _cmd_ilf(args: argparse.Namespace, report: Report) -> int:
 
 
 def _cmd_ilf_bench(args: argparse.Namespace, report: Report) -> int:
-    _at_least_one(args, "repeat", "batch")
+    _check_timing(args)
     if args.batch > _ILF_BENCH_BATCH_MAX:
         raise CliError(f"--batch must be at most {_ILF_BENCH_BATCH_MAX}")
     text = _load_text(args)
@@ -306,17 +328,18 @@ def _cmd_grammar(args: argparse.Namespace, report: Report) -> int:
     """``lcp-rmq`` and ``lce``: one grammar index, its shape, its queries."""
     bench = args.subcommand == "lcp-rmq" and args.bench
     if bench:
-        _at_least_one(args, "repeat", "batch")
+        _check_timing(args)
     text = _load_text(args)
-    try:
-        index = build_lcp_rmq_index(text, epsilon=args.epsilon)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if not 0 < args.epsilon < 1:
+        raise CliError("epsilon must lie strictly between 0 and 1")
+    bundle = build_bundle(text)  # held, so the index and r read its rows: one sort
+    index = build_lcp_rmq_index(text, epsilon=args.epsilon)
+    r = bwt_run_count(text)
+    del bundle
     report.add("n", text.n)
     report.add("epsilon", f"{args.epsilon:g}")
     for key in ("k_widen", "ell", "slp_size", "slp_height", "size", "height"):
         report.add(key, getattr(index, key))
-    r = bwt_run_count_from_isa(text, index.isa)
     report.add("bwt_runs", r)
     if text.n >= 2:
         log = math.log2(text.n)

@@ -13,7 +13,9 @@ are 1-based text positions, and all quantities are exact (delta is kept as a
 reduced integer fraction, never a float).  Every measure reads the text's
 rows from text_core.bundle_of, so it sorts nothing while the text's bundle
 is held and sorts once otherwise, and runs Kasai's LCP pass only where it
-reads LCP and the bundle has not derived it yet.
+reads LCP and the bundle has not derived it yet.  A caller that wants
+several measures from one sort holds build_bundle(text) while it calls
+them, as ``csq measures`` does for z, r and delta.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "LZFactorization",
     "RunLengthEncoding",
     "bwt_run_count",
-    "bwt_run_count_from_isa",
     "delta_append_check",
     "distinct_substring_counts",
     "lpf_array",
@@ -45,7 +46,6 @@ __all__ = [
     "run_length_encode",
     "run_length_factorization",
     "substring_complexity",
-    "text_measures",
     "validate_lz_like",
 ]
 
@@ -341,22 +341,10 @@ def bwt_run_count(text: Text) -> int:
     """Number of maximal equal-symbol runs in the BWT of the text."""
     if text.n == 0:
         raise ValueError("cannot compute BWT runs of an empty text")
-    return _bwt_runs_from_sa(text.symbols, bundle_of(text).sa)
-
-
-def bwt_run_count_from_isa(text: Text, isa: Sequence[int]) -> int:
-    """BWT run count read off a stored 1-indexed ISA (placeholder at 0),
-    such as a bundle's or an LCP-RMQ index's, with no suffix sort."""
-    sa = [0] * (text.n + 1)
-    for j, r in enumerate(isa):
-        sa[r] = j
-    return _bwt_runs_from_sa(text.symbols, sa)
-
-
-def _bwt_runs_from_sa(syms: Sequence[int], sa: Sequence[int]) -> int:
+    syms = text.symbols
     # BWT[r] = T[SA[r] - 1], wrapping to T[n] at SA[r] = 1; the placeholder
     # SA[0] reads 0.  A run starts at every rank r >= 2 where BWT changes.
-    bwt = list(map((0, syms[-1], *syms[:-1]).__getitem__, sa))
+    bwt = list(map((0, syms[-1], *syms[:-1]).__getitem__, bundle_of(text).sa))
     return 1 + sum(map(ne, bwt[2:], bwt[1:-1]))
 
 
@@ -409,34 +397,18 @@ def substring_complexity(text: Text) -> DeltaValue:
     """Exact substring complexity delta = max over l in [1..n] of d_l / l."""
     if text.n == 0:
         raise ValueError("cannot count substrings of an empty text")
-    return _delta_from_lcp(bundle_of(text).lcp)
-
-
-def _delta_from_lcp(lcp: Sequence[int]) -> DeltaValue:
     # Integer test: d / l beats num / den exactly when d * den > num * l; the
     # strict test keeps the smallest arg_len.  Since d_l <= n - l + 1 and
     # (n - l + 1) / l only falls, the scan stops once that bound cannot win.
-    n = len(lcp) - 1
+    n = text.n
     num, den = 0, 1
-    for length, d in enumerate(_distinct_counts(lcp), 1):
+    for length, d in enumerate(_distinct_counts(bundle_of(text).lcp), 1):
         if (n - length + 1) * den <= num * length:
             break
         if d * den > num * length:
             num, den = d, length
     g = gcd(num, den)
     return DeltaValue(num // g, den // g, den)
-
-
-def text_measures(text: Text) -> tuple[LZFactorization, int, DeltaValue]:
-    """The greedy LZ77 factorization, the BWT run count r, and delta, all
-    read off one bundle of the text (bundle_of: one suffix sort, or none
-    while the text's bundle is held): LZ77 in one step per phrase over its
-    SA, ISA and LCP, r from SA, and delta from LCP."""
-    if text.n == 0:
-        raise ValueError("cannot measure an empty text")
-    bundle = bundle_of(text)
-    r = _bwt_runs_from_sa(text.symbols, bundle.sa)
-    return lz77_from_bundle(bundle), r, _delta_from_lcp(bundle.lcp)
 
 
 def delta_append_check(text: Text, symbol: int) -> tuple[DeltaValue, DeltaValue]:

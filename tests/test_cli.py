@@ -260,6 +260,54 @@ def test_lce_position_out_of_range_rejected(capsys, tmp_path, fig_file):
     assert "outside" in err
 
 
+def test_queries_over_the_query_budget_exit_two(capsys, monkeypatch, tmp_path, fig_file):
+    """A --queries file of more queries than the budget is refused with
+    exit 2 and no report; one within it is answered as before."""
+    monkeypatch.setattr(cli, "_QUERY_BUDGET", 2)
+    queries = tmp_path / "q.txt"
+    queries.write_text("3 12\n7 7\n19 1\n")
+    code, out, err = run_cli(capsys, ["lce", "--input", fig_file, "--queries", str(queries)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {queries} holds more than 2 queries, over the query budget of 2\n"
+    queries.write_text("3 12\n7 7\n")
+    code, out, _ = run_cli(capsys, ["lce", "--input", fig_file, "--queries", str(queries)])
+    assert code == 0
+    report = parse_human(out)
+    assert report["lce(3,12)"] == "8"
+    assert report["lce(7,7)"] == "13"
+
+
+def test_queries_from_a_pipe_are_refused_before_they_are_drained(capsys, monkeypatch, tmp_path, fig_file):
+    """Queries are counted as they are read, so a writer offering 3 MiB of
+    ``1 `` against a budget of 1000 queries cannot get them all out."""
+    monkeypatch.setattr(cli, "_QUERY_BUDGET", 1000)
+    fifo = tmp_path / "queries.fifo"
+    os.mkfifo(fifo)
+    offered = 3 * 2**20
+    written = []
+
+    def writer():
+        fd = os.open(fifo, os.O_WRONLY)
+        sent = 0
+        try:
+            while sent < offered:
+                sent += os.write(fd, b"1 " * (min(2**16, offered - sent) // 2))
+        except BrokenPipeError:
+            pass
+        finally:
+            os.close(fd)
+            written.append(sent)
+
+    thread = threading.Thread(target=writer, daemon=True)
+    thread.start()
+    code, out, err = run_cli(capsys, ["lce", "--input", fig_file, "--queries", str(fifo)])
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert (code, out) == (2, "")
+    assert err == f"error: {fifo} holds more than 1000 queries, over the query budget of 1000\n"
+    assert written and written[0] < offered
+
+
 # ---------------------------------------------------------------------------
 # gadget-verify
 
@@ -363,7 +411,7 @@ def test_measures_over_text_length_budget_exits_two(tmp_path, capsys, monkeypatc
     """A text one symbol over the budget is refused before any structure is
     built, in either format, with exit 2 and no traceback."""
     n = csq.gadgets.TEXT_LENGTH_BUDGET + 1
-    monkeypatch.setattr(cli, "text_measures", lambda text: pytest.fail("text was measured"))
+    monkeypatch.setattr(cli, "build_bundle", lambda text: pytest.fail("text was sorted"))
     ints = tmp_path / "ints.txt"
     ints.write_text("0 " * n)
     ascii_text = tmp_path / "ascii.txt"
@@ -722,6 +770,21 @@ def test_ilf_bench_batch_over_cap_exits_two(capsys, tmp_path, batch):
 
 # ---------------------------------------------------------------------------
 # input handling and determinism
+
+
+@pytest.mark.parametrize("bench", [["ilf-bench"], ["lcp-rmq", "--bench"]])
+def test_bench_repeat_over_cap_exits_two(capsys, tmp_path, fig_file, bench):
+    """--repeat is capped, as --batch is, since each timed pass keeps its
+    time: over the cap it is refused before the text is read (the input
+    here does not exist), and at the cap it runs."""
+    absent = str(tmp_path / "absent.txt")
+    for repeat in ("1001", str(10**10)):
+        code, out, err = run_cli(capsys, [*bench, "--input", absent, "--repeat", repeat])
+        assert (code, out) == (2, "")
+        assert err == "error: --repeat must be at most 1000\n"
+    code, out, _ = run_cli(capsys, [*bench, "--input", fig_file, "--repeat", "1000", "--batch", "1"])
+    assert code == 0
+    assert parse_human(out)["repeat" if bench == ["ilf-bench"] else "bench_repeat"] == "1000"
 
 
 def test_missing_input_file_is_usage_error(capsys, tmp_path):

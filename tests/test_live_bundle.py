@@ -20,7 +20,7 @@ from csq.grammar_lcp_rmq import (
     prefix_stats_query,
     suffix_stats_query,
 )
-from csq.measures import text_measures
+from csq.measures import bwt_run_count, lz77_factorize, substring_complexity
 from csq.rlbwt_ilf import build_ilf_index, ilf_query
 from csq.text_core import Text, build_bundle, lce_naive, live_bundle, suffix_array_naive
 
@@ -154,7 +154,7 @@ def test_serving_and_measures_derive_no_row():
         build_lcp_rmq_index(text)
         assert "lcp" in vars(bundle)
         assert _derived(bundle) == set()
-        text_measures(text)
+        lz77_factorize(text), bwt_run_count(text), substring_complexity(text)
         assert _derived(bundle) == set()
 
 

@@ -9,7 +9,6 @@ from csq.gadgets import build_gadget, random_input
 from csq.measures import (
     DeltaValue,
     bwt_run_count,
-    bwt_run_count_from_isa,
     delta_append_check,
     distinct_substring_counts,
     lpf_array,
@@ -21,7 +20,6 @@ from csq.measures import (
     run_length_encode,
     run_length_factorization,
     substring_complexity,
-    text_measures,
     validate_lz_like,
 )
 from csq.text_core import Text, build_bundle, lce_naive
@@ -87,6 +85,13 @@ def test_rle_examples():
 def test_rle_empty_text_errors():
     with pytest.raises(ValueError):
         run_length_encode(Text.from_symbols([]))
+
+
+@pytest.mark.parametrize("measure", [lpf_with_sources, lz77_factorize, bwt_run_count,
+                                     distinct_substring_counts, substring_complexity])
+def test_measures_of_an_empty_text_error(measure):
+    with pytest.raises(ValueError, match="empty text"):
+        measure(Text.from_symbols([]))
 
 
 @given(small_texts)
@@ -232,8 +237,7 @@ def test_lz77_quadratic_scan_family_falls_back_to_stack_pass(monkeypatch):
     calls = _count_stack_passes(monkeypatch)
     assert lz77_factorize(t).phrases == want
     assert lz77_from_bundle(bundle).phrases == want
-    assert text_measures(t)[0].phrases == want
-    assert calls == [2 * m] * 3
+    assert calls == [2 * m] * 2
 
 
 def test_lz77_no_fallback_on_gadget_random_and_periodic_texts(monkeypatch):
@@ -257,7 +261,6 @@ def test_lz77_no_fallback_on_gadget_random_and_periodic_texts(monkeypatch):
     for t, want in zip(texts, wants):
         assert lz77_factorize(t).phrases == want
         assert lz77_from_bundle(build_bundle(t)).phrases == want
-        assert text_measures(t)[0].phrases == want
     assert calls == []
 
 
@@ -356,7 +359,6 @@ def test_bwt_run_count_matches_bundle(symbols):
     bwt = build_bundle(t).bwt[1:]
     runs = 1 + sum(1 for a, b in zip(bwt, bwt[1:]) if a != b)
     assert bwt_run_count(t) == runs
-    assert bwt_run_count_from_isa(t, build_bundle(t).isa) == runs
 
 
 # ---------------------------------------------------------------------------
@@ -408,22 +410,6 @@ def test_delta_append_check_raises(monkeypatch):
     monkeypatch.setattr(measures, "substring_complexity", lambda text: next(values))
     with pytest.raises(AssertionError, match="delta grew from 1 to 5/2"):
         delta_append_check(Text.from_ascii("ab"), ord("a"))
-
-
-# ---------------------------------------------------------------------------
-# All three measures from one sort
-
-
-@given(small_texts)
-@settings(max_examples=60, deadline=None)
-def test_text_measures_equal_separate_measures(symbols):
-    t = Text.from_symbols(symbols, 4)
-    assert text_measures(t) == (lz77_factorize(t), bwt_run_count(t), substring_complexity(t))
-
-
-def test_text_measures_empty_text_errors():
-    with pytest.raises(ValueError):
-        text_measures(Text.from_symbols([]))
 
 
 # ---------------------------------------------------------------------------

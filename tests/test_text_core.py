@@ -17,7 +17,6 @@ from csq.measures import (
     lpf_with_sources,
     lz77_factorize,
     substring_complexity,
-    text_measures,
     validate_lz_like,
 )
 from csq.rlbwt_ilf import build_ilf_index
@@ -334,6 +333,8 @@ def test_one_suffix_sort_per_entry_point(monkeypatch, tmp_path, fig_text):
     assert counts(lambda: cli.main(["ilf", "--input", str(path)])) == (1, 0)
     assert counts(lambda: cli.main(["lcp-rmq", "--input", str(path)])) == (1, 1)
     assert counts(lambda: cli.main(["lce", "--input", str(path)])) == (1, 1)
+    # a bad --epsilon is refused before the text is sorted
+    assert counts(lambda: cli.main(["lcp-rmq", "--input", str(path), "--epsilon", "1.0"])) == (0, 0)
     # A fresh text: the session's fig_bundle keeps fig_text's bundle alive.
     text = Text.from_ascii(FIG_ASCII)
     assert counts(lambda: build_bundle(text)) == (1, 0)
@@ -347,7 +348,7 @@ def test_one_suffix_sort_per_entry_point(monkeypatch, tmp_path, fig_text):
         bundle = build_bundle(text)
         build_ilf_index(text)
         build_lcp_rmq_index(text)
-        text_measures(text)
+        lz77_factorize(text), bwt_run_count(text), substring_complexity(text)
         del bundle
 
     assert counts(serve_setup) == (1, 1)
@@ -358,7 +359,7 @@ def test_one_suffix_sort_per_entry_point(monkeypatch, tmp_path, fig_text):
         assert sort_count(lambda: builder(text)) == 1, builder.__name__
         assert live_bundle(text) is None, builder.__name__
     measures = (lpf_with_sources, lpf_array, lz77_factorize, bwt_run_count,
-                distinct_substring_counts, substring_complexity, text_measures)
+                distinct_substring_counts, substring_complexity)
     bundle = build_bundle(text)
     for measure in measures:
         assert sort_count(lambda: measure(text)) == 0, measure.__name__
