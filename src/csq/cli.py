@@ -27,7 +27,7 @@ from itertools import chain, islice
 from typing import Callable, Sequence
 
 from . import gadgets
-from .grammar_lcp_rmq import build_lcp_rmq_index, lce_query, lcp_rmq
+from .grammar_lcp_rmq import build_lcp_rmq_index, check_epsilon, lce_query, lcp_rmq
 from .measures import bwt_run_count, lz77_factorize, run_length_encode, substring_complexity
 from .rlbwt_ilf import build_ilf_index, ilf_query
 from .text_core import Text, build_bundle
@@ -207,11 +207,13 @@ _QUERIES = {
 }
 
 
-def _answer_queries(args: argparse.Namespace, report: Report, index, n: int) -> None:
-    """Answer the ``--queries`` file, if any: one report item per query."""
+def _read_queries(args: argparse.Namespace, n: int) -> list[int]:
+    """The ``--queries`` file's integers, if any, checked against the query
+    budget, the arity and the range of a text of length n, so that a bad
+    file is refused before any sort."""
     if args.queries is None:
-        return
-    query, arity, valid, invalid, key = _QUERIES[args.subcommand]
+        return []
+    _, arity, valid, invalid, _ = _QUERIES[args.subcommand]
     budget = arity * _QUERY_BUDGET
     too_many = CliError(f"{args.queries} holds more than {_QUERY_BUDGET} queries, "
                         f"over the query budget of {_QUERY_BUDGET}")
@@ -222,9 +224,21 @@ def _answer_queries(args: argparse.Namespace, report: Report, index, n: int) -> 
         raise CliError(
             f"{args.subcommand} queries come in pairs; {args.queries} holds {len(values)} integers"
         )
-    for q in zip(*[iter(values)] * arity):  # consecutive groups of `arity`
+    for q in _groups(values, arity):
         if not valid(n, *q):
             raise CliError(invalid.format(*q, n=n))
+    return values
+
+
+def _groups(values: list[int], arity: int):
+    """Consecutive groups of ``arity`` values."""
+    return zip(*[iter(values)] * arity)
+
+
+def _answer_queries(args: argparse.Namespace, report: Report, index, values: list[int]) -> None:
+    """Answer the queries _read_queries checked: one report item each."""
+    query, arity, _, _, key = _QUERIES[args.subcommand]
+    for q in _groups(values, arity):
         report.add(key.format(*q), query(index, *q))
 
 
@@ -286,6 +300,7 @@ def _cmd_measures(args: argparse.Namespace, report: Report) -> int:
 
 def _cmd_ilf(args: argparse.Namespace, report: Report) -> int:
     text = _load_text(args)
+    queries = _read_queries(args, text.n)
     bundle = build_bundle(text)  # held, so the index reads its rows: one sort
     index = build_ilf_index(text)
     oracle = bundle.ilf
@@ -296,7 +311,7 @@ def _cmd_ilf(args: argparse.Namespace, report: Report) -> int:
     for key in ("boundary_count", "r_original", "r_shifted", "stored_integers"):
         report.add(key, getattr(index, key))
     report.add("oracle_mismatches", mismatches)
-    _answer_queries(args, report, index, text.n)
+    _answer_queries(args, report, index, queries)
     return 1 if mismatches else 0
 
 
@@ -330,8 +345,11 @@ def _cmd_grammar(args: argparse.Namespace, report: Report) -> int:
     if bench:
         _check_timing(args)
     text = _load_text(args)
-    if not 0 < args.epsilon < 1:
-        raise CliError("epsilon must lie strictly between 0 and 1")
+    try:
+        check_epsilon(args.epsilon)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    queries = _read_queries(args, text.n)
     bundle = build_bundle(text)  # held, so the index and r read its rows: one sort
     index = build_lcp_rmq_index(text, epsilon=args.epsilon)
     r = bwt_run_count(text)
@@ -344,7 +362,7 @@ def _cmd_grammar(args: argparse.Namespace, report: Report) -> int:
     if text.n >= 2:
         log = math.log2(text.n)
         report.add("size/(r log^2 n)", f"{index.size / (r * log * log):.6f}")
-    _answer_queries(args, report, index, text.n)
+    _answer_queries(args, report, index, queries)
     if bench:
         rng = random.Random(args.seed)
         batch = min(args.batch, 4 * text.n)

@@ -42,10 +42,12 @@ expands to n symbols.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import ceil, log2
+from operator import sub
 from typing import Sequence, Union
 
 from .predecessor import SmallSet, smallset_build
@@ -58,6 +60,7 @@ __all__ = [
     "Slg",
     "build_lcp_rmq_index",
     "build_rule_stats",
+    "check_epsilon",
     "expand",
     "interval_argmin_prefix_sum",
     "lce_query",
@@ -505,9 +508,15 @@ def widen_slg(slg: Slg, k: int) -> Slg:
     return make_slg(rules, nts[slg.start].id)
 
 
-def _widening_depth(n: int, epsilon: float) -> int:
+def check_epsilon(epsilon: float) -> None:
+    """Raise ValueError unless 0 < epsilon < 1, the widening parameter's
+    domain; the command line calls it before any sort."""
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")
+
+
+def _widening_depth(n: int, epsilon: float) -> int:
+    check_epsilon(epsilon)
     if n < 4:
         return 1
     return max(1, ceil(epsilon * log2(log2(n))))
@@ -518,15 +527,15 @@ class LcpRmqIndex:
     """Grammar-backed LCP RMQ / LCE structure for one text.
 
     Holds the widened grammar and its statistics, the text's ISA for LCE
-    queries (the bundle's own tuple if built off a live bundle), and build
-    metadata (text length n, widening depth k, rhs bound ell, grammar
-    size/height before and after widening) for reporting.  The text itself
-    is not kept: no query reads it.
+    queries (the bundle's own ``array('i')`` row), and build metadata (text
+    length n, widening depth k, rhs bound ell, grammar size/height before
+    and after widening) for reporting.  The text itself is not kept: no
+    query reads it.
     """
 
     slg: Slg
     stats: RuleStats
-    isa: tuple[int, ...]
+    isa: array
     n: int
     k_widen: int
     ell: int
@@ -567,7 +576,7 @@ def build_lcp_rmq_index(text: Text, epsilon: float = 0.5) -> LcpRmqIndex:
     bundle = bundle_of(text)
     isa, lcp = bundle.isa, bundle.lcp
     del bundle  # a cold call frees its SA here, before the grammar is built
-    diff = [lcp[i] - lcp[i - 1] for i in range(1, n + 1)]  # the pad LCP[0] is 0
+    diff = list(map(sub, lcp[1:], lcp))  # LCP[i] - LCP[i-1]; the pad LCP[0] is 0
     slp = make_slg(*_pairing_slp(diff))
     widened = widen_slg(slp, k)
     slp_height = slp.heights[slp.start]

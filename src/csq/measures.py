@@ -344,7 +344,8 @@ def bwt_run_count(text: Text) -> int:
     syms = text.symbols
     # BWT[r] = T[SA[r] - 1], wrapping to T[n] at SA[r] = 1; the placeholder
     # SA[0] reads 0.  A run starts at every rank r >= 2 where BWT changes.
-    bwt = list(map((0, syms[-1], *syms[:-1]).__getitem__, bundle_of(text).sa))
+    before = (0, syms[-1], *syms[:-1])
+    bwt = [before[j] for j in bundle_of(text).sa]
     return 1 + sum(map(ne, bwt[2:], bwt[1:-1]))
 
 

@@ -24,6 +24,7 @@ Two layers make the index work for arbitrary texts:
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,14 +46,15 @@ class IlfIndex:
 
     boundary_keys holds J = {LF[i] : i a BWT run head of the terminated
     text} in increasing order, the keys a query bisects; ilf_at_boundary[k]
-    is ILF at boundary_keys[k].  These two rows are all a query reads.
+    is ILF at boundary_keys[k].  These two rows are all a query reads, and
+    each is an ``array('i')``, 4 bytes per entry.
     """
 
     n: int
     i_first: int
     i_last: int
-    boundary_keys: tuple[int, ...]
-    ilf_at_boundary: tuple[int, ...]
+    boundary_keys: array
+    ilf_at_boundary: array
     r_original: int
     r_shifted: int
 
@@ -98,7 +100,7 @@ def build_ilf_index(text: Text) -> IlfIndex:
     # (None, unequal to every symbol; runs only compare equality, so the +1
     # shift is not applied) precedes the full text.
     before = (text.symbols[-1],) * 2 + text.symbols
-    bwt1: list[int | None] = list(map(before.__getitem__, sa))
+    bwt1: list[int | None] = [before[j] for j in sa]
     r_original = 1 + sum(map(ne, bwt1[2:], bwt1[1:]))
     i_first = isa[1]
     bwt1[i_first] = None
@@ -112,8 +114,8 @@ def build_ilf_index(text: Text) -> IlfIndex:
     # suffix start (n + 1 for the terminator); before position 1, the
     # placeholder ISA[0] = 0 gives the terminator its rank 1.
     pairs = sorted((isa[(sa[t] if t else n + 1) - 1] + 1, t + 1) for t in heads)
-    boundary_keys = tuple(p for p, _ in pairs)
-    ilf_at_boundary = tuple(i for _, i in pairs)
+    boundary_keys = array("i", [p for p, _ in pairs])
+    ilf_at_boundary = array("i", [i for _, i in pairs])
     return IlfIndex(
         n=n,
         i_first=i_first,

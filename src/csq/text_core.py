@@ -13,15 +13,13 @@ This module alone turns sort output into rows.  bundle_of(text) hands every
 structure and measure the text's rows: live_bundle(text), the bundle last
 built for that very Text object while a caller still holds it (the registry
 holds it weakly), else a new one from build_bundle.  build_bundle sorts the
-text once, by SA-IS induced sorting in linear time, draws every position and
-rank from one pool of n + 1 int objects, and stores two arrays:
+text once, by SA-IS induced sorting in linear time, and stores two rows:
 
     SA       suffix array: SA[i] = start of the i-th suffix in sorted order
     ISA      inverse permutation of SA
 
 The bundle derives seven more on first read: LCP by Kasai's pass in text
-order, and each other row by one pass over SA or ISA.  Every value of a
-derived row is an object the stored rows (or the text) already hold:
+order, and each other row by one gather over SA or ISA:
 
     LCP      LCP[1] = 0; LCP[i] = LCE of the suffixes ranked i and i-1
     PLCP     LCP in text order: PLCP[SA[i]] = LCP[i]
@@ -30,11 +28,17 @@ derived row is an object the stored rows (or the text) already hold:
     ILF      inverse of LF: ILF[ISA[j]] = ISA[j+1], wrapping to ISA[1] at j = n
     PHI      PHI[SA[i]] = SA[i-1]; PHI[SA[1]] = SA[n]
     INV_PHI  inverse permutation of PHI
+
+Every row of positions, ranks or LCP values (all but BWT) is an
+``array('i')``, 4 bytes per entry, which holds values up to 2**31 - 1, far
+past the command line's text budget of 10**6.  BWT is a tuple of the text's
+own symbol objects, since a symbol may exceed 32 bits.
 """
 
 from __future__ import annotations
 
 import weakref
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -219,22 +223,26 @@ def suffix_array_naive(symbols: Sequence[int]) -> list[int]:
 class SuffixArrayBundle:
     """The nine arrays of a text, each 1-indexed with a placeholder at 0.
 
-    Only the text and its SA and ISA are stored, and ``==`` and ``hash``
-    read them alone, since they determine the rest.  The other seven rows
-    are derived on first read and cached on the instance, so a reader pays
-    for the rows it reads.
+    Only the text and its SA and ISA rows are stored, and ``==`` reads them
+    alone, since they determine the rest; ``hash`` reads the text alone,
+    which determines every row.  The other seven rows are derived on first
+    read and cached on the instance, so a reader pays for the rows it reads.
+    Every row but BWT is an ``array('i')``.
     """
 
     text: Text
-    sa: tuple[int, ...]
-    isa: tuple[int, ...]
+    sa: array
+    isa: array
+
+    def __hash__(self) -> int:
+        return hash(self.text)
 
     @property
     def n(self) -> int:
         return self.text.n
 
     @cached_property
-    def lcp(self) -> tuple[int, ...]:
+    def lcp(self) -> array:
         return _lcp_kasai(self.text.symbols, self.sa, self.isa)
 
     # Each other derived row is one gather, row[i] = src[idx[i]]: idx is SA
@@ -242,33 +250,39 @@ class SuffixArrayBundle:
     # wrap-around at the ends; idx[0] = 0 reads src[0] = 0, the placeholder.
 
     @cached_property
-    def plcp(self) -> tuple[int, ...]:
-        return tuple(map(self.lcp.__getitem__, self.isa))
+    def plcp(self) -> array:
+        return _gather(self.lcp, self.isa)
 
     @cached_property
     def bwt(self) -> tuple[int, ...]:
         syms = self.text.symbols
-        return tuple(map((0, syms[-1], *syms[:-1]).__getitem__, self.sa))
+        before = (0, syms[-1], *syms[:-1])
+        return tuple([before[j] for j in self.sa])
 
     @cached_property
-    def lf(self) -> tuple[int, ...]:
+    def lf(self) -> array:
         isa = self.isa
-        return tuple(map((0, isa[-1], *isa[1:-1]).__getitem__, self.sa))
+        return _gather(array("i", (0, isa[-1])) + isa[1:-1], self.sa)
 
     @cached_property
-    def ilf(self) -> tuple[int, ...]:
+    def ilf(self) -> array:
         isa = self.isa
-        return tuple(map((0, *isa[2:], isa[1]).__getitem__, self.sa))
+        return _gather(array("i", [0]) + isa[2:] + isa[1:2], self.sa)
 
     @cached_property
-    def phi(self) -> tuple[int, ...]:
+    def phi(self) -> array:
         sa = self.sa
-        return tuple(map((0, sa[-1], *sa[1:-1]).__getitem__, self.isa))
+        return _gather(array("i", (0, sa[-1])) + sa[1:-1], self.isa)
 
     @cached_property
-    def inv_phi(self) -> tuple[int, ...]:
+    def inv_phi(self) -> array:
         sa = self.sa
-        return tuple(map((0, *sa[2:], sa[1]).__getitem__, self.isa))
+        return _gather(array("i", [0]) + sa[2:] + sa[1:2], self.isa)
+
+
+def _gather(src: array, idx: array) -> array:
+    """The row src[idx[0]], src[idx[1]], ..., read off the arrays directly."""
+    return array("i", [src[i] for i in idx])
 
 
 # id(text) -> the last bundle built for that text object, held weakly.  The
@@ -283,41 +297,47 @@ def live_bundle(text: Text) -> SuffixArrayBundle | None:
     return bundle if bundle is not None and bundle.text is text else None
 
 
-def _lcp_kasai(symbols: Sequence[int], sa: Sequence[int], isa: Sequence[int]) -> tuple[int, ...]:
+def _lcp_kasai(symbols: Sequence[int], sa: array, isa: array) -> array:
     # LCP[r] = LCE(SA[r], SA[r-1]) for r >= 2, by Kasai's pass in text
-    # order.  s[j] = T[j]; the None after T[n] equals no symbol, so it ends
-    # every extension unchecked.  The value h is stored as sa[isa[h]], the
-    # int object SA and ISA already share (sa[isa[0]] is the placeholder 0).
-    n = len(symbols)
+    # order, reading the arrays directly.  prev[r] = SA[r-1], and 0 for
+    # r <= 1, where the extension restarts from h = 0 (r = 0 is the
+    # placeholder ISA[0]).  s[j] = T[j]; the None after T[n] equals no
+    # symbol, so it ends every extension unchecked.  Each h goes into a
+    # list, which takes a store faster than an array does, and the list
+    # becomes the row at the end.
     s = [None, *symbols, None]
-    lcp = [0] * (n + 1)
+    prev = array("i", (0, 0)) + sa[1:-1]
+    lcp = [0] * len(isa)
     h = 0
-    for j in range(1, n + 1):
-        r = isa[j]
-        if r > 1:
-            j2 = sa[r - 1]
+    for j, r in enumerate(isa):
+        j2 = prev[r]
+        if j2:
             while s[j + h] == s[j2 + h]:
                 h += 1
-            lcp[r] = sa[isa[h]]
+            lcp[r] = h
             if h:
                 h -= 1
         else:
             h = 0
-    return tuple(lcp)
+    return array("i", lcp)
 
 
 def build_bundle(text: Text) -> SuffixArrayBundle:
-    """Sort ``text`` once into its SA and ISA rows, drawing every position
-    and rank from one pool of n + 1 int objects, and record the bundle as
-    the text's live bundle; LCP and the other six rows wait for a read."""
+    """Sort ``text`` once into its SA and ISA rows, and record the bundle as
+    the text's live bundle; LCP and the other six rows wait for a read.
+
+    The sort is of x T, with x below every symbol: the whole string is the
+    smallest suffix, at rank 0, and every other suffix starts at its
+    1-based position in T.  Its suffix array is thus T's 1-indexed SA with
+    the placeholder SA[0] = 0 in front."""
     if text.n == 0:
         raise ValueError("cannot build a suffix-array bundle for an empty text")
-    ids = list(range(text.n + 1))
-    sa = [0, *map(ids[1:].__getitem__, suffix_array(text.symbols))]
-    isa = [0] * len(ids)
-    for j, r in zip(sa, ids):
+    syms = text.symbols
+    sa = suffix_array((min(syms) - 1, *syms))
+    isa = array("i", [0]) * len(sa)
+    for r, j in enumerate(sa):
         isa[j] = r
-    bundle = _LIVE_BUNDLES[id(text)] = SuffixArrayBundle(text, tuple(sa), tuple(isa))
+    bundle = _LIVE_BUNDLES[id(text)] = SuffixArrayBundle(text, array("i", sa), isa)
     return bundle
 
 

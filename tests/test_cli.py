@@ -239,7 +239,7 @@ def test_lcp_rmq_invalid_range_rejected(capsys, tmp_path, fig_file):
 def test_lcp_rmq_epsilon_domain_enforced(capsys, fig_file):
     code, _, err = run_cli(capsys, ["lcp-rmq", "--input", fig_file, "--epsilon", "1.0"])
     assert code == 2
-    assert "epsilon" in err
+    assert err == "error: epsilon must lie strictly between 0 and 1\n"
 
 
 def test_lce_queries_match_naive(capsys, tmp_path, fig_file):

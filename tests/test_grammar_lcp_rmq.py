@@ -361,10 +361,15 @@ def test_build_contracts_raise(monkeypatch):
 
 
 def test_epsilon_validation(fig_text):
-    with pytest.raises(ValueError):
-        build_lcp_rmq_index(fig_text, epsilon=0.0)
-    with pytest.raises(ValueError):
-        build_lcp_rmq_index(fig_text, epsilon=1.0)
+    """build_lcp_rmq_index refuses an epsilon outside (0, 1) through
+    check_epsilon, the check the command line calls, with one message."""
+    message = "^epsilon must lie strictly between 0 and 1$"
+    for epsilon in (0.0, 1.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match=message):
+            build_lcp_rmq_index(fig_text, epsilon=epsilon)
+        with pytest.raises(ValueError, match=message):
+            grammar.check_epsilon(epsilon)
+    grammar.check_epsilon(0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -126,8 +126,8 @@ def test_boundaries_match_terminated_bundle(symbols):
     pairs = sorted((tb.lf[h], h) for h in heads)
     assert idx.r_original == bwt_run_count(t)
     assert idx.r_shifted == len(heads)
-    assert idx.boundary_keys == tuple(p for p, _ in pairs)
-    assert idx.ilf_at_boundary == tuple(h for _, h in pairs)
+    assert tuple(idx.boundary_keys) == tuple(p for p, _ in pairs)
+    assert tuple(idx.ilf_at_boundary) == tuple(h for _, h in pairs)
 
 
 def test_remap_leaves_answers_unchanged():

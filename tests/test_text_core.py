@@ -2,6 +2,8 @@ import gc
 import pickle
 import random
 import sys
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -135,16 +137,34 @@ def test_bundle_rejects_empty_text():
         build_bundle(Text.from_symbols([]))
 
 
-def test_bundle_rows_share_one_int_pool():
-    """Positions, ranks and LCP values (here past 256, so not cached by the
-    interpreter) are one int object per value across all rows."""
-    b = build_bundle(Text.from_symbols([int(i % 7 == 6) for i in range(2000)]))
-    canonical: dict[int, int] = {}
+def test_bundle_rows_are_typed_arrays():
+    """The eight rows of positions, ranks and LCP values are 4-byte
+    ``array('i')`` rows; BWT is a tuple of the text's own symbol objects."""
+    text = Text.from_symbols([int(i % 7 == 6) * 2**40 for i in range(2000)])
+    b = build_bundle(text)
     for row in (b.sa, b.isa, b.lcp, b.plcp, b.lf, b.ilf, b.phi, b.inv_phi):
-        assert type(row) is tuple
-        for v in row:
-            assert canonical.setdefault(v, v) is v
+        assert isinstance(row, array) and row.typecode == "i"
     assert max(b.lcp) > 256
+    assert type(b.bwt) is tuple
+    own = {id(c) for c in text.symbols}
+    assert all(id(c) in own for c in b.bwt[1:])
+
+
+def test_bundle_bytes_per_symbol():
+    """A bundle of 10**4 symbols with all nine rows read holds under 48
+    bytes per symbol: 4 per entry of each array row, 8 per BWT slot."""
+    rng = random.Random(7)
+    text = Text.from_symbols([rng.randrange(4) for _ in range(10**4)], 4)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        bundle = build_bundle(text)
+        for row in ("lcp", "plcp", "bwt", "lf", "ilf", "phi", "inv_phi"):
+            getattr(bundle, row)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 48 * text.n
 
 
 def test_bundle_simple_strings():
@@ -286,18 +306,15 @@ def test_bundle_of_rows_cold_and_held(symbols):
     and LCP rows; while a bundle is held, bundle_of hands over that one."""
     text = Text.from_symbols(symbols)
     cold = bundle_of(text)
-    assert (cold.sa, cold.isa, cold.lcp) == _naive_core(symbols)
+    assert tuple(map(tuple, (cold.sa, cold.isa, cold.lcp))) == _naive_core(symbols)
     bundle = build_bundle(text)
     assert bundle == cold
     assert bundle_of(text) is bundle
 
 
-def test_one_suffix_sort_per_entry_point(monkeypatch, tmp_path, fig_text):
-    """Every structure of a text derives from a single suffix sort, a
-    serve set-up that holds the bundle sorts once for all three builds, and
-    a measure of a text whose bundle is held sorts nothing.  Kasai's LCP
-    pass runs at most once per text, and only for a reader of LCP, and no
-    cold build leaves its bundle behind."""
+@pytest.fixture
+def counts(monkeypatch):
+    """counts(call) -> (suffix sorts, Kasai passes) of one call."""
     sorts, kasai_passes = [], []
 
     def counted(symbols):
@@ -315,12 +332,21 @@ def test_one_suffix_sort_per_entry_point(monkeypatch, tmp_path, fig_text):
 
     monkeypatch.setattr(text_core, "_lcp_kasai", counted_kasai)
 
-    def counts(call):
-        """(suffix sorts, Kasai passes) of one call."""
+    def count(call):
         sorts.clear()
         kasai_passes.clear()
         call()
         return len(sorts), len(kasai_passes)
+
+    return count
+
+
+def test_one_suffix_sort_per_entry_point(counts, tmp_path, fig_text):
+    """Every structure of a text derives from a single suffix sort, a
+    serve set-up that holds the bundle sorts once for all three builds, and
+    a measure of a text whose bundle is held sorts nothing.  Kasai's LCP
+    pass runs at most once per text, and only for a reader of LCP, and no
+    cold build leaves its bundle behind."""
 
     def sort_count(call):
         return counts(call)[0]
@@ -377,6 +403,28 @@ def test_one_suffix_sort_per_entry_point(monkeypatch, tmp_path, fig_text):
         want = 1 if kind == "phi-inverse" else 0
         assert sort_count(lambda: verify_reduction(kind, gadget)) == want, kind
         assert sort_count(lambda: build_gadget(kind, gadget.input)) == 1, kind
+
+
+def test_bad_query_files_are_refused_before_any_sort(counts, monkeypatch, tmp_path, capsys):
+    """A --queries file over the query budget, malformed, of odd length or
+    out of range exits 2 with its message before any sort or Kasai pass."""
+    monkeypatch.setattr(cli, "_QUERY_BUDGET", 2)
+    path = tmp_path / "fig.txt"
+    path.write_text(FIG_ASCII)
+    queries = tmp_path / "q.txt"
+    cases = [
+        ("lce", "3 12\n7 7\n19 1\n", "holds more than 2 queries, over the query budget of 2"),
+        ("lce", "3 1x2\n", "malformed integer '1x2' in"),
+        ("lcp-rmq", "3 12 7\n", "lcp-rmq queries come in pairs;"),
+        ("lce", "1 2\n0 5\n", "positions (0,5) outside [1..19]"),
+        ("ilf", "1 2 3\n", "holds more than 2 queries"),
+        ("ilf", "20\n", "query position 20 outside [1..19]"),
+    ]
+    for command, content, message in cases:
+        queries.write_text(content)
+        argv = [command, "--input", str(path), "--queries", str(queries)]
+        assert counts(lambda: cli.main(argv)) == (0, 0), command
+        assert message in capsys.readouterr().err
 
 
 def test_isa_counts_smaller_suffixes(fig_text, fig_bundle):
