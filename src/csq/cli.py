@@ -108,11 +108,11 @@ def _read_file(path: str) -> str:
     return raw
 
 
-def _read_ints(path: str, budget: int | None = None, refusal: CliError | None = None) -> list[int]:
-    """The whitespace-separated integers of a file, read in chunks.  Once
-    more than ``budget`` are counted with input left (raising ``refusal``,
-    by default the text-length one), or a token is too long, the file is
-    refused unread to its end, so a pipe or a device is never drained."""
+def _read_ints(path: str, budget: int, refusal: CliError | None = None) -> list[int]:
+    """The whitespace-separated integers of a file, read in chunks.  More
+    than ``budget`` of them raise ``refusal`` (by default the text-length
+    one) as soon as they are counted, as does a token that is too long, so
+    a pipe or a device is never drained."""
     values: list[int] = []
     tail = ""
     try:
@@ -133,8 +133,10 @@ def _read_ints(path: str, budget: int | None = None, refusal: CliError | None = 
                     except ValueError:
                         raise CliError(f"malformed integer {token!r} in {path}") from None
                 if not piece:
+                    if len(values) > budget:
+                        raise refusal or _text_too_long(path, len(values))
                     return values
-                if budget is not None and len(values) > budget and handle.peek(1):
+                if len(values) > budget and handle.peek(1):
                     raise refusal or _text_too_long(path, f"more than {budget}")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
@@ -145,7 +147,6 @@ def _load_text(args: argparse.Namespace) -> Text:
         symbols = _read_ints(args.input, gadgets.TEXT_LENGTH_BUDGET)
         if not symbols:
             raise CliError(f"{args.input} holds no integers")
-        _within_text_budget(args.input, len(symbols))
         try:
             return Text.from_symbols(symbols)
         except ValueError as exc:
@@ -218,8 +219,6 @@ def _read_queries(args: argparse.Namespace, n: int) -> list[int]:
     too_many = CliError(f"{args.queries} holds more than {_QUERY_BUDGET} queries, "
                         f"over the query budget of {_QUERY_BUDGET}")
     values = _read_ints(args.queries, budget, too_many)
-    if len(values) > budget:
-        raise too_many
     if len(values) % arity:
         raise CliError(
             f"{args.subcommand} queries come in pairs; {args.queries} holds {len(values)} integers"

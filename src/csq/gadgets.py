@@ -123,12 +123,11 @@ def _checked_permutation(values: Sequence[int]) -> tuple[int, ...]:
     return perm
 
 
-def _checked_sorted_set(values: Sequence[int], m: int | None) -> tuple[int, ...]:
+def _checked_sorted_set(values: Sequence[int]) -> tuple[int, ...]:
     keys = tuple(int(v) for v in values)
-    if m is None:
-        m = len(keys)
-    if m < 1 or len(keys) != m:
-        raise ValueError(f"set must contain exactly m={m} elements")
+    m = len(keys)
+    if m == 0:
+        raise ValueError("set must be nonempty")
     if any(b <= a for a, b in zip(keys, keys[1:])):
         raise ValueError("set elements must be strictly increasing")
     if keys[0] < 1 or keys[-1] > m * m:
@@ -290,7 +289,7 @@ def _bwt_color_blocks(keys: tuple[int, ...]) -> Blocks:
     return [([i % 2] + _ebin(i, k), c) for i, c in enumerate(_owned_counts(keys))]
 
 
-def bwt_color_gadget(values: Sequence[int], m: int | None = None) -> GadgetInstance:
+def bwt_color_gadget(values: Sequence[int]) -> GadgetInstance:
     """Encode a sorted m-set from [1..m^2] so BWT symbols answer
     colored-predecessor queries.
 
@@ -299,7 +298,7 @@ def bwt_color_gadget(values: Sequence[int], m: int | None = None) -> GadgetInsta
     bit; the BWT groups the codes so the symbol preceding the x-th copy
     is exactly the parity of the predecessor's rank.
     """
-    keys = _checked_sorted_set(values, m)
+    keys = _checked_sorted_set(values)
     text = Text.from_symbols(_spell(_bwt_color_blocks(keys)), 2)
     return _instance("bwt-color", keys, text)
 
@@ -319,7 +318,7 @@ def color_via_bwt(gadget: GadgetInstance, x: int) -> int:
 # Predecessor via PLCP, Phi, and ILF
 
 
-def plcp_pred_gadget(values: Sequence[int], m: int | None = None) -> GadgetInstance:
+def plcp_pred_gadget(values: Sequence[int]) -> GadgetInstance:
     """Encode a sorted m-set from [1..m^2] so PLCP entries answer
     predecessor queries.
 
@@ -327,7 +326,7 @@ def plcp_pred_gadget(values: Sequence[int], m: int | None = None) -> GadgetInsta
     lengths; probing the tail section's zeros measures, through one
     PLCP entry, how many elements lie below the query.
     """
-    keys = _checked_sorted_set(values, m)
+    keys = _checked_sorted_set(values)
     m = len(keys)
     symbols: list[int] = []
     for i, a in enumerate(keys, start=1):
@@ -337,7 +336,7 @@ def plcp_pred_gadget(values: Sequence[int], m: int | None = None) -> GadgetInsta
     return _instance("plcp-pred", keys, Text.from_symbols(symbols, 2))
 
 
-def phi_pred_gadget(values: Sequence[int], m: int | None = None) -> GadgetInstance:
+def phi_pred_gadget(values: Sequence[int]) -> GadgetInstance:
     """Encode a sorted m-set from [1..m^2] so Phi entries answer
     predecessor queries.
 
@@ -346,7 +345,7 @@ def phi_pred_gadget(values: Sequence[int], m: int | None = None) -> GadgetInstan
     section lands in the predecessor's band, which integer division
     recovers.
     """
-    keys = _checked_sorted_set(values, m)
+    keys = _checked_sorted_set(values)
     m = len(keys)
     symbols: list[int] = []
     for a in keys:
@@ -367,7 +366,7 @@ def _ilf_pred_blocks(keys: tuple[int, ...]) -> Blocks:
     return blocks
 
 
-def ilf_pred_gadget(values: Sequence[int], m: int | None = None) -> GadgetInstance:
+def ilf_pred_gadget(values: Sequence[int]) -> GadgetInstance:
     """Encode a sorted m-set from [1..m^2] so ILF entries answer
     predecessor queries.
 
@@ -377,7 +376,7 @@ def ilf_pred_gadget(values: Sequence[int], m: int | None = None) -> GadgetInstan
     LF step from the x-th marked code lands among the unmarked codes of
     the predecessor's block, in a band of width m^2.
     """
-    keys = _checked_sorted_set(values, m)
+    keys = _checked_sorted_set(values)
     text = Text.from_symbols(_spell(_ilf_pred_blocks(keys)), 2)
     return _instance("ilf-pred", keys, text)
 
@@ -443,23 +442,19 @@ def pred_via_ilf(gadget: GadgetInstance, x: int) -> tuple[int, int | None]:
 # Phi from inverse Phi and back
 
 
-def phi_inverse_transform(text: Text, sigma: int | None = None) -> GadgetInstance:
+def phi_inverse_transform(text: Text) -> GadgetInstance:
     """Five-symbol blocks that swap a text's Phi and inverse-Phi rows.
 
-    Each symbol a becomes the block 0 0 1 (sigma-1-a) 1 and a final 1 is
-    appended.  Complementing the distinguishing symbol reverses the
-    lexicographic order of the block-start suffixes, so the transform's
-    inverse Phi evaluated at block starts computes the original Phi and
-    vice versa; the lexicographically extreme positions are stored and
-    answered directly.
+    Each symbol a becomes the block 0 0 1 (sigma-1-a) 1, with sigma the
+    text's own, and a final 1 is appended.  Complementing the
+    distinguishing symbol reverses the lexicographic order of the
+    block-start suffixes, so the transform's inverse Phi evaluated at
+    block starts computes the original Phi and vice versa; the
+    lexicographically extreme positions are stored and answered directly.
     """
     if text.n == 0:
         raise ValueError("cannot transform an empty text")
-    if sigma is None:
-        sigma = text.sigma
-    top = max(text.symbols)
-    if sigma < top + 1:
-        raise ValueError(f"sigma={sigma} cannot encode symbol {top}")
+    sigma = text.sigma
     symbols: list[int] = []
     for a in text.symbols:
         symbols += [0, 0, 1, sigma - 1 - a, 1]

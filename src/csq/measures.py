@@ -13,7 +13,8 @@ are 1-based text positions, and all quantities are exact (delta is kept as a
 reduced integer fraction, never a float).  Every measure reads the text's
 rows from text_core.bundle_of, so it sorts nothing while the text's bundle
 is held and sorts once otherwise, and runs Kasai's LCP pass only where it
-reads LCP and the bundle has not derived it yet.  A caller that wants
+reads LCP and the bundle has not derived it yet.  r reads the BWT off SA by
+text_core.bwt_row and caches no BWT row.  A caller that wants
 several measures from one sort holds build_bundle(text) while it calls
 them, as ``csq measures`` does for z, r and delta.
 """
@@ -28,7 +29,7 @@ from math import gcd
 from operator import ne
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .text_core import SuffixArrayBundle, Text, bundle_of
+from .text_core import SuffixArrayBundle, Text, bundle_of, bwt_row
 
 __all__ = [
     "DeltaValue",
@@ -341,11 +342,8 @@ def bwt_run_count(text: Text) -> int:
     """Number of maximal equal-symbol runs in the BWT of the text."""
     if text.n == 0:
         raise ValueError("cannot compute BWT runs of an empty text")
-    syms = text.symbols
-    # BWT[r] = T[SA[r] - 1], wrapping to T[n] at SA[r] = 1; the placeholder
-    # SA[0] reads 0.  A run starts at every rank r >= 2 where BWT changes.
-    before = (0, syms[-1], *syms[:-1])
-    bwt = [before[j] for j in bundle_of(text).sa]
+    # A run starts at every rank r >= 2 where BWT changes.
+    bwt = bwt_row(text, bundle_of(text).sa)
     return 1 + sum(map(ne, bwt[2:], bwt[1:-1]))
 
 

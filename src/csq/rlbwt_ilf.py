@@ -32,7 +32,7 @@ from itertools import compress
 from operator import ne
 
 from .predecessor import StaticKeySet, YFastTrie, yfast_build
-from .text_core import Text, bundle_of
+from .text_core import Text, bundle_of, bwt_row
 
 __all__ = [
     "IlfIndex",
@@ -94,14 +94,13 @@ def build_ilf_index(text: Text) -> IlfIndex:
         raise ValueError("cannot index an empty text")
     bundle = bundle_of(text)
     sa, isa = bundle.sa, bundle.isa
-    # Terminated BWT by 0-based rank: before[j] = T[j - 1], wrapping to T[n]
-    # at j = 1, so bwt1[t] = BWT[t] for t >= 1; at the placeholder SA[0] = 0
-    # it reads T[n], which precedes the terminator suffix.  The terminator
-    # (None, unequal to every symbol; runs only compare equality, so the +1
-    # shift is not applied) precedes the full text.
-    before = (text.symbols[-1],) * 2 + text.symbols
-    bwt1: list[int | None] = [before[j] for j in sa]
+    # Terminated BWT by 0-based rank: bwt1[t] = BWT[t] for t >= 1, and at the
+    # placeholder, T[n], which precedes the terminator suffix.  The
+    # terminator (None, unequal to every symbol; runs only compare equality,
+    # so the +1 shift is not applied) precedes the full text.
+    bwt1: list[int | None] = bwt_row(text, sa)
     r_original = 1 + sum(map(ne, bwt1[2:], bwt1[1:]))
+    bwt1[0] = text.symbols[-1]
     i_first = isa[1]
     bwt1[i_first] = None
     heads = [0, *compress(range(1, n + 1), map(ne, bwt1[1:], bwt1))]

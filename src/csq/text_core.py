@@ -9,11 +9,13 @@ Conventions used throughout the package:
   the sorters' raw 0-based output (suffix_array, suffix_array_naive) is
   the one exception.
 
-This module alone turns sort output into rows.  bundle_of(text) hands every
-structure and measure the text's rows: live_bundle(text), the bundle last
-built for that very Text object while a caller still holds it (the registry
-holds it weakly), else a new one from build_bundle.  build_bundle sorts the
-text once, by SA-IS induced sorting in linear time, and stores two rows:
+This module alone turns sort output into rows, and bwt_row alone reads the
+BWT off SA, for the bundle, r and the inverse-LF index.  bundle_of(text)
+hands every structure and measure the text's rows: live_bundle(text), the
+bundle last built for that very Text object while a caller still holds it
+(the registry holds it weakly), else a new one from build_bundle.
+build_bundle sorts the text once, by SA-IS induced sorting in linear time,
+and stores two rows:
 
     SA       suffix array: SA[i] = start of the i-th suffix in sorted order
     ISA      inverse permutation of SA
@@ -255,9 +257,7 @@ class SuffixArrayBundle:
 
     @cached_property
     def bwt(self) -> tuple[int, ...]:
-        syms = self.text.symbols
-        before = (0, syms[-1], *syms[:-1])
-        return tuple([before[j] for j in self.sa])
+        return tuple(bwt_row(self.text, self.sa))
 
     @cached_property
     def lf(self) -> array:
@@ -278,6 +278,14 @@ class SuffixArrayBundle:
     def inv_phi(self) -> array:
         sa = self.sa
         return _gather(array("i", [0]) + sa[2:] + sa[1:2], self.isa)
+
+
+def bwt_row(text: Text, sa: Sequence[int]) -> list[int]:
+    """A new list of the BWT row read off the 1-indexed ``sa``; the
+    placeholder SA[0] = 0 reads 0."""
+    syms = text.symbols
+    before = (0, syms[-1], *syms[:-1])
+    return [before[j] for j in sa]
 
 
 def _gather(src: array, idx: array) -> array:

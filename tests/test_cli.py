@@ -535,7 +535,7 @@ def test_integer_reads_split_tokens_across_chunks_as_one_read_would(tmp_path, mo
         path.write_bytes("".join(t + rng.choice(gaps) for t in tokens).encode("latin-1"))
 
     write()
-    assert cli._read_ints(str(path)) == list(map(int, tokens))
+    assert cli._read_ints(str(path), csq.gadgets.TEXT_LENGTH_BUDGET) == list(map(int, tokens))
     tokens[300] = "12x4"
     write()
     with pytest.raises(cli.CliError) as info:
@@ -585,11 +585,11 @@ def test_integer_tokens_of_one_chunk_keep_their_messages(tmp_path):
     long = "7" * (limit - 1) + "x"
     path.write_text(f"1 {long} 2\n")
     with pytest.raises(cli.CliError) as info:
-        cli._read_ints(str(path))
+        cli._read_ints(str(path), csq.gadgets.TEXT_LENGTH_BUDGET)
     assert str(info.value) == f"malformed integer {long!r} in {path}"
     path.write_text(f"1 {'7' * (2 * limit)} 2\n")
     with pytest.raises(cli.CliError) as info:
-        cli._read_ints(str(path))
+        cli._read_ints(str(path), csq.gadgets.TEXT_LENGTH_BUDGET)
     assert str(info.value) == f"malformed integer '{'7' * 20}'... in {path}: over {limit} characters"
 
 
@@ -601,7 +601,7 @@ def test_integer_token_across_two_chunks_is_refused_by_its_length(tmp_path):
     limit = cli._TOKEN_MAX
     path.write_text(f"1 {'7' * limit}x 2\n")
     with pytest.raises(cli.CliError) as info:
-        cli._read_ints(str(path))
+        cli._read_ints(str(path), csq.gadgets.TEXT_LENGTH_BUDGET)
     assert str(info.value) == f"malformed integer '{'7' * 20}'... in {path}: over {limit} characters"
 
 

@@ -142,9 +142,7 @@ def test_set_gadget_input_validation():
             build([0, 3])
         with pytest.raises(ValueError, match=r"lie in \[1"):
             build([1, 99])
-        with pytest.raises(ValueError, match="exactly m"):
-            build([1, 3], m=3)
-        with pytest.raises(ValueError, match="exactly m"):
+        with pytest.raises(ValueError, match="nonempty"):
             build([])
 
 
@@ -214,8 +212,6 @@ def test_phi_inverse_block_shape():
 
 
 def test_phi_inverse_sigma_validation():
-    with pytest.raises(ValueError, match="sigma"):
-        phi_inverse_transform(Text.from_symbols([0, 1, 2], 3), sigma=2)
     with pytest.raises(ValueError, match="empty"):
         phi_inverse_transform(Text.from_symbols([], 2))
 

@@ -9,7 +9,7 @@ from csq.measures import bwt_run_count
 from csq.rlbwt_ilf import build_ilf_index, ilf_query
 from csq.text_core import Text, build_bundle
 
-from conftest import append_terminator
+from conftest import _SYMBOL_WIDTH_LIMIT, append_terminator
 
 small_texts = st.lists(st.integers(0, 3), min_size=1, max_size=64)
 
@@ -89,6 +89,46 @@ def test_boundary_count_equals_terminated_runs():
     t = Text.from_ascii("a" * 8)
     idx = build_ilf_index(t)
     assert idx.boundary_count == bwt_run_count(append_terminator(t).shifted)
+
+
+@st.composite
+def bwt_rule_texts(draw) -> Text:
+    """Random, unary and period-k texts over four symbols, spread out from
+    a base that may lie past 2**31."""
+    n = draw(st.integers(1, 120))
+    kind = draw(st.sampled_from(("random", "unary", "period")))
+    if kind == "unary":
+        codes = [0] * n
+    elif kind == "period":
+        unit = draw(st.lists(st.integers(0, 3), min_size=1, max_size=8))
+        codes = [unit[i % len(unit)] for i in range(n)]
+    else:
+        codes = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    base = draw(st.sampled_from((0, 2**31 - 5, 2**31, 2**40 + 3)))
+    stride = draw(st.sampled_from((1, 2**32 + 1)))
+    return Text.from_symbols([base + stride * c for c in codes])
+
+
+@given(bwt_rule_texts())
+@settings(max_examples=120, deadline=None)
+def test_bwt_rule_callers_agree(t):
+    """The bundle's BWT row, bwt_run_count and build_ilf_index read the BWT
+    off SA by one rule; each agrees with BWT[r] = T[SA[r]-1] (T[n] at
+    SA[r] = 1) and with the terminated text's run count."""
+    n = t.n
+    bundle = build_bundle(t)
+    bwt = [t.at(bundle.sa[r] - 1 if bundle.sa[r] > 1 else n) for r in range(1, n + 1)]
+    assert list(bundle.bwt[1:]) == bwt
+    r = bwt_run_count(t)
+    assert r == 1 + sum(a != b for a, b in zip(bwt, bwt[1:]))
+    idx = build_ilf_index(t)
+    assert idx.r_original == r
+    # append_terminator refuses symbols past its width limit; the shift
+    # is spelled out here so that wide texts are terminated too.
+    shifted = Text.from_symbols([c + 1 for c in t.symbols] + [0])
+    if t.sigma < _SYMBOL_WIDTH_LIMIT:
+        assert shifted.symbols == append_terminator(t).shifted.symbols
+    assert idx.boundary_count == bwt_run_count(shifted)
 
 
 def test_boundary_count_figure(fig_text):
