@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import chain, islice
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import gadgets
 from .grammar_lcp_rmq import build_lcp_rmq_index, check_epsilon, lce_query, lcp_rmq
@@ -37,8 +37,9 @@ _SCHEMA_VERSION = 1
 _POOL_WINDOW = 4096
 """The most gadget inputs ``gadget-verify --workers`` hands the pool at once."""
 
-_ILF_BENCH_BATCH_MAX = 10**6
-"""The most query positions ``ilf-bench --batch`` draws (about 8 MiB)."""
+_BENCH_BATCH_MAX = 10**6
+"""The most queries ``--batch`` asks of a benchmark, which draws them all
+before timing (about 8 MiB of positions, or 120 MiB of ranges)."""
 
 _BENCH_REPEAT_MAX = 1000
 """The most timed passes ``--repeat`` asks of a benchmark, which keeps one
@@ -49,10 +50,10 @@ _QUERY_BUDGET = 10**6
 the report until it is printed (about 210 bytes per query)."""
 
 _READ_CHUNK = 2**16
-"""Bytes per read of an integer file."""
+"""Bytes per read of an input file."""
 
-_TOKEN_MAX = _READ_CHUNK
-"""The most characters of one integer token; an endless one is refused."""
+_TOKEN_MAX = 20
+"""The most characters of one integer token: every 64-bit value fits."""
 
 
 class CliError(Exception):
@@ -90,56 +91,61 @@ def _human(value: object) -> str:
 # Input loading and shared checks
 
 
-def _read(path: str, size: int) -> str:
+def _chunks(path: str) -> Iterator[tuple[str, bool]]:
+    """A file's bytes as latin-1 pieces of at most _READ_CHUNK, each with
+    whether more input follows; the one place ``csq`` opens an input file."""
     try:
         with open(path, "rb") as handle:
-            return handle.read(size).decode("latin-1")
+            while piece := handle.read(_READ_CHUNK):
+                yield piece.decode("latin-1"), bool(handle.peek(1))
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_file(path: str) -> str:
-    """A raw text, read to at most budget + 2 bytes (one is room for a
-    trailing newline), so a pipe or a device is refused, never drained."""
+def _refuse_over(path: str, count: int, more: bool, budget: int,
+                 refusal: CliError | None = None) -> None:
+    """The one rule for every input file: ``count`` items over ``budget``
+    raise ``refusal`` (by default the text-length one), shown as "more than
+    the budget" while input is left, so a pipe or a device is never
+    drained, and as the exact count at end of file."""
+    if count > budget:
+        shown = f"more than {budget}" if more else count
+        raise refusal or CliError(f"{path} holds {shown} symbols, "
+                                  f"over the text-length budget of {budget}")
+
+
+def _read_raw(path: str) -> str:
+    """A raw text, less one trailing newline, read in chunks."""
     budget = gadgets.TEXT_LENGTH_BUDGET
-    raw = _read(path, budget + 2)
-    if len(raw) > budget + 1:
-        raise _text_too_long(path, f"more than {budget}")
-    return raw
+    pieces: list[str] = []
+    count = 0
+    for piece, more in _chunks(path):
+        pieces.append(piece)
+        count += len(piece) - (not more and piece.endswith("\n"))
+        _refuse_over(path, count, more, budget)
+    return "".join(pieces).removesuffix("\n")
 
 
 def _read_ints(path: str, budget: int, refusal: CliError | None = None) -> list[int]:
-    """The whitespace-separated integers of a file, read in chunks.  More
-    than ``budget`` of them raise ``refusal`` (by default the text-length
-    one) as soon as they are counted, as does a token that is too long, so
-    a pipe or a device is never drained."""
+    """The whitespace-separated integers of a file, read in chunks and
+    counted as they come; a token over _TOKEN_MAX characters is refused."""
     values: list[int] = []
     tail = ""
-    try:
-        with open(path, "rb") as handle:
-            while True:
-                piece = handle.read(_READ_CHUNK).decode("latin-1")
-                tokens = (tail + piece).split()
-                # A token that reaches a chunk's end may go on in the next.
-                tail = tokens.pop() if piece and not piece[-1].isspace() else ""
-                # Any other token lies inside one chunk, so within _TOKEN_MAX.
-                for token in (*tokens[:1], tail):
-                    if len(token) > _TOKEN_MAX:
-                        raise CliError(f"malformed integer {token[:20]!r}... in {path}: "
-                                       f"over {_TOKEN_MAX} characters")
-                for token in tokens:
-                    try:
-                        values.append(int(token))
-                    except ValueError:
-                        raise CliError(f"malformed integer {token!r} in {path}") from None
-                if not piece:
-                    if len(values) > budget:
-                        raise refusal or _text_too_long(path, len(values))
-                    return values
-                if len(values) > budget and handle.peek(1):
-                    raise refusal or _text_too_long(path, f"more than {budget}")
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+    for piece, more in _chunks(path):
+        tokens = (tail + piece).split()
+        if tokens and max(map(len, tokens)) > _TOKEN_MAX:
+            token = next(t for t in tokens if len(t) > _TOKEN_MAX)
+            raise CliError(f"malformed integer {token[:_TOKEN_MAX]!r}... in {path}: "
+                           f"over {_TOKEN_MAX} characters")
+        # A token that reaches a chunk's end may go on in the next.
+        tail = tokens.pop() if more and not piece[-1].isspace() else ""
+        for token in tokens:
+            try:
+                values.append(int(token))
+            except ValueError:
+                raise CliError(f"malformed integer {token!r} in {path}") from None
+        _refuse_over(path, len(values), more, budget, refusal)
+    return values
 
 
 def _load_text(args: argparse.Namespace) -> Text:
@@ -151,37 +157,10 @@ def _load_text(args: argparse.Namespace) -> Text:
             return Text.from_symbols(symbols)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-    _within_text_budget(args.input, _raw_length_over_budget(args.input))
-    raw = _read_file(args.input).removesuffix("\n")
+    raw = _read_raw(args.input)
     if not raw:
         raise CliError(f"{args.input} holds no text")
-    _within_text_budget(args.input, len(raw))
     return Text.from_ascii(raw)
-
-
-def _within_text_budget(path: str, n: int) -> None:
-    if n > gadgets.TEXT_LENGTH_BUDGET:
-        raise _text_too_long(path, n)
-
-
-def _text_too_long(path: str, shown: object) -> CliError:
-    budget = gadgets.TEXT_LENGTH_BUDGET
-    return CliError(f"{path} holds {shown} symbols, over the text-length budget of {budget}")
-
-
-def _raw_length_over_budget(path: str) -> int:
-    """Symbols in a raw text file of over budget + 1 bytes (one is room for
-    a trailing newline), told from its size and last byte without reading
-    it; else 0, as for pipes and devices, and the read checks the count."""
-    try:
-        size = os.stat(path).st_size
-        if size > gadgets.TEXT_LENGTH_BUDGET + 1:
-            with open(path, "rb") as handle:
-                handle.seek(size - 1)
-                return size - (handle.read(1) == b"\n")
-    except OSError:
-        pass
-    return 0
 
 
 def _at_least_one(args: argparse.Namespace, *flags: str) -> None:
@@ -194,6 +173,8 @@ def _check_timing(args: argparse.Namespace) -> None:
     _at_least_one(args, "repeat", "batch")
     if args.repeat > _BENCH_REPEAT_MAX:
         raise CliError(f"--repeat must be at most {_BENCH_REPEAT_MAX}")
+    if args.batch > _BENCH_BATCH_MAX:
+        raise CliError(f"--batch must be at most {_BENCH_BATCH_MAX}")
 
 
 # Per subcommand: the query function, the integers per query, the range
@@ -316,8 +297,6 @@ def _cmd_ilf(args: argparse.Namespace, report: Report) -> int:
 
 def _cmd_ilf_bench(args: argparse.Namespace, report: Report) -> int:
     _check_timing(args)
-    if args.batch > _ILF_BENCH_BATCH_MAX:
-        raise CliError(f"--batch must be at most {_ILF_BENCH_BATCH_MAX}")
     text = _load_text(args)
     build = partial(build_ilf_index, text)
     build_ms, index = _median_pass(build, args.repeat, 1e-3)

@@ -36,7 +36,8 @@ from .measures import (
 from .text_core import SuffixArrayBundle, Text, build_bundle, pattern_range
 
 EXHAUSTIVE_BUDGET = 10**6
-"""The most inputs ``all_inputs`` enumerates; larger families are rejected."""
+"""The most inputs ``instance_inputs`` replays in either mode: the most
+``all_inputs`` enumerates, and the most trials it draws."""
 
 TEXT_LENGTH_BUDGET = 10**6
 """The longest gadget text ``instance_inputs`` lets a size make, and the
@@ -875,9 +876,9 @@ def instance_inputs(
     ``exhaustive`` enumerates ``all_inputs`` (within EXHAUSTIVE_BUDGET);
     otherwise ``trials`` inputs are drawn from ``random.Random(seed)``.
     Raises ValueError for an unknown kind, a size below 1, an
-    over-budget family, fewer than one trial, or a size whose longest
-    text, by the kind's closed-form length, exceeds a budget of 10**6
-    symbols.
+    over-budget family, fewer than one trial or more than
+    EXHAUSTIVE_BUDGET of them, or a size whose longest text, by the
+    kind's closed-form length, exceeds a budget of 10**6 symbols.
     """
     family = _family(kind, size)
     # Every gadget text is longer than its input, so a size over the budget
@@ -894,6 +895,8 @@ def instance_inputs(
         return family.count(size), inputs
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if trials > EXHAUSTIVE_BUDGET:
+        raise ValueError(f"{trials} trials are over the exhaustive budget of {EXHAUSTIVE_BUDGET}")
     rng = random.Random(seed)
     return trials, (family.draw(size, rng) for _ in range(trials))
 

@@ -394,6 +394,17 @@ def test_gadget_verify_text_length_over_budget_exits_two(capsys):
     assert "makes texts of 1020304 symbols" in err
 
 
+def test_gadget_verify_trials_over_budget_exits_two(capsys):
+    """--trials is held to the budget --exhaustive is, before any input is
+    drawn, so a huge count is refused instead of running without end."""
+    for trials in ("1000001", str(10**12)):
+        code, out, err = run_cli(
+            capsys, ["gadget-verify", "--kind", "lcp-select", "--size", "3", "--trials", trials]
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {trials} trials are over the exhaustive budget of 1000000\n"
+
+
 def test_load_text_accepts_exactly_the_text_length_budget(tmp_path):
     """Both formats load a text of exactly the budget; nothing is built."""
     n = csq.gadgets.TEXT_LENGTH_BUDGET
@@ -423,39 +434,60 @@ def test_measures_over_text_length_budget_exits_two(tmp_path, capsys, monkeypatc
         assert err == f"error: {path} holds {n} symbols, over the text-length budget of 1000000\n"
 
 
+def _count_reads(monkeypatch) -> dict[str, int]:
+    """Spy on cli._chunks: the characters read so far, per path."""
+    reads: dict[str, int] = {}
+    real = cli._chunks
+
+    def counted(path):
+        for piece, more in real(path):
+            reads[path] = reads.get(path, 0) + len(piece)
+            yield piece, more
+
+    monkeypatch.setattr(cli, "_chunks", counted)
+    return reads
+
+
 def test_raw_text_at_the_budget_by_size_is_read(tmp_path, monkeypatch):
-    """A raw file of at most budget + 1 bytes passes the size check and is
-    read; the extra byte is room for a trailing newline."""
+    """A raw file of at most budget + 1 bytes is read whole and loads; the
+    extra byte is room for a trailing newline."""
     n = csq.gadgets.TEXT_LENGTH_BUDGET
-    reads = []
-    real = cli._read_file
-    monkeypatch.setattr(cli, "_read_file", lambda path: reads.append(path) or real(path))
+    reads = _count_reads(monkeypatch)
     bare = tmp_path / "bare.txt"
     bare.write_bytes(b"ab" * (n // 2))
     newline = tmp_path / "newline.txt"
     newline.write_bytes(b"ab" * (n // 2) + b"\n")
     for path in (bare, newline):
         assert cli._load_text(argparse.Namespace(input=str(path), format="ascii")).n == n
-    assert reads == [str(bare), str(newline)]
+    assert reads == {str(bare): n, str(newline): n + 1}
 
 
-def test_raw_text_over_the_budget_by_size_is_not_read(tmp_path, capsys, monkeypatch):
-    """A raw file of budget + 2 bytes is refused from its size and last byte,
-    with the message a full read would give, and is never read."""
+def test_raw_text_over_the_budget_is_read_one_chunk_past_it_at_most(tmp_path, capsys, monkeypatch):
+    """A raw file is refused by the rule every input file meets: read to its
+    end within the chunk that passes the budget, it gets its exact count
+    (less a trailing newline); with input left after that chunk, it gets
+    "more than" the budget, and the rest is never read."""
     budget = csq.gadgets.TEXT_LENGTH_BUDGET
-    monkeypatch.setattr(cli, "_read_file", lambda path: pytest.fail("the file was read"))
-    for tail, n in [(b"a\n", budget + 1), (b"aa", budget + 2)]:
+    chunk = cli._READ_CHUNK
+    past = -(-budget // chunk) * chunk  # the end of the chunk that passes the budget
+    reads = _count_reads(monkeypatch)
+    for tail, shown in [(b"a\n", budget + 1), (b"aa", budget + 2),
+                        (b"a" * (past - budget), past),
+                        (b"a" * (3 * 2**20 - budget), f"more than {budget}")]:
         path = tmp_path / "big.txt"
         path.write_bytes(b"a" * budget + tail)
+        reads.clear()
         code, out, err = run_cli(capsys, ["measures", "--input", str(path)])
         assert code == 2
         assert out == ""
-        assert err == f"error: {path} holds {n} symbols, over the text-length budget of {budget}\n"
+        assert err == f"error: {path} holds {shown} symbols, over the text-length budget of {budget}\n"
+        assert reads == {str(path): min(budget + len(tail), past)}
 
 
-def test_raw_text_from_a_pipe_is_read_two_bytes_past_the_budget_at_most(tmp_path, capsys):
-    """A pipe tells no size, so the refusal comes from a read of at most
-    budget + 2 bytes: a writer offering 3 MiB cannot get them all out."""
+def test_raw_text_from_a_pipe_is_refused_before_it_is_drained(tmp_path, capsys):
+    """A raw text is read in chunks and counted as it comes: once more than
+    the budget are counted with input left, the text is refused, so a
+    writer offering 3 MiB cannot get them all out."""
     budget = csq.gadgets.TEXT_LENGTH_BUDGET
     fifo = tmp_path / "text.fifo"
     os.mkfifo(fifo)
@@ -544,8 +576,8 @@ def test_integer_reads_split_tokens_across_chunks_as_one_read_would(tmp_path, mo
 
 
 def test_endless_integer_token_from_a_pipe_is_refused_before_it_is_drained(tmp_path, capsys):
-    """A token is carried from chunk to chunk only while it is at most one
-    chunk long, so a writer offering 3 MiB of ``7`` with no whitespace
+    """Every token of a chunk, a carried one too, is checked against
+    _TOKEN_MAX, so a writer offering 3 MiB of ``7`` with no whitespace
     cannot get them all out, and the message shows only the token's start."""
     fifo = tmp_path / "ints.fifo"
     os.mkfifo(fifo)
@@ -577,9 +609,9 @@ def test_endless_integer_token_from_a_pipe_is_refused_before_it_is_drained(tmp_p
 
 
 def test_integer_tokens_of_one_chunk_keep_their_messages(tmp_path):
-    """A token of one chunk that spans two reads is refused with its whole
-    text, as before; a token carried on past one chunk's length is refused
-    by its length, and only its start is shown."""
+    """A malformed token of at most _TOKEN_MAX characters is refused with
+    its whole text; a longer one is refused by its length, and only its
+    start is shown."""
     path = tmp_path / "ints.txt"
     limit = cli._TOKEN_MAX
     long = "7" * (limit - 1) + "x"
@@ -594,15 +626,28 @@ def test_integer_tokens_of_one_chunk_keep_their_messages(tmp_path):
 
 
 def test_integer_token_across_two_chunks_is_refused_by_its_length(tmp_path):
-    """A token that starts inside one chunk and ends in the next is never
-    carried past one chunk's length, yet is refused by its length too, and
-    the message shows only its start."""
+    """A token that starts inside one chunk and ends in the next is refused
+    by its whole length, and the message shows only its start."""
     path = tmp_path / "ints.txt"
     limit = cli._TOKEN_MAX
-    path.write_text(f"1 {'7' * limit}x 2\n")
+    pad = " " * (cli._READ_CHUNK - 2 - limit // 2)  # the token straddles the chunk edge
+    path.write_text(f"1{pad}{'7' * limit}x 2\n")
     with pytest.raises(cli.CliError) as info:
         cli._read_ints(str(path), csq.gadgets.TEXT_LENGTH_BUDGET)
     assert str(info.value) == f"malformed integer '{'7' * 20}'... in {path}: over {limit} characters"
+
+
+def test_integer_tokens_hold_every_64_bit_value(tmp_path):
+    """_TOKEN_MAX admits the longest signed and unsigned 64-bit values, and
+    refuses one character more."""
+    path = tmp_path / "ints.txt"
+    extremes = [-(2**63), 2**64 - 1]
+    path.write_text(" ".join(map(str, extremes)))
+    assert cli._read_ints(str(path), csq.gadgets.TEXT_LENGTH_BUDGET) == extremes
+    assert max(len(str(v)) for v in extremes) == cli._TOKEN_MAX
+    path.write_text(f"1 0{2**64 - 1}")
+    with pytest.raises(cli.CliError, match=f"over {cli._TOKEN_MAX} characters"):
+        cli._read_ints(str(path), csq.gadgets.TEXT_LENGTH_BUDGET)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero device")
@@ -760,12 +805,14 @@ def test_bench_repeat_and_batch_below_one_exit_two(capsys, fig_file):
 
 @pytest.mark.parametrize("batch", ["1000001", str(10**9)])
 def test_ilf_bench_batch_over_cap_exits_two(capsys, tmp_path, batch):
-    """An oversized --batch is refused before the text is read, so the
-    positions list is never drawn: the input file here does not exist."""
+    """An oversized --batch is refused before the text is read, by both
+    benchmarks, so no query list is ever drawn: the input file here does
+    not exist."""
     absent = str(tmp_path / "absent.txt")
-    code, out, err = run_cli(capsys, ["ilf-bench", "--input", absent, "--batch", batch])
-    assert (code, out) == (2, "")
-    assert err == "error: --batch must be at most 1000000\n"
+    for bench in (["ilf-bench"], ["lcp-rmq", "--bench"]):
+        code, out, err = run_cli(capsys, [*bench, "--input", absent, "--batch", batch])
+        assert (code, out) == (2, "")
+        assert err == "error: --batch must be at most 1000000\n"
 
 
 # ---------------------------------------------------------------------------

@@ -440,7 +440,8 @@ def test_enumeration_counts_and_validity():
 
 def test_instance_inputs_are_counted_before_enumeration():
     """Exhaustive families are counted in closed form, and a family over the
-    budget is refused before any input is made; trials must be positive."""
+    budget is refused before any input is made; trials must be positive
+    and are held to the same budget, refused before any input is drawn."""
     assert EXHAUSTIVE_BUDGET == 10**6
     for kind, size, count in [
         ("lcp-select", 9, 362_880),
@@ -461,6 +462,10 @@ def test_instance_inputs_are_counted_before_enumeration():
     for trials in (0, -3):
         with pytest.raises(ValueError, match="trials must be at least 1"):
             verify_many("lcp-select", 3, trials=trials)
+    assert instance_inputs("lcp-select", 3, trials=EXHAUSTIVE_BUDGET)[0] == EXHAUSTIVE_BUDGET
+    for trials in (EXHAUSTIVE_BUDGET + 1, 10**12):
+        with pytest.raises(ValueError, match=f"{trials} trials are over the exhaustive budget"):
+            instance_inputs("lcp-select", 3, trials=trials)
 
 
 def test_seeded_random_instances_all_kinds():

@@ -1,5 +1,6 @@
 import importlib
 import random
+from bisect import bisect_left
 from itertools import accumulate
 from pathlib import Path
 
@@ -202,6 +203,65 @@ def test_interval_argmin_on_random_grammars():
             for e in range(b + 1, n + 1):
                 expected = min((sums[i - 1], i) for i in range(b + 1, e + 1))[1]
                 assert interval_argmin_prefix_sum(stats, b, e) == expected
+
+
+@st.composite
+def _zero_sum_grammars(draw):
+    """Grammars whose every rule expands to a zero-sum block over terminals
+    in {-1, 0, 1}, stacked 2-4 levels deep, with a start rule of at most 64
+    symbols.  Each block starts at prefix sum 0 wherever it sits, so equal
+    children reach equal minima, and the left suffix, the middle children and
+    the right prefix of a split tie.  The start rule repeats its lowest
+    child, so its minimum lies in two of its children at least."""
+    rules: list[tuple] = []
+    for _ in range(draw(st.integers(1, 3))):
+        block = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=2))
+        s = sum(block)
+        rules.append(tuple(block + [-1 if s > 0 else 1] * abs(s)))
+    level = list(range(len(rules)))
+    for _ in range(draw(st.integers(1, 3)) - 1):
+        below, level, top = level, [], len(rules)
+        for _ in range(draw(st.integers(1, 2))):
+            first = draw(st.sampled_from(below))
+            second = draw(st.integers(0, top - 1))
+            rules.append((Nt(first), Nt(second)))
+            level.append(len(rules) - 1)
+    children = [Nt(draw(st.sampled_from(level))), Nt(draw(st.integers(0, len(rules) - 1)))]
+    slg = make_slg(rules, 0)
+    lows = [min(accumulate(expand(slg, a.id))) for a in children]
+    children.insert(draw(st.integers(0, 2)), children[lows.index(min(lows))])
+    rules.append(tuple(children))
+    return make_slg(rules, len(rules) - 1)
+
+
+@given(_zero_sum_grammars())
+@settings(max_examples=60, deadline=None)
+def test_split_parts_that_tie_keep_the_leftmost_minimum(slg):
+    """On every (b..e] of a zero-sum grammar's expansion, the argmin is the
+    leftmost linear-scan one, and every rule's prefix and suffix statistics
+    match their oracles; some ranges have their minimum in two or more
+    children of the start rule."""
+    stats = build_rule_stats(slg)
+    for x in range(len(slg.rules)):
+        B = expand(slg, x)
+        for p in range(1, len(B) + 1):
+            assert prefix_stats_query(stats, x, p) == _prefix_oracle(B, p)
+            assert suffix_stats_query(stats, x, p) == _suffix_oracle(B, p)
+    A = expand(slg, slg.start)
+    n = len(A)
+    assert n <= 64 and sum(A) == 0
+    sums = [0, *accumulate(A)]
+    ends = list(accumulate(stats.exp_len[a.id] for a in slg.rules[slg.start]))
+    tied = 0
+    for b in range(n):
+        best = b + 1
+        for e in range(b + 1, n + 1):
+            if sums[e] < sums[best]:
+                best = e
+            assert interval_argmin_prefix_sum(stats, b, e) == best
+            lows = {bisect_left(ends, i) for i in range(b + 1, e + 1) if sums[i] == sums[best]}
+            tied += len(lows) >= 2
+    assert tied
 
 
 def test_interval_argmin_errors():
