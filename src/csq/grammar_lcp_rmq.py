@@ -10,7 +10,7 @@ rule with the prefix/suffix/child statistics its queries read, and answers
 * prefix_stats_query / suffix_stats_query — sum, minimum, and leftmost
   argmin of the partial sums of a prefix or suffix of a nonterminal's
   expansion, by descending O(height) rules with one bisect of the rule's
-  plen row each;
+  plen row each, and one scan of at most l per-child minima for the argmin;
 * interval_argmin_prefix_sum — leftmost argmin of A[1]+...+A[i] over an
   interval (b..e], by a left-suffix / middle-children / right-prefix
   decomposition at the deepest rule containing the interval, whose middle
@@ -168,16 +168,15 @@ class RuleStats:
 
     * plen/psum[delta], delta in [1..L+1]: length and sum of the expansion
       of e_1..e_{delta-1};
-    * pmin/ppos[delta]: minimum and leftmost argmin of the partial sums
-      inside that prefix region (None marks the empty region at delta = 1);
-    * smin/spos[delta], delta in [1..L]: the same minimum and argmin for
-      the suffix region e_{delta+1}..e_L (None sentinel at delta = L);
+    * pmin[delta]: minimum of the partial sums inside that prefix region
+      (None marks the empty region at delta = 1);
+    * smin[delta], delta in [1..L]: the same minimum for the suffix region
+      e_{delta+1}..e_L, counted from its start (None sentinel at delta = L);
     * mmin[delta], delta in [1..L]: minimum partial sum of the prefix of the
-      full expansion ending inside e_delta; a query reads the middle
-      children's minimum off one slice of the row, and the winning child's
-      argmin is plen[delta] plus its own (nt_pos, or 1 for a terminal);
+      full expansion ending inside e_delta; no row keeps an argmin, and _at
+      finds one by a scan of this row;
     * pred[x]: a small-set predecessor over plen[1..L+1], which no query
-      reads; unlike the seven rows, it is derived on first read.
+      reads; unlike the five rows, it is derived on first read.
 
     exp_len/exp_sum/nt_min/nt_pos aggregate each nonterminal's full
     expansion: length, sum, minimum partial sum, leftmost argmin.
@@ -191,14 +190,14 @@ class RuleStats:
     plen: tuple[tuple[int | None, ...], ...]
     psum: tuple[tuple[int | None, ...], ...]
     pmin: tuple[tuple[int | None, ...], ...]
-    ppos: tuple[tuple[int | None, ...], ...]
     smin: tuple[tuple[int | None, ...], ...]
-    spos: tuple[tuple[int | None, ...], ...]
     mmin: tuple[tuple[int | None, ...], ...]
-    # Always empty: no query keeps a per-rule RMQ table, suffix length or
-    # sum rows, or a middle-argmin row (derived from plen and nt_pos).  The
-    # fields stay only because perfbench's space counter iterates them; they
-    # go when perfbench reads public entry points (ROADMAP item 1).
+    # Always empty: no query keeps argmin rows, suffix length or sum rows,
+    # or per-rule RMQ tables.  The fields stay only because perfbench's
+    # space counter iterates them; they go when perfbench reads public
+    # entry points (ROADMAP item 1).
+    ppos: tuple = ()
+    spos: tuple = ()
     slen: tuple = ()
     ssum: tuple = ()
     mpos: tuple = ()
@@ -225,55 +224,41 @@ def build_rule_stats(slg: Slg) -> RuleStats:
     exp_sum = [0] * len(rules)
     nt_min = [0] * len(rules)
     nt_pos = [0] * len(rules)
-    # rows[x] holds rule x's plen, psum, pmin, ppos, smin, spos and mmin,
-    # the per-rule fields of RuleStats in order.
-    rows: list[tuple] = [()] * len(rules)
-
-    def item(a: Atom) -> tuple[int, int, int, int]:
-        # (length, sum, min partial sum, leftmost argmin) of the atom's expansion
-        if isinstance(a, Nt):
-            return exp_len[a.id], exp_sum[a.id], nt_min[a.id], nt_pos[a.id]
-        return 1, a, a, 1
-
-    for x in range(len(rules)):
-        rhs = rules[x]
-        L = len(rhs)
-        if L == 0:
+    rows: list[tuple] = [()] * len(rules)  # rule x's per-rule RuleStats fields
+    for x, rhs in enumerate(rules):
+        if not rhs:
             raise ValueError(f"nonterminal {x} has an empty right-hand side")
         plen: list = [None, 0]
         psum: list = [None, 0]
         pmin: list = [None, None]
-        ppos: list = [None, None]
         mmin: list = [None]
-        items = list(map(item, rhs))
-        for d in range(1, L + 1):
-            ln, sm, mn, pos = items[d - 1]
-            cand_v = psum[d] + mn
-            mmin.append(cand_v)
-            if pmin[d] is None or cand_v < pmin[d]:
-                pmin.append(cand_v)
-                ppos.append(plen[d] + pos)
+        ln = sm = 0  # length and sum of the children passed
+        low = low_pos = None  # their minimum partial sum and its leftmost argmin
+        for a in rhs:
+            if isinstance(a, Nt):
+                v, pos = sm + nt_min[a.id], ln + nt_pos[a.id]
+                ln += exp_len[a.id]
+                sm += exp_sum[a.id]
             else:
-                pmin.append(pmin[d])
-                ppos.append(ppos[d])
-            plen.append(plen[d] + ln)
-            psum.append(psum[d] + sm)
-        smin: list = [None] * (L + 1)
-        spos: list = [None] * (L + 1)
-        for d in range(L - 1, 0, -1):
-            ln1, sm1, mn1, pos1 = items[d]  # item e_{d+1}
-            alt = None if smin[d + 1] is None else sm1 + smin[d + 1]
-            if alt is None or mn1 <= alt:
-                smin[d] = mn1
-                spos[d] = pos1
-            else:
-                smin[d] = alt
-                spos[d] = ln1 + spos[d + 1]
-        exp_sum[x] = psum[L + 1]
-        nt_min[x] = pmin[L + 1]
-        nt_pos[x] = ppos[L + 1]
-        rows[x] = tuple(map(tuple, (plen, psum, pmin, ppos, smin, spos, mmin)))
-    columns = tuple(zip(*rows)) or ((),) * 7
+                v, pos = sm + a, ln + 1
+                ln += 1
+                sm += a
+            if low is None or v < low:
+                low, low_pos = v, pos
+            mmin.append(v)
+            pmin.append(low)
+            plen.append(ln)
+            psum.append(sm)
+        # smin[d] = min(mmin[d+1..L]) - psum[d+1], a running minimum from the right
+        smin: list = [None] * len(mmin)
+        right = mmin[-1]
+        for d in range(len(rhs) - 1, 0, -1):
+            smin[d] = right - psum[d + 1]
+            if mmin[d] < right:
+                right = mmin[d]
+        exp_sum[x], nt_min[x], nt_pos[x] = sm, low, low_pos
+        rows[x] = tuple(map(tuple, (plen, psum, pmin, smin, mmin)))
+    columns = tuple(zip(*rows)) or ((),) * 5
     return RuleStats(slg, exp_len, tuple(exp_sum), tuple(nt_min), tuple(nt_pos), *columns)
 
 
@@ -281,74 +266,94 @@ def build_rule_stats(slg: Slg) -> RuleStats:
 # Statistics queries
 
 
-def prefix_stats_query(stats: RuleStats, x: int, p: int) -> tuple[int, int, int]:
-    """(sum, min, argmin) of the partial sums of exp(x)[1..p].
+def _at(stats: RuleStats, where: tuple) -> int:
+    """The argmin a descent names as (offset, y, v, lo), v the minimum over
+    children lo.. of y: offset, plus (unless y is None) the offset of the
+    first such child whose mmin entry is v and its own argmin (1 if terminal)."""
+    offset, y, v, lo = where
+    if y is None:
+        return offset
+    t = stats.mmin[y].index(v, lo)
+    a = stats.slg.rules[y][t - 1]
+    return offset + stats.plen[y][t] + (stats.nt_pos[a.id] if isinstance(a, Nt) else 1)
 
-    With B = exp(x): returns (B[1]+...+B[p], min over t <= p of
-    B[1]+...+B[t], smallest minimizing t).  One rule descent per level,
-    each localizing p with one bisect of the rule's plen row.
-    """
+
+def prefix_stats_query(stats: RuleStats, x: int, p: int) -> tuple[int, int, int]:
+    """(sum, min, argmin) of the partial sums of B = exp(x)[1..p]:
+    (B[1]+...+B[p], min over t of B[1]+...+B[t], smallest minimizing t)."""
     if not 0 <= x < len(stats.exp_len):
         raise ValueError(f"no rule for nonterminal {x}")
     if not 1 <= p <= stats.exp_len[x]:
         raise ValueError(f"prefix length {p} outside [1..{stats.exp_len[x]}]")
-    rules, plen, psum = stats.slg.rules, stats.plen, stats.psum
-    pmin, ppos = stats.pmin, stats.ppos
-    acc_sum = 0  # sum of the full regions above the current level
-    acc_len = 0  # their total length
-    best_v: int | None = None
-    best_pos = 0
-    cur, p_cur = x, p
-    while True:
-        d = bisect_left(plen[cur], p_cur, 1) - 1
-        pm = pmin[cur][d]
-        if pm is not None:
-            v = acc_sum + pm
-            if best_v is None or v < best_v:
-                best_v = v
-                best_pos = acc_len + ppos[cur][d]
-        acc_sum += psum[cur][d]
-        a = rules[cur][d - 1]
-        if not isinstance(a, Nt):
-            leaf = a
-            break
-        acc_len += plen[cur][d]
-        p_cur -= plen[cur][d]
-        cur = a.id
-    total = acc_sum + leaf
-    if best_v is None or total < best_v:
-        return total, total, p
-    return total, best_v, best_pos
+    total, low, where = _prefix_min(stats, x, p)
+    return total, low, _at(stats, where)
 
 
 def suffix_stats_query(stats: RuleStats, x: int, p: int) -> tuple[int, int, int]:
-    """(sum, min, argmin) of the partial sums of the last p symbols of exp(x).
-
-    With C = exp(x)[m-p+1..m]: returns (C[1]+...+C[p], min over t of
-    C[1]+...+C[t], smallest minimizing t).  One rule descent per level, as
-    in prefix_stats_query, keeps the best partial sum of exp(x) from its
-    start over each level's suffix region.  A deeper region lies further
-    left, and the leaf C[1] leftmost of all, so later candidates win ties;
-    the sum of exp(x) before C, known at the leaf, is subtracted last.
-    """
+    """(sum, min, argmin) of the partial sums of C = exp(x)[m-p+1..m]:
+    (C[1]+...+C[p], min over t of C[1]+...+C[t], smallest minimizing t)."""
     if not 0 <= x < len(stats.exp_len):
         raise ValueError(f"no rule for nonterminal {x}")
     if not 1 <= p <= stats.exp_len[x]:
         raise ValueError(f"suffix length {p} outside [1..{stats.exp_len[x]}]")
-    rules, plen, psum = stats.slg.rules, stats.plen, stats.psum
-    smin, spos = stats.smin, stats.spos
+    total, low, where = _suffix_min(stats, x, p)
+    return total, low, _at(stats, where)
+
+
+def _prefix_min(stats: RuleStats, x: int, p: int) -> tuple[int, int, tuple]:
+    """prefix_stats_query's sum and min, and its argmin as _at reads it.
+
+    One rule descent per level, each localizing p with one bisect of the
+    rule's plen row, keeps the level whose prefix region holds the best
+    minimum and derives no argmin; earlier levels lie left and win ties.
+    """
+    rules, plen, psum, pmin = stats.slg.rules, stats.plen, stats.psum, stats.pmin
+    acc_sum = 0  # sum of the full regions above the current level
+    acc_len = 0  # their total length
+    best_v: int | None = None
+    where: tuple = ()
+    cur, p_cur = x, p
+    while True:
+        d = bisect_left(plen[cur], p_cur, 1) - 1
+        pm = pmin[cur][d]
+        if pm is not None and (best_v is None or acc_sum + pm < best_v):
+            best_v = acc_sum + pm
+            where = (acc_len, cur, pm, 1)
+        acc_sum += psum[cur][d]
+        a = rules[cur][d - 1]
+        if not isinstance(a, Nt):
+            break
+        acc_len += plen[cur][d]
+        p_cur -= plen[cur][d]
+        cur = a.id
+    total = acc_sum + a
+    if best_v is None or total < best_v:
+        return total, total, (p, None, 0, 0)
+    return total, best_v, where
+
+
+def _suffix_min(stats: RuleStats, x: int, p: int) -> tuple[int, int, tuple]:
+    """suffix_stats_query's sum and min, and its argmin as _at reads it.
+
+    One rule descent per level, as in _prefix_min, keeps the best partial
+    sum of exp(x) from its start over each level's suffix region.  A deeper
+    region lies further left, and the leaf C[1] leftmost of all, so later
+    candidates win ties; the sum of exp(x) before C, known at the leaf, is
+    subtracted last.
+    """
+    rules, plen, psum, smin = stats.slg.rules, stats.plen, stats.psum, stats.smin
     acc_sum = 0  # sum of exp(x) before the current rule's expansion
     best_v: int | None = None
-    best_pos = 0
+    where: tuple = ()
     cur, p_cur = x, stats.exp_len[x] - p + 1  # p_cur: where C starts in exp(cur)
     while True:
         d = bisect_left(plen[cur], p_cur, 1) - 1
         sm = smin[cur][d]
         if sm is not None:
-            v = acc_sum + psum[cur][d + 1] + sm
-            if best_v is None or v <= best_v:
-                best_v = v
-                best_pos = plen[cur][d + 1] - p_cur + 1 + spos[cur][d]
+            v = psum[cur][d + 1] + sm
+            if best_v is None or acc_sum + v <= best_v:
+                best_v = acc_sum + v
+                where = (1 - p_cur, cur, v, d + 1)
         acc_sum += psum[cur][d]
         a = rules[cur][d - 1]
         if not isinstance(a, Nt):
@@ -357,23 +362,24 @@ def suffix_stats_query(stats: RuleStats, x: int, p: int) -> tuple[int, int, int]
         cur = a.id
     v = acc_sum + a  # acc_sum is now the sum of exp(x) before C
     if best_v is None or v <= best_v:
-        best_v, best_pos = v, 1
-    return stats.exp_sum[x] - acc_sum, best_v - acc_sum, best_pos
+        best_v, where = v, (1, None, 0, 0)
+    return stats.exp_sum[x] - acc_sum, best_v - acc_sum, where
 
 
-def _interval_min(stats: RuleStats, b: int, e: int) -> tuple[int, int]:
-    """(argmin, min) of A[1]+...+A[i] over i in (b..e], A = start's expansion.
+def _interval_min(stats: RuleStats, b: int, e: int) -> tuple[int, int, tuple]:
+    """(min, where) of A[1]+...+A[i] over i in (b..e], A = start's
+    expansion; the argmin is b + _at(stats, where), which an LCE never
+    derives.
 
     One descent: each level localizes b with one bisect of the rule's plen
     row, and the interval stays inside child i exactly when e < plen[i+1].
     The rule where it splits is bisected once more, for e, and the interval
     becomes a suffix of the left child, full middle children and a prefix of
     the right child, combined left to right with strict-inequality updates.
-    The middle children's leftmost minimum is one scan of a slice of the
-    rule's mmin row, at most l entries; its position is the winning child's
-    offset plus that child's own argmin.  The prefix sums of the regions
-    passed on the way down give A[1]+...+A[b], which turns the best relative
-    minimum into the minimum itself.
+    The middle children's minimum is one scan of a slice of the rule's mmin
+    row, at most l entries.  The prefix sums of the regions passed on the
+    way down give A[1]+...+A[b], which turns the best relative minimum into
+    the minimum itself.
     """
     start = stats.slg.start
     n = stats.exp_len[start]
@@ -399,46 +405,40 @@ def _interval_min(stats: RuleStats, b: int, e: int) -> tuple[int, int]:
     p_mid = plen_x[j] - plen_x[i + 1]
     p_right = e1 - plen_x[j]
     best_v: int | None = None
-    best_pos = 0
+    where: tuple = ()  # positions counted from b
     acc_sum = 0
     acc_len = 0
     if p_left > 0:
         a = rules[x][i - 1]
         if isinstance(a, Nt):
-            s_l, v_l, pos_l = suffix_stats_query(stats, a.id, p_left)
+            s_l, best_v, where = _suffix_min(stats, a.id, p_left)
         else:
-            s_l, v_l, pos_l = a, a, 1
-        best_v, best_pos = v_l, pos_l
+            s_l, best_v, where = a, a, (1, None, 0, 0)
         acc_sum, acc_len = s_l, p_left
     before_b = base + psum_x[i + 1] - acc_sum  # A[1]+...+A[b]
     if p_mid > 0:
-        mid = stats.mmin[x][i + 1 : j]
-        v_m = min(mid)
-        t = i + 1 + mid.index(v_m)
-        a = rules[x][t - 1]
-        pos_m = plen_x[t] - plen_x[i + 1] + (stats.nt_pos[a.id] if isinstance(a, Nt) else 1)
-        v_m -= psum_x[i + 1]
-        if best_v is None or acc_sum + v_m < best_v:
-            best_v = acc_sum + v_m
-            best_pos = acc_len + pos_m
+        v_m = min(stats.mmin[x][i + 1 : j])
+        if best_v is None or acc_sum + v_m - psum_x[i + 1] < best_v:
+            best_v = acc_sum + v_m - psum_x[i + 1]
+            where = (acc_len - plen_x[i + 1], x, v_m, i + 1)
         acc_sum += psum_x[j] - psum_x[i + 1]
         acc_len += p_mid
     if p_right > 0:
         a = rules[x][j - 1]
         if isinstance(a, Nt):
-            _, v_r, pos_r = prefix_stats_query(stats, a.id, p_right)
+            _, v_r, where_r = _prefix_min(stats, a.id, p_right)
         else:
-            v_r, pos_r = a, 1
+            v_r, where_r = a, (1, None, 0, 0)
         if best_v is None or acc_sum + v_r < best_v:
             best_v = acc_sum + v_r
-            best_pos = acc_len + pos_r
-    return b + best_pos, before_b + best_v
+            where = (acc_len + where_r[0], *where_r[1:])
+    return before_b + best_v, where
 
 
 def interval_argmin_prefix_sum(stats: RuleStats, b: int, e: int) -> int:
     """Smallest i in (b..e] minimizing A[1]+...+A[i], A = start's expansion,
     by the one-descent search of _interval_min."""
-    return _interval_min(stats, b, e)[0]
+    return b + _at(stats, _interval_min(stats, b, e)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -546,15 +546,15 @@ class LcpRmqIndex:
 
     @property
     def stored_integers(self) -> int:
-        """Slots the index keeps: the grammar's symbols and caches, the
-        plen, psum, pmin, ppos, smin, spos and mmin rows of RuleStats
-        (placeholders included), the ISA, and the blocks and minima of the
-        pred view, which this count derives.  The ISA has an entry per text
-        position, so the index is O(n) however small the grammar is."""
+        """Slots the index keeps: the grammar's symbols and caches, the five
+        plen, psum, pmin, smin and mmin rows of RuleStats (placeholders
+        included), the ISA, and the blocks and minima of the pred view,
+        which this count derives.  The ISA has an entry per text position,
+        so the index is O(n) however small the grammar is."""
         slg, stats = self.slg, self.stats
         stored = sum(map(len, slg.rules)) + len(slg.exp_lens) + len(slg.heights)
         stored += 4 * len(stats.exp_len)  # exp_len, exp_sum, nt_min, nt_pos
-        rows = (stats.plen, stats.psum, stats.pmin, stats.ppos, stats.smin, stats.spos, stats.mmin)
+        rows = (stats.plen, stats.psum, stats.pmin, stats.smin, stats.mmin)
         stored += sum(len(row) for per_rule in rows for row in per_rule)
         stored += sum(len(s.minima) + sum(map(len, s.blocks)) for s in stats.pred)
         return stored + len(self.isa)
@@ -612,7 +612,7 @@ def lcp_rmq(index: LcpRmqIndex, b: int, e: int) -> int:
     LCP[i] is the prefix sum A[1]+...+A[i] of the differential array, so
     the interval argmin over prefix sums is the LCP argmin.
     """
-    return _interval_min(index.stats, b, e)[0]
+    return interval_argmin_prefix_sum(index.stats, b, e)
 
 
 def lce_query(index: LcpRmqIndex, i: int, j: int) -> int:
@@ -629,4 +629,4 @@ def lce_query(index: LcpRmqIndex, i: int, j: int) -> int:
     p, q = index.isa[i], index.isa[j]
     if p > q:
         p, q = q, p
-    return _interval_min(index.stats, p, q)[1]
+    return _interval_min(index.stats, p, q)[0]

@@ -95,14 +95,13 @@ def build_ilf_index(text: Text) -> IlfIndex:
     bundle = bundle_of(text)
     sa, isa = bundle.sa, bundle.isa
     # Terminated BWT by 0-based rank: bwt1[t] = BWT[t] for t >= 1, and at the
-    # placeholder, T[n], which precedes the terminator suffix.  The
-    # terminator (None, unequal to every symbol; runs only compare equality,
-    # so the +1 shift is not applied) precedes the full text.
-    bwt1: list[int | None] = bwt_row(text, sa)
+    # placeholder, T[n], which precedes the terminator suffix.  The terminator
+    # (-1, below every symbol: no +1 shift) precedes the full text.
+    bwt1 = bwt_row(text, sa)
     r_original = 1 + sum(map(ne, bwt1[2:], bwt1[1:]))
     bwt1[0] = text.symbols[-1]
     i_first = isa[1]
-    bwt1[i_first] = None
+    bwt1[i_first] = -1
     heads = [0, *compress(range(1, n + 1), map(ne, bwt1[1:], bwt1))]
     r_shifted = len(heads)
     if r_shifted > r_original + 3:
@@ -111,10 +110,11 @@ def build_ilf_index(text: Text) -> IlfIndex:
         )
     # LF at terminated rank t + 1 is ISA + 1 at the position before its
     # suffix start (n + 1 for the terminator); before position 1, the
-    # placeholder ISA[0] = 0 gives the terminator its rank 1.
-    pairs = sorted((isa[(sa[t] if t else n + 1) - 1] + 1, t + 1) for t in heads)
-    boundary_keys = array("i", [p for p, _ in pairs])
-    ilf_at_boundary = array("i", [i for _, i in pairs])
+    # placeholder ISA[0] = 0 gives the terminator its rank 1.  LF rises with
+    # rank within a symbol, so a stable sort of heads by symbol orders keys.
+    heads.sort(key=bwt1.__getitem__)
+    boundary_keys = array("i", [isa[(sa[t] if t else n + 1) - 1] + 1 for t in heads])
+    ilf_at_boundary = array("i", [t + 1 for t in heads])
     return IlfIndex(
         n=n,
         i_first=i_first,

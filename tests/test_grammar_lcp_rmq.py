@@ -394,8 +394,8 @@ def _shape_text(family: str) -> Text:
 @pytest.mark.parametrize(
     "family, shape",
     [
-        ("random", (2626, 12, 3412, 4, 2, 44184)),
-        ("period-50-edits", (1586, 12, 2070, 4, 2, 27737)),
+        ("random", (2626, 12, 3412, 4, 2, 35758)),
+        ("period-50-edits", (1586, 12, 2070, 4, 2, 22667)),
     ],
 )
 def test_grammar_shape_is_pinned(family, shape):
@@ -571,9 +571,9 @@ def _spanning_ranges(idx, rng: random.Random, count: int):
 @pytest.mark.parametrize("epsilon", [0.5, 0.9, 0.99])
 @pytest.mark.parametrize("family", ["random-2", "random-4", "period-7", "period-50-edits"])
 def test_middle_children_argmin_is_derived(family, epsilon):
-    """RuleStats keeps no slen, ssum or mpos rows: the middle-children scan
-    derives the winning child's position from plen and nt_pos (1 for a
-    terminal child).  lcp_rmq matches the leftmost linear-scan argmin on
+    """RuleStats keeps no slen, ssum, ppos, spos or mpos rows: the
+    middle-children scan derives the winning child's position from plen and
+    nt_pos (1 for a terminal child).  lcp_rmq matches the leftmost linear-scan argmin on
     ranges that span at least two whole children of the rule where the
     query splits; periodic texts give ties inside and across children."""
     rng = random.Random(f"{family}-{epsilon}")
@@ -591,6 +591,7 @@ def test_middle_children_argmin_is_derived(family, epsilon):
     t = Text.from_symbols(symbols, 4)
     idx = build_lcp_rmq_index(t, epsilon)
     assert idx.stats.slen == idx.stats.ssum == idx.stats.mpos == ()
+    assert idx.stats.ppos == idx.stats.spos == ()
     lcp = build_bundle(t).lcp
     for b, e in _spanning_ranges(idx, rng, 300):
         window = lcp[b + 1 : e + 1]
@@ -599,17 +600,19 @@ def test_middle_children_argmin_is_derived(family, epsilon):
 
 def test_lce_reads_no_prefix_sum_back(monkeypatch):
     """An LCE is one descent: its value comes out of the argmin search, with
-    no second descent from the start symbol to read the prefix sum back."""
+    no second descent from the start symbol to read the prefix sum back, and
+    no argmin position is derived."""
     t = Text.from_symbols([random.Random(0x1CE).randrange(4) for _ in range(3000)], 4)
     idx = build_lcp_rmq_index(t)
     from_start = []
-    real = grammar.prefix_stats_query
+    real = grammar._prefix_min
 
     def counting(stats, x, p):
         from_start.append(x == idx.slg.start)
         return real(stats, x, p)
 
-    monkeypatch.setattr(grammar, "prefix_stats_query", counting)
+    monkeypatch.setattr(grammar, "_prefix_min", counting)
+    monkeypatch.setattr(grammar, "_at", None)
     rng = random.Random(5)
     for _ in range(200):
         i, j = rng.randint(1, t.n), rng.randint(1, t.n)

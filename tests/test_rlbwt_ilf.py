@@ -1,4 +1,5 @@
 import random
+from operator import lt
 
 import pytest
 from hypothesis import given, settings
@@ -114,7 +115,10 @@ def bwt_rule_texts(draw) -> Text:
 def test_bwt_rule_callers_agree(t):
     """The bundle's BWT row, bwt_run_count and build_ilf_index read the BWT
     off SA by one rule; each agrees with BWT[r] = T[SA[r]-1] (T[n] at
-    SA[r] = 1) and with the terminated text's run count."""
+    SA[r] = 1) and with the terminated text's run count.  The boundary keys,
+    put in order by a stable sort of the run heads by symbol, strictly
+    increase and equal a sort of (LF, rank) pairs over the terminated
+    text's own rows, symbols past 2**31 included."""
     n = t.n
     bundle = build_bundle(t)
     bwt = [t.at(bundle.sa[r] - 1 if bundle.sa[r] > 1 else n) for r in range(1, n + 1)]
@@ -129,6 +133,13 @@ def test_bwt_rule_callers_agree(t):
     if t.sigma < _SYMBOL_WIDTH_LIMIT:
         assert shifted.symbols == append_terminator(t).shifted.symbols
     assert idx.boundary_count == bwt_run_count(shifted)
+    tb = build_bundle(shifted)
+    heads = [h for h in range(1, n + 2) if h == 1 or tb.bwt[h] != tb.bwt[h - 1]]
+    pairs = sorted((tb.lf[h], h) for h in heads)
+    keys = list(idx.boundary_keys)
+    assert all(map(lt, keys, keys[1:]))
+    assert keys == [p for p, _ in pairs]
+    assert list(idx.ilf_at_boundary) == [h for _, h in pairs]
 
 
 def test_boundary_count_figure(fig_text):
