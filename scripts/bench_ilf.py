@@ -31,11 +31,17 @@ def make_text(family: str, n: int, rng: random.Random) -> Text:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-n", type=int, default=16384, help="largest text length")
-    parser.add_argument("--repeat", type=int, default=3, help="timed repetitions")
-    parser.add_argument("--batch", type=int, default=2000, help="queries per repetition")
+    parser.add_argument("--max-n", type=int, default=16384,
+                        help="largest text length (at least 1024)")
+    parser.add_argument("--repeat", type=int, default=3, help="timed repetitions (at least 1)")
+    parser.add_argument("--batch", type=int, default=2000,
+                        help="queries per repetition (at least 1)")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    for flag, value, least in (("--max-n", args.max_n, 1024), ("--repeat", args.repeat, 1),
+                               ("--batch", args.batch, 1)):
+        if value < least:
+            parser.error(f"{flag} must be at least {least}")
 
     print(
         f"{'family':>10} {'n':>8} {'r':>6} {'r_shift':>8} "
@@ -46,19 +52,17 @@ def main() -> int:
         while n <= args.max_n:
             rng = random.Random(f"{args.seed}:{family}:{n}")
             text = make_text(family, n, rng)
-            build_ilf_index(text)  # warm-up
+            index = build_ilf_index(text)  # warm-up
             build_times = []
-            index = None
-            for _ in range(max(1, args.repeat)):
+            for _ in range(args.repeat):
                 t0 = time.perf_counter()
                 index = build_ilf_index(text)
                 build_times.append((time.perf_counter() - t0) * 1e3)
-            assert index is not None
-            queries = [rng.randint(1, n) for _ in range(max(1, args.batch))]
+            queries = [rng.randint(1, n) for _ in range(args.batch)]
             for i in queries:  # warm-up
                 ilf_query(index, i)
             query_times = []
-            for _ in range(max(1, args.repeat)):
+            for _ in range(args.repeat):
                 t0 = time.perf_counter()
                 for i in queries:
                     ilf_query(index, i)

@@ -1,12 +1,11 @@
 """Command-line entry point for the compressed string-query toolkit.
 
 One executable exposes array dumps, repetitiveness measures, the
-run-boundary inverse-LF index, the grammar LCP-RMQ/LCE structures,
-gadget verification, and micro-benchmarks.  Reports are line-oriented
-``key: value`` text or, with ``--output structured``, a single
-schema-versioned JSON document; identical configurations (including
-seeds and worker counts) render byte-identical structured reports,
-except for the wall-clock fields of the benchmark commands.
+run-boundary inverse-LF index, the grammar LCP-RMQ/LCE structures and
+gadget verification.  Reports are line-oriented ``key: value`` text or,
+with ``--output structured``, a single schema-versioned JSON document;
+identical configurations (including seeds and worker counts) render
+byte-identical structured reports.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or input error.
 """
@@ -17,10 +16,7 @@ import argparse
 import json
 import math
 import os
-import random
-import statistics
 import sys
-import time
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import chain, islice
@@ -36,14 +32,6 @@ _SCHEMA_VERSION = 1
 
 _POOL_WINDOW = 4096
 """The most gadget inputs ``gadget-verify --workers`` hands the pool at once."""
-
-_BENCH_BATCH_MAX = 10**6
-"""The most queries ``--batch`` asks of a benchmark, which draws them all
-before timing (about 8 MiB of positions, or 120 MiB of ranges)."""
-
-_BENCH_REPEAT_MAX = 1000
-"""The most timed passes ``--repeat`` asks of a benchmark, which keeps one
-time per pass."""
 
 _QUERY_BUDGET = 10**6
 """The most queries a ``--queries`` file may hold; every answer is kept in
@@ -163,20 +151,6 @@ def _load_text(args: argparse.Namespace) -> Text:
     return Text.from_ascii(raw)
 
 
-def _at_least_one(args: argparse.Namespace, *flags: str) -> None:
-    for flag in flags:
-        if getattr(args, flag) < 1:
-            raise CliError(f"--{flag} must be at least 1")
-
-
-def _check_timing(args: argparse.Namespace) -> None:
-    _at_least_one(args, "repeat", "batch")
-    if args.repeat > _BENCH_REPEAT_MAX:
-        raise CliError(f"--repeat must be at most {_BENCH_REPEAT_MAX}")
-    if args.batch > _BENCH_BATCH_MAX:
-        raise CliError(f"--batch must be at most {_BENCH_BATCH_MAX}")
-
-
 # Per subcommand: the query function, the integers per query, the range
 # check given n, the message for a query out of range, and the report key.
 _QUERIES = {
@@ -220,19 +194,6 @@ def _answer_queries(args: argparse.Namespace, report: Report, index, values: lis
     query, arity, _, _, key = _QUERIES[args.subcommand]
     for q in _groups(values, arity):
         report.add(key.format(*q), query(index, *q))
-
-
-def _median_pass(one_pass: Callable[[], object], repeat: int, unit: float) -> tuple[str, object]:
-    """Run one warm-up pass, then ``repeat`` timed passes.  Returns the
-    median pass time in units of ``unit`` seconds, rendered, and the
-    result of the last pass."""
-    result = one_pass()
-    times = []
-    for _ in range(repeat):
-        start = time.perf_counter()
-        result = one_pass()
-        times.append(time.perf_counter() - start)
-    return f"{statistics.median(times) / unit:.3f}", result
 
 
 # ---------------------------------------------------------------------------
@@ -295,33 +256,8 @@ def _cmd_ilf(args: argparse.Namespace, report: Report) -> int:
     return 1 if mismatches else 0
 
 
-def _cmd_ilf_bench(args: argparse.Namespace, report: Report) -> int:
-    _check_timing(args)
-    text = _load_text(args)
-    build = partial(build_ilf_index, text)
-    build_ms, index = _median_pass(build, args.repeat, 1e-3)
-    rng = random.Random(args.seed)
-    positions = [rng.randint(1, text.n) for _ in range(args.batch)]
-
-    def queries() -> None:
-        for i in positions:
-            ilf_query(index, i)
-
-    query_us, _ = _median_pass(queries, args.repeat, 1e-6 * args.batch)
-    report.add("n", text.n)
-    report.add("boundary_count", index.boundary_count)
-    report.add("repeat", args.repeat)
-    report.add("batch", args.batch)
-    report.add("build_median_ms", build_ms)
-    report.add("query_median_us", query_us)
-    return 0
-
-
 def _cmd_grammar(args: argparse.Namespace, report: Report) -> int:
     """``lcp-rmq`` and ``lce``: one grammar index, its shape, its queries."""
-    bench = args.subcommand == "lcp-rmq" and args.bench
-    if bench:
-        _check_timing(args)
     text = _load_text(args)
     try:
         check_epsilon(args.epsilon)
@@ -341,20 +277,6 @@ def _cmd_grammar(args: argparse.Namespace, report: Report) -> int:
         log = math.log2(text.n)
         report.add("size/(r log^2 n)", f"{index.size / (r * log * log):.6f}")
     _answer_queries(args, report, index, queries)
-    if bench:
-        rng = random.Random(args.seed)
-        batch = min(args.batch, 4 * text.n)
-        starts = (rng.randrange(text.n) for _ in range(batch))
-        ranges = [(b, rng.randint(b + 1, text.n)) for b in starts]
-
-        def queries() -> None:
-            for b, e in ranges:
-                lcp_rmq(index, b, e)
-
-        median_us, _ = _median_pass(queries, args.repeat, 1e-6 * batch)
-        report.add("bench_repeat", args.repeat)
-        report.add("bench_batch", batch)
-        report.add("bench_median_us", median_us)
     return 0
 
 
@@ -363,7 +285,8 @@ def _verify_one(kind: str, data: tuple[int, ...]) -> gadgets.ReductionReport:
 
 
 def _cmd_gadget_verify(args: argparse.Namespace, report: Report) -> int:
-    _at_least_one(args, "workers")
+    if args.workers < 1:
+        raise CliError("--workers must be at least 1")
     try:
         count, inputs = gadgets.instance_inputs(
             args.kind, args.size, exhaustive=args.exhaustive, trials=args.trials, seed=args.seed
@@ -407,7 +330,6 @@ _HANDLERS: dict[str, Callable[[argparse.Namespace, Report], int]] = {
     "arrays": _cmd_arrays,
     "measures": _cmd_measures,
     "ilf": _cmd_ilf,
-    "ilf-bench": _cmd_ilf_bench,
     "lcp-rmq": _cmd_grammar,
     "lce": _cmd_grammar,
     "gadget-verify": _cmd_gadget_verify,
@@ -441,13 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="widening depth parameter in (0,1)")
     text_in = [infile, output]
 
-    def timing(p: argparse.ArgumentParser) -> None:
-        # Added in place: a parent parser would put these flags ahead of the
-        # subcommand's own ones in the usage line.
-        p.add_argument("--repeat", type=int, default=5, help="timed repetitions (at least 1)")
-        p.add_argument("--batch", type=int, default=2000, help="queries per repetition (at least 1)")
-        p.add_argument("--seed", type=int, default=0, help="seed for the timed queries")
-
     sub.add_parser("arrays", parents=text_in,
                    help="dump the nine suffix-array bundle rows of a text")
     sub.add_parser("measures", parents=text_in,
@@ -457,16 +372,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "build the run-boundary inverse-LF index, check it against the bundle, answer queries"))
     p.add_argument("--queries", metavar="PATH", help="file of positions, one per inverse-LF query")
 
-    p = sub.add_parser("ilf-bench", parents=text_in,
-                       help="time inverse-LF index builds and queries (never gates verification)")
-    timing(p)
-
     p = sub.add_parser("lcp-rmq", parents=[*text_in, epsilon],
                        help="build the grammar LCP index, answer range-argmin queries over (b..e]")
     p.add_argument("--queries", metavar="PATH", help="file of b e pairs")
-    p.add_argument("--bench", action="store_true",
-                   help="also time --batch random queries, at most 4n (never gates)")
-    timing(p)
 
     p = sub.add_parser("lce", parents=[*text_in, epsilon],
                        help="build the grammar LCE index, answer longest-common-extension queries")

@@ -759,79 +759,7 @@ def test_gadget_verify_mismatch_exits_one(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# benchmarks
-
-
-def test_ilf_bench_reports_medians(capsys, fig_file):
-    code, out, _ = run_cli(
-        capsys, ["ilf-bench", "--input", fig_file, "--repeat", "2", "--batch", "50"]
-    )
-    assert code == 0
-    report = parse_human(out)
-    assert float(report["build_median_ms"]) >= 0.0
-    assert float(report["query_median_us"]) >= 0.0
-    assert report["repeat"] == "2"
-    assert report["batch"] == "50"
-
-
-def test_lcp_rmq_bench_reports_median(capsys, fig_file):
-    code, out, _ = run_cli(
-        capsys, ["lcp-rmq", "--input", fig_file, "--bench", "--repeat", "2"]
-    )
-    assert code == 0
-    report = parse_human(out)
-    assert float(report["bench_median_us"]) >= 0.0
-    # --batch is capped at 4n queries
-    code, out, _ = run_cli(capsys, ["lcp-rmq", "--input", fig_file, "--bench", "--batch", "1000"])
-    assert code == 0
-    assert parse_human(out)["bench_batch"] == str(4 * len(FIG_ASCII))
-
-
-def test_bench_repeat_and_batch_below_one_exit_two(capsys, fig_file):
-    """Values below 1 are refused, as --workers values are."""
-    for bench in (["ilf-bench"], ["lcp-rmq", "--bench"]):
-        for flags, flag in [
-            (["--repeat", "0", "--batch", "-3"], "--repeat"),
-            (["--repeat", "-1"], "--repeat"),
-            (["--batch", "0"], "--batch"),
-        ]:
-            code, out, err = run_cli(capsys, [*bench, "--input", fig_file, *flags])
-            assert (code, out) == (2, "")
-            assert err == f"error: {flag} must be at least 1\n"
-    # lcp-rmq times nothing without --bench, so it does not read them
-    code, _, err = run_cli(capsys, ["lcp-rmq", "--input", fig_file, "--repeat", "0"])
-    assert (code, err) == (0, "")
-
-
-@pytest.mark.parametrize("batch", ["1000001", str(10**9)])
-def test_ilf_bench_batch_over_cap_exits_two(capsys, tmp_path, batch):
-    """An oversized --batch is refused before the text is read, by both
-    benchmarks, so no query list is ever drawn: the input file here does
-    not exist."""
-    absent = str(tmp_path / "absent.txt")
-    for bench in (["ilf-bench"], ["lcp-rmq", "--bench"]):
-        code, out, err = run_cli(capsys, [*bench, "--input", absent, "--batch", batch])
-        assert (code, out) == (2, "")
-        assert err == "error: --batch must be at most 1000000\n"
-
-
-# ---------------------------------------------------------------------------
 # input handling and determinism
-
-
-@pytest.mark.parametrize("bench", [["ilf-bench"], ["lcp-rmq", "--bench"]])
-def test_bench_repeat_over_cap_exits_two(capsys, tmp_path, fig_file, bench):
-    """--repeat is capped, as --batch is, since each timed pass keeps its
-    time: over the cap it is refused before the text is read (the input
-    here does not exist), and at the cap it runs."""
-    absent = str(tmp_path / "absent.txt")
-    for repeat in ("1001", str(10**10)):
-        code, out, err = run_cli(capsys, [*bench, "--input", absent, "--repeat", repeat])
-        assert (code, out) == (2, "")
-        assert err == "error: --repeat must be at most 1000\n"
-    code, out, _ = run_cli(capsys, [*bench, "--input", fig_file, "--repeat", "1000", "--batch", "1"])
-    assert code == 0
-    assert parse_human(out)["repeat" if bench == ["ilf-bench"] else "bench_repeat"] == "1000"
 
 
 def test_missing_input_file_is_usage_error(capsys, tmp_path):
@@ -880,7 +808,7 @@ def test_structured_output_is_byte_identical_across_runs(capsys, fig_file):
     json.loads(out_a)
 
 
-# The full structured document of every deterministic subcommand on the
+# The full structured document of every subcommand on the
 # figure text.  Refactoring the command line must leave every byte alone.
 FIGURE_REPORTS = json.loads((pathlib.Path(__file__).parent / "figure_reports.json").read_text())
 
@@ -912,6 +840,26 @@ def test_structured_report_matches_recorded_document(capsys, tmp_path, fig_file,
     code, out, err = run_cli(capsys, argv)
     assert (code, err) == (0, "")
     assert out == json.dumps(FIGURE_REPORTS[name], separators=(",", ":")) + "\n"
+
+
+def test_every_subcommand_has_a_recorded_document():
+    """Each subcommand's structured report is pinned above, so none can
+    print a field that varies from run to run."""
+    assert set(cli._HANDLERS) == {argv[0] for argv in FIGURE_COMMANDS.values()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["ilf-bench", "--input", "{fig}"],
+    ["lcp-rmq", "--input", "{fig}", "--bench"],
+    ["lcp-rmq", "--input", "{fig}", "--repeat", "2"],
+    ["lcp-rmq", "--input", "{fig}", "--batch", "10"],
+], ids=["ilf-bench", "bench", "repeat", "batch"])
+def test_timing_commands_are_usage_errors(capsys, fig_file, argv):
+    """csq times nothing: timing lives in perfbench and scripts/bench_ilf.py."""
+    with pytest.raises(SystemExit) as info:
+        main([arg.format(fig=fig_file) for arg in argv])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -953,16 +901,15 @@ _TOKENS = st.one_of(
     use_queries=st.booleans(),
     epsilon=st.sampled_from(["0", "-1", "0.5", "0.99", "nan", "inf", "1e308"]),
     size=st.integers(-3, 4),
-    counts=st.tuples(st.integers(-1, 3), st.integers(-1, 3), st.integers(-1, 3)),
+    trials=st.integers(-1, 3),
     workers=st.sampled_from(["-1", "0", "1"]),
     kind=st.sampled_from(csq.gadgets.KINDS),
     mode=st.sampled_from(["default", "trials", "exhaustive", "both"]),
-    bench=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
 def test_fuzzed_command_lines_exit_zero_one_or_two(
-    tmp_path_factory, raw, ints, queries, use_ints, use_queries, epsilon, size, counts, workers,
-    kind, mode, bench,
+    tmp_path_factory, raw, ints, queries, use_ints, use_queries, epsilon, size, trials, workers,
+    kind, mode,
 ):
     """Every subcommand, called in-process on random files and flag values,
     returns or exits with 0, 1 or 2 and never raises anything else.  Only
@@ -976,19 +923,16 @@ def test_fuzzed_command_lines_exit_zero_one_or_two(
     text = ["--input", str(paths["ints.txt"]), "--format", "ints"] if use_ints else [
         "--input", str(paths["raw.txt"])]
     asked = ["--queries", str(paths["queries.txt"])] if use_queries else []
-    trials, repeat, batch = map(str, counts)
-    timing = ["--repeat", repeat, "--batch", batch]
     verify = ["gadget-verify", "--kind", kind, "--size", str(size), "--workers", workers]
     if mode in ("exhaustive", "both") and size <= 3:
         verify.append("--exhaustive")
     if mode in ("trials", "both"):
-        verify += ["--trials", trials]
+        verify += ["--trials", str(trials)]
     argvs = [
         ["arrays", *text],
         ["measures", *text],
         ["ilf", *text, *asked],
-        ["ilf-bench", *text, *timing],
-        ["lcp-rmq", *text, *asked, "--epsilon", epsilon, *(["--bench", *timing] if bench else [])],
+        ["lcp-rmq", *text, *asked, "--epsilon", epsilon],
         ["lce", *text, *asked, "--epsilon", epsilon],
         verify,
     ]
