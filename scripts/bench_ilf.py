@@ -13,8 +13,13 @@ import random
 import statistics
 import time
 
+from csq.gadgets import TEXT_LENGTH_BUDGET
 from csq.rlbwt_ilf import build_ilf_index, ilf_query
 from csq.text_core import Text
+
+
+# The most query positions one repetition draws and keeps.
+BATCH_MAX = 10**6
 
 
 def make_text(family: str, n: int, rng: random.Random) -> Text:
@@ -32,16 +37,20 @@ def make_text(family: str, n: int, rng: random.Random) -> Text:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=16384,
-                        help="largest text length (at least 1024)")
+                        help=f"largest text length (1024 to {TEXT_LENGTH_BUDGET})")
     parser.add_argument("--repeat", type=int, default=3, help="timed repetitions (at least 1)")
     parser.add_argument("--batch", type=int, default=2000,
-                        help="queries per repetition (at least 1)")
+                        help=f"queries per repetition (1 to {BATCH_MAX})")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     for flag, value, least in (("--max-n", args.max_n, 1024), ("--repeat", args.repeat, 1),
                                ("--batch", args.batch, 1)):
         if value < least:
             parser.error(f"{flag} must be at least {least}")
+    for flag, value, most in (("--max-n", args.max_n, TEXT_LENGTH_BUDGET),
+                              ("--batch", args.batch, BATCH_MAX)):
+        if value > most:
+            parser.error(f"{flag} must be at most {most}")
 
     print(
         f"{'family':>10} {'n':>8} {'r':>6} {'r_shift':>8} "

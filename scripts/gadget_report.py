@@ -5,13 +5,14 @@ For each gadget kind this verifies seeded random instances (or the
 exhaustive family with --exhaustive; keep --size small there) and
 prints one row: instance and query totals, mismatches, the largest
 text length and run count seen, the greedy phrase count z, and the
-certificate phrase count against its closed-form bound.  Exits nonzero
-if any kind reports a mismatch.
+certificate phrase count against its closed-form bound.  Exits 1 if
+any kind reports a mismatch, and 2, before any row, if a kind refuses
+the size or trial count.
 """
 
 import argparse
 
-from csq.gadgets import KINDS, verify_many
+from csq.gadgets import KINDS, instance_inputs, verify_many
 
 
 def main() -> int:
@@ -25,8 +26,11 @@ def main() -> int:
         help="enumerate every instance of the given size instead of sampling",
     )
     args = parser.parse_args()
-    if args.size < 1:
-        parser.error("--size must be at least 1")
+    for kind in KINDS:
+        try:
+            instance_inputs(kind, args.size, exhaustive=args.exhaustive, trials=args.trials)
+        except ValueError as err:
+            parser.error(str(err))
 
     print(
         f"{'kind':>12} {'instances':>9} {'queries':>8} {'mismatch':>8} "

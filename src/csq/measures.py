@@ -1,12 +1,10 @@
 """Repetitiveness measures over small texts.
 
-This module provides run-length encoding, the longest-previous-factor (LPF)
-array with matching sources, greedy LZ77 factorization, a validator for
-arbitrary LZ77-like factorizations, the BWT run count r, and the substring
-complexity measure delta, together with the measure lemmas the rest of the
-package relies on (append stability of delta, factorizations induced by
-uniform morphisms, and the canonical factorization of a text spelled as
-repeated blocks, such as its runs).
+This module provides run-length encoding, the longest previous factor of
+each position with a matching source, greedy LZ77 factorization, a
+validator for arbitrary LZ77-like factorizations, the factorization of a
+text spelled as repeated blocks, the BWT run count r, and the substring
+complexity measure delta, with a check of delta's append stability.
 
 Conventions match text_core: texts are 1-indexed in the API, phrase sources
 are 1-based text positions, and all quantities are exact (delta is kept as a
@@ -27,7 +25,7 @@ from fractions import Fraction
 from itertools import chain, islice
 from math import gcd
 from operator import ne
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .text_core import SuffixArrayBundle, Text, bundle_of, bwt_row
 
@@ -38,14 +36,11 @@ __all__ = [
     "bwt_run_count",
     "delta_append_check",
     "distinct_substring_counts",
-    "lpf_array",
     "lpf_with_sources",
     "lz77_factorize",
     "lz77_from_bundle",
-    "morphism_expand",
     "repeat_factorization",
     "run_length_encode",
-    "run_length_factorization",
     "substring_complexity",
     "validate_lz_like",
 ]
@@ -136,11 +131,6 @@ def _lpf_from_core(sa: Sequence[int], lcp: Sequence[int]) -> tuple[list[int], li
         poss.append(cur_pos)
         lces.append(cur_lcp)
     return lpf[1:], src[1:]
-
-
-def lpf_array(text: Text) -> list[int]:
-    """Longest previous factor per position (length n, position j at j-1)."""
-    return lpf_with_sources(text)[0]
 
 
 @dataclass(frozen=True)
@@ -323,17 +313,6 @@ def repeat_factorization(blocks: Iterable[tuple[Sequence[int], int]], n: int) ->
     return LZFactorization(tuple(phrases), n)
 
 
-def run_length_factorization(text: Text) -> LZFactorization:
-    """The canonical LZ77-like factorization read off the run-length encoding.
-
-    Every run contributes one literal plus, when longer than one symbol, one
-    self-overlapping copy of the rest of the run, so a text with k runs is
-    factorized into at most 2k phrases.
-    """
-    runs = run_length_encode(text).runs
-    return repeat_factorization((((symbol,), length) for symbol, length in runs), text.n)
-
-
 # ---------------------------------------------------------------------------
 # BWT runs
 
@@ -426,51 +405,3 @@ def delta_append_check(text: Text, symbol: int) -> tuple[DeltaValue, DeltaValue]
         )
     return before, after
 
-
-# ---------------------------------------------------------------------------
-# Uniform morphisms
-
-
-def morphism_expand(text: Text, blocks: Mapping[int, Sequence[int]]) -> Text:
-    """Apply a uniform morphism: replace each symbol by its length-k block.
-
-    All blocks must share one length k >= 1 (ragged blocks raise
-    ValueError).  The phrase-by-phrase image of the greedy factorization of
-    the input is itself a valid factorization of the output with at most
-    k * z(T) phrases; this is checked on every call, so z(T') <= k * z(T),
-    and AssertionError is raised otherwise.
-    """
-    if text.n == 0:
-        raise ValueError("cannot expand an empty text")
-    used = sorted(set(text.symbols))
-    missing = [c for c in used if c not in blocks]
-    if missing:
-        raise ValueError(f"morphism lacks a block for symbol {missing[0]}")
-    k = len(blocks[used[0]])
-    if k < 1:
-        raise ValueError("morphism blocks must be nonempty")
-    for c in used:
-        if len(blocks[c]) != k:
-            raise ValueError(
-                f"ragged morphism: block for symbol {c} has length {len(blocks[c])}, expected {k}"
-            )
-    expanded: list[int] = []
-    for c in text.symbols:
-        expanded.extend(blocks[c])
-    sigma = max(text.sigma, 1 + max(max(blocks[c]) for c in used))
-    image = Text.from_symbols(expanded, sigma)
-
-    fact = lz77_factorize(text)
-    induced: list[tuple[int, int]] = []
-    for a, length in fact.phrases:
-        if length == 0:
-            induced.extend((c, 0) for c in blocks[a])
-        else:
-            induced.append((k * (a - 1) + 1, k * length))
-    count = validate_lz_like(image, induced)
-    if count > k * fact.phrase_count:
-        raise AssertionError(
-            f"the image of a {fact.phrase_count}-phrase factorization has {count} phrases, "
-            f"over {k} * {fact.phrase_count}"
-        )
-    return image

@@ -11,14 +11,11 @@ from csq.measures import (
     bwt_run_count,
     delta_append_check,
     distinct_substring_counts,
-    lpf_array,
     lpf_with_sources,
     lz77_factorize,
     lz77_from_bundle,
-    morphism_expand,
     repeat_factorization,
     run_length_encode,
-    run_length_factorization,
     substring_complexity,
     validate_lz_like,
 )
@@ -111,15 +108,15 @@ def test_rle_roundtrip_and_invariants(symbols):
 
 
 def test_lpf_examples():
-    assert lpf_array(Text.from_ascii("aaaa")) == [0, 3, 2, 1]
-    assert lpf_array(Text.from_ascii("ab")) == [0, 0]
+    assert lpf_with_sources(Text.from_ascii("aaaa"))[0] == [0, 3, 2, 1]
+    assert lpf_with_sources(Text.from_ascii("ab"))[0] == [0, 0]
 
 
 @given(small_texts)
 @settings(max_examples=60, deadline=None)
 def test_lpf_matches_naive(symbols):
     t = Text.from_symbols(symbols, 4)
-    assert lpf_array(t) == _lpf_naive(t)
+    assert lpf_with_sources(t)[0] == _lpf_naive(t)
 
 
 @given(small_texts)
@@ -328,8 +325,9 @@ def test_greedy_is_minimal_over_random_factorizations():
 @settings(max_examples=60, deadline=None)
 def test_run_length_factorization_validates(symbols):
     t = Text.from_symbols(symbols, 4)
-    fact = run_length_factorization(t)
-    k = run_length_encode(t).run_count
+    runs = run_length_encode(t).runs
+    fact = repeat_factorization((((symbol,), length) for symbol, length in runs), t.n)
+    k = len(runs)
     assert validate_lz_like(t, fact) == fact.phrase_count
     assert fact.phrase_count <= 2 * k
     assert lz77_factorize(t).phrase_count <= 2 * k
@@ -416,34 +414,6 @@ def test_delta_append_check_raises(monkeypatch):
 # Uniform morphisms
 
 
-def test_morphism_identity():
-    t = Text.from_symbols([0, 1, 0, 2], 3)
-    image = morphism_expand(t, {c: (c,) for c in range(3)})
-    assert image.symbols == t.symbols
-
-
-def test_morphism_five_symbol_blocks():
-    sigma = 2
-    blocks = {a: (0, 0, 1, sigma - 1 - a, 1) for a in range(sigma)}
-    image = morphism_expand(Text.from_symbols([1, 0], sigma), blocks)
-    assert list(image.symbols) == [0, 0, 1, 0, 1, 0, 0, 1, 1, 1]
-
-
-def test_morphism_errors():
-    t = Text.from_symbols([0, 1], 2)
-    with pytest.raises(ValueError, match="ragged"):
-        morphism_expand(t, {0: (0, 1), 1: (1,)})
-    with pytest.raises(ValueError, match="lacks a block"):
-        morphism_expand(t, {0: (0, 1)})
-
-
-def test_morphism_bound_raises(monkeypatch):
-    """The k * z bound is an explicit raise, so it holds under -O."""
-    monkeypatch.setattr(measures, "validate_lz_like", lambda text, phrases: 99)
-    with pytest.raises(AssertionError, match="2-phrase factorization has 99 phrases, over 2 .* 2"):
-        morphism_expand(Text.from_symbols([0, 1], 2), {0: (0, 1), 1: (1, 0)})
-
-
 @given(
     st.lists(st.integers(0, 2), min_size=1, max_size=48),
     st.integers(1, 4),
@@ -451,8 +421,18 @@ def test_morphism_bound_raises(monkeypatch):
 )
 @settings(max_examples=60, deadline=None)
 def test_morphism_multiplies_z_by_at_most_k(symbols, k, rng):
+    """A uniform morphism maps each symbol to a length-k block.  Each phrase
+    of the greedy factorization of T maps to its literals' blocks or to one
+    copy k times as long, so the image has a valid factorization of at most
+    k * z(T) phrases, and z of the image is at most k * z(T)."""
     t = Text.from_symbols(symbols, 3)
-    blocks = {c: tuple(rng.randrange(3) for _ in range(k)) for c in range(3)}
-    image = morphism_expand(t, blocks)
-    assert image.n == k * t.n
-    assert lz77_factorize(image).phrase_count <= k * lz77_factorize(t).phrase_count
+    blocks = [tuple(rng.randrange(3) for _ in range(k)) for _ in range(3)]
+    image = Text.from_symbols([s for c in symbols for s in blocks[c]], 3)
+    fact = lz77_factorize(t)
+    induced = [
+        phrase
+        for a, length in fact.phrases
+        for phrase in ([(s, 0) for s in blocks[a]] if length == 0 else [(k * (a - 1) + 1, k * length)])
+    ]
+    assert validate_lz_like(image, induced) <= k * fact.phrase_count
+    assert lz77_factorize(image).phrase_count <= k * fact.phrase_count

@@ -15,7 +15,6 @@ from csq.grammar_lcp_rmq import build_lcp_rmq_index
 from csq.measures import (
     bwt_run_count,
     distinct_substring_counts,
-    lpf_array,
     lpf_with_sources,
     lz77_factorize,
     substring_complexity,
@@ -384,7 +383,7 @@ def test_one_suffix_sort_per_entry_point(counts, tmp_path, fig_text):
         gc.collect()
         assert sort_count(lambda: builder(text)) == 1, builder.__name__
         assert live_bundle(text) is None, builder.__name__
-    measures = (lpf_with_sources, lpf_array, lz77_factorize, bwt_run_count,
+    measures = (lpf_with_sources, lz77_factorize, bwt_run_count,
                 distinct_substring_counts, substring_complexity)
     bundle = build_bundle(text)
     for measure in measures:
