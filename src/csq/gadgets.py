@@ -1,6 +1,6 @@
 """Reduction gadgets: texts whose index arrays answer abstract queries.
 
-Each constructor encodes a permutation or a sorted integer set into a
+Each gadget encodes a permutation or a sorted integer set into a
 binary text so that a single row of the text's suffix-array bundle (LCP,
 ISA, BWT, PLCP, Phi, ILF, or inverse Phi) answers selection, counting,
 or predecessor queries about the encoded input through a closed-form
@@ -9,10 +9,12 @@ through both the mapping and the direct definition and reports
 disagreements, together with run-length and LZ-like phrase-count
 certificates of the gadget text's compressibility.
 
-One table, ``_TABLE``, holds what each kind is: its input family, its
-builder and anchor derivation, its closed-form text length and run
-count, its query replay, and its certificate.  The closed-form contracts
-raise AssertionError explicitly, so they hold under ``python -O``.
+One table, ``_TABLE``, holds what each kind is: its input family and
+check, its text's spelling and anchor derivation, its closed-form text
+length and run count, its query replay, and its certificate.
+``build_gadget`` is the one builder, for every kind.  The closed-form
+contracts raise AssertionError explicitly, so they hold under
+``python -O``.
 """
 
 from __future__ import annotations
@@ -124,6 +126,15 @@ def _checked_permutation(values: Sequence[int]) -> tuple[int, ...]:
     return perm
 
 
+def _checked_symbols(values: Sequence[int]) -> tuple[int, ...]:
+    symbols = tuple(int(v) for v in values)
+    if not symbols:
+        raise ValueError("cannot transform an empty text")
+    if min(symbols) < 0:
+        raise ValueError("symbols must be non-negative integers")
+    return symbols
+
+
 def _checked_sorted_set(values: Sequence[int]) -> tuple[int, ...]:
     keys = tuple(int(v) for v in values)
     m = len(keys)
@@ -169,26 +180,19 @@ def _expect_kind(gadget: GadgetInstance, kind: str) -> None:
         raise ValueError(f"expected a {kind} gadget, got {gadget.kind}")
 
 
-def _instance(kind: str, data: tuple[int, ...], text: Text) -> GadgetInstance:
-    """Check the closed-form length, then sort once and derive LCP (which
-    verification's LZ77 reads for every kind), the rows the kind's replay
-    reads, and the anchors."""
-    spec = _TABLE[kind]
-    want = spec.length(data)
-    if text.n != want:
-        raise AssertionError(f"{kind} text has length {text.n}, not the closed-form {want}")
-    bundle = build_bundle(text)
-    for row in ("lcp", *spec.rows):  # derived here, so verification derives none
-        getattr(bundle, row)
-    return GadgetInstance(kind, data, text, spec.anchors(data, text, bundle.sa), bundle)
-
-
 # ---------------------------------------------------------------------------
 # Range selection via LCP and range counting via ISA
 
 
 def _threshold_blocks(perm: tuple[int, ...]) -> list[int]:
-    """Blocks 0^{A[i]} 1^i per position i, then the separator 0^{n+1} 1^{n+1}."""
+    """Encode a permutation so LCP entries answer range selection.
+
+    The text concatenates a block 0^{A[i]} 1^i per position i and the
+    separator 0^{n+1} 1^{n+1}.  For a threshold v the suffixes starting
+    at block zeros with A[i] >= v occupy consecutive suffix-array ranks
+    right after the anchor R[v] = RangeBeg(0^v 1), ordered by i, and the
+    LCP entry r steps in reveals the r-th qualifying index.
+    """
     n = len(perm)
     symbols: list[int] = []
     for i, a in enumerate(perm, start=1):
@@ -201,19 +205,6 @@ def _threshold_anchors(perm: tuple[int, ...], text: Text, sa: Sequence[int]) -> 
     n = len(perm)
     ranks = tuple(pattern_range(text, sa, [0] * v + [1]).range_beg for v in range(1, n + 1))
     return {"n": n, "R": (0,) + ranks}
-
-
-def lcp_select_gadget(values: Sequence[int]) -> GadgetInstance:
-    """Encode a permutation so LCP entries answer range selection.
-
-    The text concatenates a block 0^{A[i]} 1^i per position i and the
-    separator 0^{n+1} 1^{n+1}.  For a threshold v the suffixes starting
-    at block zeros with A[i] >= v occupy consecutive suffix-array ranks
-    right after the anchor R[v] = RangeBeg(0^v 1), ordered by i, and the
-    LCP entry r steps in reveals the r-th qualifying index.
-    """
-    perm = _checked_permutation(values)
-    return _instance("lcp-select", perm, Text.from_symbols(_threshold_blocks(perm), 2))
 
 
 def select_via_lcp(gadget: GadgetInstance, v: int, r: int) -> int:
@@ -235,7 +226,7 @@ def select_via_lcp(gadget: GadgetInstance, v: int, r: int) -> int:
     return gadget.bundle.lcp[anchor + r + 1] - v
 
 
-def isa_count_gadget(values: Sequence[int]) -> GadgetInstance:
+def _isa_count_symbols(perm: tuple[int, ...]) -> list[int]:
     """Encode a permutation so ISA entries answer range counting.
 
     The text extends the range-selection encoding with a third section
@@ -243,12 +234,11 @@ def isa_count_gadget(values: Sequence[int]) -> GadgetInstance:
     order, with the first section's block suffixes; the rank of a probe
     suffix therefore counts the qualifying positions in a prefix.
     """
-    perm = _checked_permutation(values)
     n = len(perm)
     symbols = _threshold_blocks(perm)
     for i in range(1, n + 2):
         symbols += [0] * (n + 1) + [1] * i
-    return _instance("isa-count", perm, Text.from_symbols(symbols, 2))
+    return symbols
 
 
 def count_via_isa(gadget: GadgetInstance, j: int, v: int) -> int:
@@ -285,23 +275,17 @@ def _code_anchors(keys: tuple[int, ...], text: Text, sa: Sequence[int], **heads:
 
 
 def _bwt_color_blocks(keys: tuple[int, ...]) -> Blocks:
-    """Per rank i, the parity bit and framed code of i, once per owned x."""
-    k = len(keys).bit_length()
-    return [([i % 2] + _ebin(i, k), c) for i, c in enumerate(_owned_counts(keys))]
-
-
-def bwt_color_gadget(values: Sequence[int]) -> GadgetInstance:
     """Encode a sorted m-set from [1..m^2] so BWT symbols answer
     colored-predecessor queries.
 
     Every universe position x carries one framed binary code naming the
     number of set elements below it, prefixed by that number's parity
     bit; the BWT groups the codes so the symbol preceding the x-th copy
-    is exactly the parity of the predecessor's rank.
+    is exactly the parity of the predecessor's rank.  The blocks are, per
+    rank i, the parity bit and framed code of i, once per owned x.
     """
-    keys = _checked_sorted_set(values)
-    text = Text.from_symbols(_spell(_bwt_color_blocks(keys)), 2)
-    return _instance("bwt-color", keys, text)
+    k = len(keys).bit_length()
+    return [([i % 2] + _ebin(i, k), c) for i, c in enumerate(_owned_counts(keys))]
 
 
 def color_via_bwt(gadget: GadgetInstance, x: int) -> int:
@@ -319,7 +303,7 @@ def color_via_bwt(gadget: GadgetInstance, x: int) -> int:
 # Predecessor via PLCP, Phi, and ILF
 
 
-def plcp_pred_gadget(values: Sequence[int]) -> GadgetInstance:
+def _plcp_pred_symbols(keys: tuple[int, ...]) -> list[int]:
     """Encode a sorted m-set from [1..m^2] so PLCP entries answer
     predecessor queries.
 
@@ -327,17 +311,14 @@ def plcp_pred_gadget(values: Sequence[int]) -> GadgetInstance:
     lengths; probing the tail section's zeros measures, through one
     PLCP entry, how many elements lie below the query.
     """
-    keys = _checked_sorted_set(values)
     m = len(keys)
     symbols: list[int] = []
     for i, a in enumerate(keys, start=1):
         symbols += [0] * a + [1] * (m - i + 2)
-    symbols += [0] * (m * m + 1) + [1]
-    symbols += [0] * (m * m) + [1] * (m + 2)
-    return _instance("plcp-pred", keys, Text.from_symbols(symbols, 2))
+    return symbols + [0] * (m * m + 1) + [1] + [0] * (m * m) + [1] * (m + 2)
 
 
-def phi_pred_gadget(values: Sequence[int]) -> GadgetInstance:
+def _phi_pred_symbols(keys: tuple[int, ...]) -> list[int]:
     """Encode a sorted m-set from [1..m^2] so Phi entries answer
     predecessor queries.
 
@@ -346,28 +327,14 @@ def phi_pred_gadget(values: Sequence[int]) -> GadgetInstance:
     section lands in the predecessor's band, which integer division
     recovers.
     """
-    keys = _checked_sorted_set(values)
     m = len(keys)
     symbols: list[int] = []
     for a in keys:
         symbols += [0] * a + [1] * (m * m - a + 2)
-    symbols += [0] * (m * m + 1) + [1]
-    symbols += [0] * (m * m) + [1] * (m * m + 2)
-    return _instance("phi-pred", keys, Text.from_symbols(symbols, 2))
+    return symbols + [0] * (m * m + 1) + [1] + [0] * (m * m) + [1] * (m * m + 2)
 
 
 def _ilf_pred_blocks(keys: tuple[int, ...]) -> Blocks:
-    """Per rank i, c_i marked and m^2 - c_i unmarked framed codes of i."""
-    m = len(keys)
-    k = m.bit_length()
-    blocks: Blocks = []
-    for i, copies in enumerate(_owned_counts(keys)):
-        code = _ebin(i, k)
-        blocks += [([1] + code, copies), (code, m * m - copies)]
-    return blocks
-
-
-def ilf_pred_gadget(values: Sequence[int]) -> GadgetInstance:
     """Encode a sorted m-set from [1..m^2] so ILF entries answer
     predecessor queries.
 
@@ -377,9 +344,13 @@ def ilf_pred_gadget(values: Sequence[int]) -> GadgetInstance:
     LF step from the x-th marked code lands among the unmarked codes of
     the predecessor's block, in a band of width m^2.
     """
-    keys = _checked_sorted_set(values)
-    text = Text.from_symbols(_spell(_ilf_pred_blocks(keys)), 2)
-    return _instance("ilf-pred", keys, text)
+    m = len(keys)
+    k = m.bit_length()
+    blocks: Blocks = []
+    for i, copies in enumerate(_owned_counts(keys)):
+        code = _ebin(i, k)
+        blocks += [([1] + code, copies), (code, m * m - copies)]
+    return blocks
 
 
 def _pred_frame(
@@ -443,24 +414,21 @@ def pred_via_ilf(gadget: GadgetInstance, x: int) -> tuple[int, int | None]:
 # Phi from inverse Phi and back
 
 
-def phi_inverse_transform(text: Text) -> GadgetInstance:
+def _phi_inverse_symbols(original: tuple[int, ...]) -> list[int]:
     """Five-symbol blocks that swap a text's Phi and inverse-Phi rows.
 
-    Each symbol a becomes the block 0 0 1 (sigma-1-a) 1, with sigma the
-    text's own, and a final 1 is appended.  Complementing the
+    Each symbol a becomes the block 0 0 1 (sigma-1-a) 1, with sigma =
+    max(2, largest symbol + 1), and a final 1 is appended.  Complementing the
     distinguishing symbol reverses the lexicographic order of the
     block-start suffixes, so the transform's inverse Phi evaluated at
     block starts computes the original Phi and vice versa; the
     lexicographically extreme positions are stored and answered directly.
     """
-    if text.n == 0:
-        raise ValueError("cannot transform an empty text")
-    sigma = text.sigma
+    sigma = max(2, max(original) + 1)
     symbols: list[int] = []
-    for a in text.symbols:
+    for a in original:
         symbols += [0, 0, 1, sigma - 1 - a, 1]
-    symbols.append(1)
-    return _instance("phi-inverse", text.symbols, Text.from_symbols(symbols, max(2, sigma)))
+    return symbols + [1]
 
 
 def _phi_inverse_anchors(data: tuple[int, ...], text: Text, sa: Sequence[int]) -> dict[str, object]:
@@ -591,9 +559,11 @@ def proof_certificate(gadget: GadgetInstance) -> tuple[LZFactorization, int]:
 
 @dataclass(frozen=True)
 class _Family:
-    """The valid inputs of one size: all of them, a seeded draw, their
-    count, and the one whose gadget text is longest."""
+    """The check every input passes before a build, which returns it as a
+    tuple of ints, and the valid inputs of one size: all of them, a seeded
+    draw, their count, and the one whose gadget text is longest."""
 
+    check: Callable[[Sequence[int]], tuple[int, ...]]
     every: Callable[[int], Iterator[tuple[int, ...]]]
     draw: Callable[[int, random.Random], tuple[int, ...]]
     count: Callable[[int], int]
@@ -607,18 +577,21 @@ def _draw_permutation(n: int, rng: random.Random) -> tuple[int, ...]:
 
 
 _PERMUTATIONS = _Family(
+    check=_checked_permutation,
     every=lambda n: itertools.permutations(range(1, n + 1)),
     draw=_draw_permutation,
     count=math.factorial,
     longest=lambda n: tuple(range(1, n + 1)),
 )
 _SETS = _Family(
+    check=_checked_sorted_set,
     every=lambda m: itertools.combinations(range(1, m * m + 1), m),
     draw=lambda m, rng: tuple(sorted(rng.sample(range(1, m * m + 1), m))),
     count=lambda m: math.comb(m * m, m),
     longest=lambda m: tuple(range(m * m - m + 1, m * m + 1)),
 )
 _BITS = _Family(
+    check=_checked_symbols,
     every=lambda n: itertools.product((0, 1), repeat=n),
     draw=lambda n, rng: tuple(rng.randrange(2) for _ in range(n)),
     count=lambda n: 2**n,
@@ -634,7 +607,7 @@ _BITS = _Family(
 class _Kind:
     """Everything the module knows about one gadget kind.
 
-    ``anchors`` derives the anchors from the input, the text and its suffix
+    ``spell`` writes a checked input's text as symbols; ``anchors`` derives the anchors from the input, the text and its suffix
     array; ``length`` and ``runs`` give an input's closed-form text length
     and, where one exists, run count.  ``rows`` names the derived bundle
     rows the replay reads besides LCP (SA and ISA are stored, and every
@@ -642,7 +615,7 @@ class _Kind:
     """
 
     family: _Family
-    build: Callable[[Sequence[int]], GadgetInstance]
+    spell: Callable[[tuple[int, ...]], list[int]]
     anchors: Callable[[tuple[int, ...], Text, Sequence[int]], dict[str, object]]
     length: Callable[[tuple[int, ...]], int]
     replay: Replay
@@ -656,7 +629,7 @@ class _Kind:
 _TABLE: dict[str, _Kind] = {
     "lcp-select": _Kind(
         family=_PERMUTATIONS,
-        build=lcp_select_gadget,
+        spell=_threshold_blocks,
         anchors=_threshold_anchors,
         length=lambda p: (len(p) + 2) * (len(p) + 1),
         runs=lambda p: 2 * (len(p) + 1),
@@ -668,7 +641,7 @@ _TABLE: dict[str, _Kind] = {
     ),
     "isa-count": _Kind(
         family=_PERMUTATIONS,
-        build=isa_count_gadget,
+        spell=_isa_count_symbols,
         anchors=lambda p, text, sa: {
             **_threshold_anchors(p, text, sa),
             "ell1": len(p) * (len(p) + 1),
@@ -685,7 +658,7 @@ _TABLE: dict[str, _Kind] = {
     "bwt-color": _Kind(
         rows=("bwt",),
         family=_SETS,
-        build=bwt_color_gadget,
+        spell=lambda a: _spell(_bwt_color_blocks(a)),
         anchors=lambda a, text, sa: _code_anchors(a, text, sa, b=1),
         length=lambda a: (2 * len(a).bit_length() + 4) * len(a) ** 2,
         replay=_replay(color_via_bwt, lambda a, x: bisect_left(a, x) % 2, _universe_queries),
@@ -697,7 +670,7 @@ _TABLE: dict[str, _Kind] = {
     "plcp-pred": _Kind(
         rows=("plcp",),
         family=_SETS,
-        build=plcp_pred_gadget,
+        spell=_plcp_pred_symbols,
         anchors=lambda a, text, sa: {"m": len(a), "delta": text.n - (len(a) ** 2 + len(a) + 2)},
         length=lambda a: (
             sum(a) + ((len(a) + 1) * (len(a) + 2) // 2 - 1) + 2 * len(a) ** 2 + len(a) + 4
@@ -708,7 +681,7 @@ _TABLE: dict[str, _Kind] = {
     "phi-pred": _Kind(
         rows=("phi",),
         family=_SETS,
-        build=phi_pred_gadget,
+        spell=_phi_pred_symbols,
         anchors=lambda a, text, sa: {"m": len(a), "delta": text.n - 2 * (len(a) ** 2 + 1)},
         length=lambda a: len(a) ** 3 + 3 * len(a) ** 2 + 2 * len(a) + 4,
         runs=lambda a: 2 * (len(a) + 2),
@@ -717,7 +690,7 @@ _TABLE: dict[str, _Kind] = {
     "ilf-pred": _Kind(
         rows=("ilf",),
         family=_SETS,
-        build=ilf_pred_gadget,
+        spell=lambda a: _spell(_ilf_pred_blocks(a)),
         anchors=lambda a, text, sa: _code_anchors(a, text, sa, alpha=2, beta=1),
         length=lambda a: len(a) ** 2 * (1 + (2 * len(a).bit_length() + 3) * (len(a) + 1)),
         replay=_replay(pred_via_ilf, _definition_pred, _universe_queries),
@@ -729,7 +702,7 @@ _TABLE: dict[str, _Kind] = {
     "phi-inverse": _Kind(
         rows=("phi", "inv_phi"),
         family=_BITS,
-        build=lambda s: phi_inverse_transform(Text.from_symbols(s, max(2, max(s, default=1) + 1))),
+        spell=_phi_inverse_symbols,
         anchors=_phi_inverse_anchors,
         length=lambda s: 5 * len(s) + 1,
         replay=_replay_phi_inverse,
@@ -758,8 +731,23 @@ def _family(kind: str, size: int) -> _Family:
 
 
 def build_gadget(kind: str, data: Sequence[int]) -> GadgetInstance:
-    """Construct a gadget of the given kind from its raw input."""
-    return _spec(kind).build(data)
+    """Construct a gadget of the given kind from its raw input.
+
+    The kind's family checks the input and the kind spells its text, whose
+    length must match the closed form.  The text is then sorted once, and
+    LCP (which verification's LZ77 reads for every kind), the rows the
+    kind's replay reads and the anchors are derived.
+    """
+    spec = _spec(kind)
+    checked = spec.family.check(data)
+    text = Text.from_symbols(spec.spell(checked))
+    want = spec.length(checked)
+    if text.n != want:
+        raise AssertionError(f"{kind} text has length {text.n}, not the closed-form {want}")
+    bundle = build_bundle(text)
+    for row in ("lcp", *spec.rows):  # derived here, so verification derives none
+        getattr(bundle, row)
+    return GadgetInstance(kind, checked, text, spec.anchors(checked, text, bundle.sa), bundle)
 
 
 def recompute_anchors(gadget: GadgetInstance) -> dict[str, object]:

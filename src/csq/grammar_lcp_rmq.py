@@ -408,13 +408,10 @@ def _interval_min(stats: RuleStats, b: int, e: int) -> tuple[int, int, tuple]:
     where: tuple = ()  # positions counted from b
     acc_sum = 0
     acc_len = 0
+    # A nonempty part is a proper suffix or prefix of a child longer than one symbol: an Nt.
     if p_left > 0:
-        a = rules[x][i - 1]
-        if isinstance(a, Nt):
-            s_l, best_v, where = _suffix_min(stats, a.id, p_left)
-        else:
-            s_l, best_v, where = a, a, (1, None, 0, 0)
-        acc_sum, acc_len = s_l, p_left
+        acc_sum, best_v, where = _suffix_min(stats, rules[x][i - 1].id, p_left)
+        acc_len = p_left
     before_b = base + psum_x[i + 1] - acc_sum  # A[1]+...+A[b]
     if p_mid > 0:
         v_m = min(stats.mmin[x][i + 1 : j])
@@ -424,11 +421,7 @@ def _interval_min(stats: RuleStats, b: int, e: int) -> tuple[int, int, tuple]:
         acc_sum += psum_x[j] - psum_x[i + 1]
         acc_len += p_mid
     if p_right > 0:
-        a = rules[x][j - 1]
-        if isinstance(a, Nt):
-            _, v_r, where_r = _prefix_min(stats, a.id, p_right)
-        else:
-            v_r, where_r = a, (1, None, 0, 0)
+        _, v_r, where_r = _prefix_min(stats, rules[x][j - 1].id, p_right)
         if best_v is None or acc_sum + v_r < best_v:
             best_v = acc_sum + v_r
             where = (acc_len + where_r[0], *where_r[1:])

@@ -128,9 +128,9 @@ class YFastTrie:
 
 
 def yfast_build(keys: Sequence[int], u: int) -> YFastTrie:
-    checked = _checked_keys(keys, u)
     if u < 0:
         raise ValueError("universe bound must be nonnegative")
+    checked = _checked_keys(keys, u)
     width = max(1, u.bit_length())
     bucket_size = max(1, width)
     buckets = tuple(
@@ -198,10 +198,6 @@ class SmallSet:
     block_size: int
     blocks: tuple[tuple[int, ...], ...]
     minima: tuple[int, ...]
-
-    @property
-    def m(self) -> int:
-        return sum(len(b) for b in self.blocks)
 
 
 def smallset_build(keys: Sequence[int]) -> SmallSet:

@@ -98,12 +98,10 @@ class Text:
         return "".join(chr(s) for s in self.symbols)
 
 
-PatternLike = Union["Text", str, Sequence[int]]
+PatternLike = Union[str, Sequence[int]]
 
 
 def _coerce_pattern(pattern: PatternLike) -> tuple[int, ...]:
-    if isinstance(pattern, Text):
-        return pattern.symbols
     if isinstance(pattern, str):
         return tuple(map(ord, pattern))
     return tuple(map(int, pattern))
@@ -238,10 +236,6 @@ class SuffixArrayBundle:
 
     def __hash__(self) -> int:
         return hash(self.text)
-
-    @property
-    def n(self) -> int:
-        return self.text.n
 
     @cached_property
     def lcp(self) -> array:

@@ -11,19 +11,12 @@ from csq.gadgets import (
     KINDS,
     all_inputs,
     build_gadget,
-    bwt_color_gadget,
     color_via_bwt,
     count_via_isa,
-    ilf_pred_gadget,
     instance_inputs,
     invphi_via_phi,
-    isa_count_gadget,
-    lcp_select_gadget,
     merge_reports,
-    phi_inverse_transform,
-    phi_pred_gadget,
     phi_via_invphi,
-    plcp_pred_gadget,
     pred_via_ilf,
     pred_via_phi,
     pred_via_plcp,
@@ -50,20 +43,20 @@ def _symbol_string(gadget) -> str:
 
 def test_lcp_select_rejects_non_permutation():
     with pytest.raises(ValueError, match="not a permutation"):
-        lcp_select_gadget([5, 1, 2, 8, 4, 7, 6, 2, 9])
+        build_gadget("lcp-select", [5, 1, 2, 8, 4, 7, 6, 2, 9])
     with pytest.raises(ValueError, match="nonempty"):
-        lcp_select_gadget([])
+        build_gadget("lcp-select", [])
 
 
 def test_lcp_select_singleton():
-    g = lcp_select_gadget([1])
+    g = build_gadget("lcp-select", [1])
     assert _symbol_string(g) == "010011"
     assert select_via_lcp(g, 1, 1) == 1
     assert select_via_lcp(g, 0, 1) == 1  # answered as v = 1
 
 
 def test_lcp_select_query_contract():
-    g = lcp_select_gadget([2, 1, 3])
+    g = build_gadget("lcp-select", [2, 1, 3])
     with pytest.raises(ValueError, match="threshold"):
         select_via_lcp(g, 4, 1)
     with pytest.raises(ValueError, match="rank"):
@@ -73,7 +66,7 @@ def test_lcp_select_query_contract():
 
 
 def test_lcp_select_worked_instance():
-    g = lcp_select_gadget([2, 1, 3])
+    g = build_gadget("lcp-select", [2, 1, 3])
     # indices with A[i] >= 2 are {1, 3}
     assert select_via_lcp(g, 2, 1) == 1
     assert select_via_lcp(g, 2, 2) == 3
@@ -92,7 +85,7 @@ def test_lcp_select_exhaustive_n4():
 
 
 def test_isa_count_worked_example():
-    g = isa_count_gadget([2, 1, 3])
+    g = build_gadget("isa-count", [2, 1, 3])
     assert count_via_isa(g, 2, 2) == 1
     assert count_via_isa(g, 3, 2) == 2
     assert count_via_isa(g, 2, 0) == 2  # v < 1 counts the whole prefix
@@ -104,7 +97,7 @@ def test_isa_count_worked_example():
 
 
 def test_isa_count_singleton_shape():
-    g = isa_count_gadget([1])
+    g = build_gadget("isa-count", [1])
     assert g.text.n == 13
     assert run_length_encode(g.text).run_count == 8
 
@@ -121,13 +114,13 @@ def test_isa_count_exhaustive_n4():
 
 
 def test_bwt_color_singleton():
-    g = bwt_color_gadget([1])
+    g = build_gadget("bwt-color", [1])
     assert _symbol_string(g) == "011000"
     assert color_via_bwt(g, 1) == 0
 
 
 def test_bwt_color_boundaries():
-    g = bwt_color_gadget([2, 5, 9])
+    g = build_gadget("bwt-color", [2, 5, 9])
     assert color_via_bwt(g, 1) == 0  # x <= min(A)
     assert color_via_bwt(g, 2) == 0
     assert color_via_bwt(g, 0) == 0  # below the universe
@@ -135,15 +128,15 @@ def test_bwt_color_boundaries():
 
 
 def test_set_gadget_input_validation():
-    for build in (bwt_color_gadget, plcp_pred_gadget, phi_pred_gadget, ilf_pred_gadget):
+    for kind in ("bwt-color", "plcp-pred", "phi-pred", "ilf-pred"):
         with pytest.raises(ValueError, match="strictly increasing"):
-            build([2, 5, 5])
+            build_gadget(kind, [2, 5, 5])
         with pytest.raises(ValueError, match=r"lie in \[1"):
-            build([0, 3])
+            build_gadget(kind, [0, 3])
         with pytest.raises(ValueError, match=r"lie in \[1"):
-            build([1, 99])
+            build_gadget(kind, [1, 99])
         with pytest.raises(ValueError, match="nonempty"):
-            build([])
+            build_gadget(kind, [])
 
 
 def test_bwt_color_exhaustive_m2():
@@ -157,7 +150,7 @@ def test_bwt_color_exhaustive_m2():
 
 
 def test_plcp_pred_worked_example():
-    g = plcp_pred_gadget([1, 3])
+    g = build_gadget("plcp-pred", [1, 3])
     assert pred_via_plcp(g, 3) == (1, 1)
     assert pred_via_plcp(g, 4) == (2, 3)
     assert pred_via_plcp(g, 1) == (0, None)
@@ -166,14 +159,14 @@ def test_plcp_pred_worked_example():
 
 
 def test_phi_pred_worked_example():
-    g = phi_pred_gadget([1, 3])
+    g = build_gadget("phi-pred", [1, 3])
     assert g.text.n == 28
     assert pred_via_phi(g, 2) == (1, 1)
     assert pred_via_phi(g, 1) == (0, None)
 
 
 def test_ilf_pred_singleton():
-    g = ilf_pred_gadget([1])
+    g = build_gadget("ilf-pred", [1])
     assert _symbol_string(g) == "11100011010"
     assert pred_via_ilf(g, 1) == (0, None)  # the zero sentinel ranks first
 
@@ -183,7 +176,7 @@ def test_pred_flavors_agree():
     for _ in range(10):
         m = rng.randint(1, 5)
         keys = tuple(sorted(rng.sample(range(1, m * m + 1), m)))
-        gadgets = (plcp_pred_gadget(keys), phi_pred_gadget(keys), ilf_pred_gadget(keys))
+        gadgets = tuple(build_gadget(kind, keys) for kind in ("plcp-pred", "phi-pred", "ilf-pred"))
         queries = range(0, m * m + 2)
         for x in queries:
             answers = {
@@ -206,19 +199,21 @@ def test_pred_exhaustive_m2_all_flavors():
 
 
 def test_phi_inverse_block_shape():
-    g = phi_inverse_transform(Text.from_symbols([1, 0], 2))
+    g = build_gadget("phi-inverse", [1, 0])
     assert _symbol_string(g) == "00101001111"
     assert g.text.n == 5 * 2 + 1
 
 
 def test_phi_inverse_sigma_validation():
     with pytest.raises(ValueError, match="empty"):
-        phi_inverse_transform(Text.from_symbols([], 2))
+        build_gadget("phi-inverse", [])
+    with pytest.raises(ValueError, match="^symbols must be non-negative integers$"):
+        build_gadget("phi-inverse", [1, -1])
 
 
 def test_phi_inverse_reproduces_figure_rows(fig_text):
     symbols = [1 if c == "b" else 0 for c in FIG_ASCII]
-    g = phi_inverse_transform(Text.from_symbols(symbols, 2))
+    g = build_gadget("phi-inverse", symbols)
     n = len(symbols)
     assert g.text.n == 5 * n + 1
     for j in range(1, n + 1):
@@ -251,7 +246,7 @@ def test_phi_inverse_anchors_match_a_sort_of_the_original():
     for symbols in texts:
         original = Text.from_symbols(symbols, 5)
         sa = build_bundle(original).sa
-        anchors = phi_inverse_transform(original).anchors
+        anchors = build_gadget("phi-inverse", symbols).anchors
         assert (anchors["j_lexfirst"], anchors["j_lexlast"]) == (sa[1], sa[-1]), symbols
 
 
@@ -277,11 +272,11 @@ def test_certificates_decode_and_respect_bounds():
 
 
 def test_block_certificate_bounds_formulas():
-    g = bwt_color_gadget([2, 5, 9])
+    g = build_gadget("bwt-color", [2, 5, 9])
     _, bound = proof_certificate(g)
     k = g.anchors["k"]
     assert bound == (3 + 1) * (2 * k + 5)
-    g = ilf_pred_gadget([2, 5, 9])
+    g = build_gadget("ilf-pred", [2, 5, 9])
     _, bound = proof_certificate(g)
     k = g.anchors["k"]
     assert bound == (3 + 1) * (4 * k + 9)
@@ -292,7 +287,7 @@ def test_block_certificate_bounds_formulas():
 
 
 def test_negative_control_corrupted_anchor():
-    g = plcp_pred_gadget([2, 5, 9])
+    g = build_gadget("plcp-pred", [2, 5, 9])
     bad = dataclasses.replace(
         g, anchors={**g.anchors, "delta": g.anchors["delta"] + 1}
     )
@@ -306,7 +301,7 @@ def test_negative_control_corrupted_anchor():
 
 def test_certificate_beating_greedy_raises(monkeypatch):
     """Greedy LZ77 is optimal, so no certificate may have fewer phrases."""
-    g = plcp_pred_gadget([2, 5, 9])
+    g = build_gadget("plcp-pred", [2, 5, 9])
     cert_size = proof_certificate(g)[0].phrase_count
     # The all-literal parse is valid, so only the phrase-count check fails.
     literals = LZFactorization(tuple((c, 0) for c in g.text.symbols), g.text.n)
@@ -316,11 +311,46 @@ def test_certificate_beating_greedy_raises(monkeypatch):
         verify_reduction("plcp-pred", g)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_certificate_over_its_bound_raises(monkeypatch, kind):
+    """A certificate with more phrases than its closed-form bound is refused."""
+    g = build_gadget(kind, random_input(kind, 3, random.Random(0xB0)))
+    phrases = proof_certificate(g)[0].phrase_count
+    spec = gadgets._TABLE[kind]
+    tight = dataclasses.replace(
+        spec, certificate=lambda gadget, rle: (spec.certificate(gadget, rle)[0], phrases - 1)
+    )
+    monkeypatch.setitem(gadgets._TABLE, kind, tight)
+    message = f"^{kind} certificate has {phrases} phrases, over its closed-form bound {phrases - 1}$"
+    with pytest.raises(AssertionError, match=message):
+        verify_reduction(kind, g)
+
+
+_MAPPINGS = [
+    (select_via_lcp, "lcp-select", (1, 1)),
+    (count_via_isa, "isa-count", (1, 1)),
+    (color_via_bwt, "bwt-color", (1,)),
+    (pred_via_plcp, "plcp-pred", (1,)),
+    (pred_via_phi, "phi-pred", (1,)),
+    (pred_via_ilf, "ilf-pred", (1,)),
+    (phi_via_invphi, "phi-inverse", (1,)),
+    (invphi_via_phi, "phi-inverse", (1,)),
+]
+
+
+@pytest.mark.parametrize("via, kind, query", _MAPPINGS, ids=[m[0].__name__ for m in _MAPPINGS])
+def test_query_mapping_refuses_a_gadget_of_another_kind(via, kind, query):
+    other = "isa-count" if kind == "lcp-select" else "lcp-select"
+    g = build_gadget(other, (1,))
+    with pytest.raises(ValueError, match=f"^expected a {kind} gadget, got {other}$"):
+        via(g, *query)
+
+
 def test_verify_rejects_bundle_with_faulty_lcp():
     """A faulty stored bundle never passes silently: zeroed LCPs overstate z
     and fail the certificate check, and inflated LCPs give a parse that does
     not spell the text, which validation rejects."""
-    g = plcp_pred_gadget([2, 5, 9])
+    g = build_gadget("plcp-pred", [2, 5, 9])
 
     def with_lcp(lcp):
         bad = dataclasses.replace(g.bundle)
@@ -337,7 +367,7 @@ def test_verify_rejects_bundle_with_faulty_lcp():
 
 def test_contracts_raise_on_doctored_instances(monkeypatch):
     """The closed-form contracts are explicit raises, so they hold under -O."""
-    g = lcp_select_gadget([2, 1, 3])
+    g = build_gadget("lcp-select", [2, 1, 3])
     extra_run = dataclasses.replace(g, text=Text.from_symbols((1,) + g.text.symbols[1:], 2))
     with pytest.raises(AssertionError, match="runs, not the closed-form"):
         verify_reduction("lcp-select", extra_run)
@@ -349,10 +379,11 @@ def test_contracts_raise_on_doctored_instances(monkeypatch):
     with pytest.raises(AssertionError, match="not a block start"):
         verify_reduction("phi-inverse", bad)
 
-    real = gadgets._threshold_blocks
-    monkeypatch.setattr(gadgets, "_threshold_blocks", lambda perm: real(perm) + [1])
+    spec = gadgets._TABLE["lcp-select"]
+    longer = dataclasses.replace(spec, spell=lambda perm: spec.spell(perm) + [1])
+    monkeypatch.setitem(gadgets._TABLE, "lcp-select", longer)
     with pytest.raises(AssertionError, match="length 21, not the closed-form 20"):
-        lcp_select_gadget([2, 1, 3])
+        build_gadget("lcp-select", [2, 1, 3])
 
 
 def test_one_run_length_encoding_per_verify(monkeypatch):
@@ -397,7 +428,7 @@ def test_recompute_anchors_is_idempotent():
 
 
 def test_verify_kind_mismatch_and_unknown_kind():
-    g = plcp_pred_gadget([1, 3])
+    g = build_gadget("plcp-pred", [1, 3])
     with pytest.raises(ValueError, match="does not match"):
         verify_reduction("phi-pred", g)
     with pytest.raises(ValueError, match="unknown gadget kind"):
@@ -420,7 +451,7 @@ def test_merge_reports_associative_and_checked():
     right = merge_reports(reports[0], merge_reports(reports[1], reports[2]))
     assert left == right
     assert left.instances == 3
-    other = verify_reduction("plcp-pred", plcp_pred_gadget([1, 3]))
+    other = verify_reduction("plcp-pred", build_gadget("plcp-pred", [1, 3]))
     with pytest.raises(ValueError, match="cannot merge"):
         merge_reports(reports[0], other)
 

@@ -354,6 +354,8 @@ def test_widen_slg_direct():
     w = widen_slg(g, 2)
     assert expand(w, w.start) == expand(g, 2)
     assert max(len(r) for r in w.rules) <= 2 * 4
+    with pytest.raises(ValueError, match="^widening depth must be at least 1$"):
+        widen_slg(g, 0)
 
 
 def test_one_derivation_per_grammar(monkeypatch):
@@ -430,6 +432,11 @@ def test_epsilon_validation(fig_text):
         with pytest.raises(ValueError, match=message):
             grammar.check_epsilon(epsilon)
     grammar.check_epsilon(0.5)
+
+
+def test_build_refuses_empty_text():
+    with pytest.raises(ValueError, match="^cannot index an empty text$"):
+        build_lcp_rmq_index(Text.from_symbols([]))
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,20 @@ def test_validate_rejects_bad_phrases(fig_text):
         validate_lz_like(t, [(ord("a"), 0), (ord("b"), 0)])
 
 
+@pytest.mark.parametrize(
+    "phrases, message",
+    [
+        ([(97, 0), (97, 0)], "phrase 2: literal 97 != text symbol 98 at position 2"),
+        ([(97, 0), (98, 0), (1, 2), (97, 0)], "phrase 4: literal lies past the end of the text"),
+        ([(97, 0), (1, -1)], "phrase 2: negative length"),
+    ],
+    ids=["wrong-literal", "literal-past-end", "negative-copy-length"],
+)
+def test_validate_names_the_refused_phrase(phrases, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        validate_lz_like(Text.from_ascii("abab"), phrases)
+
+
 def test_validate_reports_matched_prefix_of_overlapping_copy():
     """A self-overlapping copy that fails names how many symbols matched."""
     t = Text.from_ascii("aaaab")

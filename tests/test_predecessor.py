@@ -59,6 +59,8 @@ def test_build_validation():
         StaticKeySet.build([-1, 2])
     with pytest.raises(ValueError):
         yfast_build([2, 30], u=20)
+    with pytest.raises(ValueError, match="^universe bound must be nonnegative$"):
+        yfast_build([0, 3], u=-1)
     with pytest.raises(IndexError):
         StaticKeySet.build([1]).key_at(2)
 

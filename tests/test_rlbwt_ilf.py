@@ -86,6 +86,11 @@ def test_append_terminator_rejects_width_overflow():
 # build_ilf_index
 
 
+def test_build_refuses_empty_text():
+    with pytest.raises(ValueError, match="^cannot index an empty text$"):
+        build_ilf_index(Text.from_symbols([]))
+
+
 def test_boundary_count_equals_terminated_runs():
     t = Text.from_ascii("a" * 8)
     idx = build_ilf_index(t)

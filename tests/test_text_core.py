@@ -87,6 +87,12 @@ def test_text_from_symbols_messages_and_default_sigma():
     assert Text.from_symbols([True, 3.0], 4) == Text((1, 3), 4)
 
 
+def test_text_from_ascii_takes_8_bit_characters_only():
+    assert Text.from_ascii("a\xff") == Text((97, 255), 256)
+    with pytest.raises(ValueError, match="^from_ascii accepts 8-bit characters only$"):
+        Text.from_ascii("a\u0100")
+
+
 def test_text_at_is_one_based(fig_text):
     assert fig_text.at(1) == ord("b")
     assert fig_text.at(19) == ord("a")
