@@ -8,6 +8,10 @@ identical configurations (including seeds and worker counts) render
 byte-identical structured reports.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or input error.
+
+``main`` may be called repeatedly in one process: it builds the argument
+parser on its first call and reuses it, since parsing a command line
+leaves no state in the parser.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import chain, islice
 from typing import Callable, Iterator, Sequence
 
@@ -340,7 +344,10 @@ _HANDLERS: dict[str, Callable[[argparse.Namespace, Report], int]] = {
 # Argument parsing
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one ``csq`` parser, built on first use and shared by every
+    ``main`` call; each ``parse_args`` gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="csq",
         description=(

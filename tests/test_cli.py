@@ -863,6 +863,72 @@ def test_timing_commands_are_usage_errors(capsys, fig_file, argv):
 
 
 # ---------------------------------------------------------------------------
+# the shared parser
+
+
+def test_main_builds_one_parser_tree_per_process(capsys, monkeypatch, fig_file):
+    """Repeated in-process calls reuse the first call's parser: no call
+    after the first constructs an ArgumentParser."""
+    cli._build_parser.cache_clear()
+    constructed = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        constructed.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    totals = []
+    for argv in (["measures", "--input", fig_file], ["arrays", "--input", fig_file],
+                 ["gadget-verify", "--kind", "lcp-select", "--size", "3", "--exhaustive"]):
+        assert main(argv) == 0
+        totals.append(len(constructed))
+    capsys.readouterr()
+    # the first call builds the top-level parser, its parents and subparsers
+    assert totals[0] > 1 and totals == [totals[0]] * 3
+
+
+def _parse_outcome(parser, argv):
+    """vars of the parsed namespace, or the exit code and stderr of a refusal."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, err.getvalue()
+
+
+def test_shared_parser_answers_as_a_fresh_one(fig_file):
+    """One parser answers a sequence of command lines, refusals included,
+    exactly as a parser built for each line does, and nothing carries over
+    from one line to the next."""
+    verify = ["gadget-verify", "--kind", "lcp-select", "--size", "3"]
+    argvs = [
+        verify,
+        [*verify, "--trials", "20", "--exhaustive"],
+        ["lcp-select", "--input", fig_file],
+        ["lce", "--epsilon", "0.3", "--input", fig_file, "--queries", fig_file],
+        ["lcp-rmq", "--input", fig_file, "--format", "ints", "--output", "structured"],
+        ["lce", "--epsilon", "x", "--input", fig_file],
+        [*verify, "--trials", "7", "--seed", "5"],
+        verify,
+    ]
+    shared = cli._build_parser()
+    outcomes = [_parse_outcome(shared, argv) for argv in argvs]
+    assert outcomes == [_parse_outcome(cli._build_parser.__wrapped__(), argv) for argv in argvs]
+    assert cli._build_parser() is shared
+    first = outcomes[0]
+    assert first["trials"] == 20 and type(first["trials"]) is int
+    assert first["exhaustive"] is False
+    assert outcomes[-1] == first
+    assert outcomes[1][0] == outcomes[2][0] == outcomes[5][0] == 2
+    assert "not allowed with argument" in outcomes[1][1]
+    assert "invalid choice: 'lcp-select'" in outcomes[2][1]
+    assert outcomes[3]["epsilon"] == 0.3
+    assert outcomes[6]["trials"] == 7
+
+
+# ---------------------------------------------------------------------------
 # output stream
 
 

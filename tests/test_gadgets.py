@@ -27,8 +27,10 @@ from csq.gadgets import (
     verify_many,
     verify_reduction,
 )
+from csq.grammar_lcp_rmq import build_lcp_rmq_index, lce_query, lcp_rmq
 from csq.measures import LZFactorization, run_length_encode
-from csq.text_core import Text, build_bundle
+from csq.rlbwt_ilf import build_ilf_index, ilf_query
+from csq.text_core import Text, build_bundle, lce_naive
 
 from conftest import FIG_ASCII, FIG_INV_PHI, FIG_PHI
 
@@ -516,3 +518,32 @@ def test_seeded_random_instances_all_kinds():
             assert report.ok, (kind, size, report.first_mismatch)
             assert report.cert_phrases <= report.cert_bound
             assert report.lz_phrases <= report.cert_phrases
+
+
+# ---------------------------------------------------------------------------
+# Gadget texts through the compressed indexes
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_compressed_indexes_answer_on_gadget_texts(kind):
+    """One seeded instance per kind at the acceptance caps (32; ilf-pred 8),
+    texts of long runs and framed codes: the inverse-LF index equals the
+    bundle's ILF row everywhere, lcp_rmq gives the leftmost minimum of its
+    LCP slice, and lce_query equals a direct comparison."""
+    rng = random.Random(0x15_00 + KINDS.index(kind))
+    size = 8 if kind == "ilf-pred" else 32
+    gadget = build_gadget(kind, random_input(kind, size, rng))
+    text, bundle = gadget.text, gadget.bundle
+    n = text.n
+    ilf = build_ilf_index(text)
+    assert [ilf_query(ilf, i) for i in range(1, n + 1)] == list(bundle.ilf[1:])
+    grammar = build_lcp_rmq_index(text)
+    lcp = bundle.lcp
+    for _ in range(300):
+        b = rng.randrange(n)
+        e = rng.randint(b + 1, n)
+        window = lcp[b + 1 : e + 1]
+        assert lcp_rmq(grammar, b, e) == b + 1 + window.index(min(window)), (kind, b, e)
+    for _ in range(300):
+        i, j = rng.randint(1, n), rng.randint(1, n)
+        assert lce_query(grammar, i, j) == lce_naive(text, i, j), (kind, i, j)

@@ -19,6 +19,7 @@ from csq.measures import (
     substring_complexity,
     validate_lz_like,
 )
+from csq.rlbwt_ilf import build_ilf_index
 from csq.text_core import Text, build_bundle, lce_naive
 
 small_texts = st.lists(st.integers(0, 3), min_size=1, max_size=64)
@@ -450,3 +451,52 @@ def test_morphism_multiplies_z_by_at_most_k(symbols, k, rng):
     ]
     assert validate_lz_like(image, induced) <= k * fact.phrase_count
     assert lz77_factorize(image).phrase_count <= k * fact.phrase_count
+
+
+# ---------------------------------------------------------------------------
+# Cross-measure laws
+
+
+def _law_texts() -> dict[str, list[int]]:
+    """Seeded random, period-k with point edits, and Fibonacci and
+    Thue-Morse prefixes, at lengths up to 10^4."""
+    rng = random.Random(0xDE17A)
+    texts = {}
+    for n in (10, 300, 10**4):
+        for sigma in (2, 4):
+            texts[f"random-s{sigma}-n{n}"] = [rng.randrange(sigma) for _ in range(n)]
+    for k in (2, 7, 50):
+        for n in (1000, 10**4):
+            block = [rng.randrange(4) for _ in range(k)]
+            symbols = [block[i % k] for i in range(n)]
+            for _ in range(n // 256):
+                symbols[rng.randrange(n)] = rng.randrange(4)
+            texts[f"period{k}-edits-n{n}"] = symbols
+    shorter, fibonacci = [0], [0, 1]
+    while len(fibonacci) < 10**4:
+        shorter, fibonacci = fibonacci, fibonacci + shorter
+    thue_morse = [bin(i).count("1") & 1 for i in range(10**4)]
+    for n in (2, 33, 1000, 10**4):
+        texts[f"fibonacci-n{n}"] = fibonacci[:n]
+        texts[f"thue-morse-n{n}"] = thue_morse[:n]
+    return texts
+
+
+_LAW_TEXTS = _law_texts()
+
+
+@pytest.mark.parametrize("name", sorted(_LAW_TEXTS))
+def test_delta_is_at_most_z_and_terminated_r(name):
+    """delta <= gamma <= z, since the last symbols of the greedy LZ77 phrases
+    (overlaps allowed) form a string attractor (Kociumaka, Navarro & Prezza,
+    IEEE TIT 2023), and gamma <= r for the BWT of the terminated text
+    (Kempa & Prezza, STOC 2018), which is the index's r_shifted.  csq's
+    unterminated r may be up to 3 below it, so the law is not stated on r."""
+    text = Text.from_symbols(_LAW_TEXTS[name], 4)
+    bundle = build_bundle(text)  # held, so the three measures share one sort
+    delta = substring_complexity(text).value
+    z = lz77_factorize(text).phrase_count
+    r_terminated = build_ilf_index(text).r_shifted
+    del bundle
+    assert delta <= z, (name, delta, z)
+    assert delta <= r_terminated, (name, delta, r_terminated)
