@@ -8,11 +8,27 @@ text length and run count seen, the greedy phrase count z, and the
 certificate phrase count against its closed-form bound.  Exits 1 if
 any kind reports a mismatch, and 2, before any row, if a kind refuses
 the size or trial count.
+
+Four more columns give the index sizes of one instance per kind, drawn
+by random_input(kind, size, random.Random(seed)): its BWT run count r,
+the integers the inverse-LF index keeps, the integers the LCP-RMQ index
+keeps less the n ISA entries (this still counts the pred view, which
+no query reads), and its certificate's phrase count.
 """
 
 import argparse
+import random
 
-from csq.gadgets import KINDS, instance_inputs, verify_many
+from csq.gadgets import (
+    KINDS,
+    build_gadget,
+    instance_inputs,
+    proof_certificate,
+    random_input,
+    verify_many,
+)
+from csq.grammar_lcp_rmq import build_lcp_rmq_index
+from csq.rlbwt_ilf import build_ilf_index
 
 
 def main() -> int:
@@ -34,7 +50,8 @@ def main() -> int:
 
     print(
         f"{'kind':>12} {'instances':>9} {'queries':>8} {'mismatch':>8} "
-        f"{'|T|':>7} {'runs':>5} {'z':>5} {'cert':>5} {'bound':>6} {'ok':>5}"
+        f"{'|T|':>7} {'runs':>5} {'z':>5} {'cert':>5} {'bound':>6} {'ok':>5} "
+        f"{'r':>5} {'ilf_ints':>8} {'lcp_ints':>8} {'cert1':>5}"
     )
     failures = 0
     for kind in KINDS:
@@ -46,11 +63,16 @@ def main() -> int:
             seed=args.seed,
         )
         failures += not report.ok
+        gadget = build_gadget(kind, random_input(kind, args.size, random.Random(args.seed)))
+        ilf = build_ilf_index(gadget.text)
+        lcp_ints = build_lcp_rmq_index(gadget.text).stored_integers - gadget.text.n
+        cert_phrases = proof_certificate(gadget)[0].phrase_count
         print(
             f"{kind:>12} {report.instances:>9} {report.query_count:>8} "
             f"{report.mismatch_count:>8} {report.text_length:>7} {report.rl_runs:>5} "
             f"{report.lz_phrases:>5} {report.cert_phrases:>5} {report.cert_bound:>6} "
-            f"{str(report.ok):>5}"
+            f"{str(report.ok):>5} {ilf.r_original:>5} {ilf.stored_integers:>8} "
+            f"{lcp_ints:>8} {cert_phrases:>5}"
         )
         if report.first_mismatch is not None:
             print(f"{'':>12} first mismatch: {report.first_mismatch!r}")

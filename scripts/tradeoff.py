@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""The LCP-RMQ grammar's time/space trade-off across n and epsilon.
+
+LCP and LCE queries need Omega(log n / log log n) time in O(delta polylog n)
+space, and widening a pairing grammar of height h by k = ceil(epsilon *
+log2 log2 n) levels is where csq meets that bound: the widened height is
+at most ceil(h/k) + 1, and each rule has at most l = 2 * 2^k symbols.
+For texts of n = 10^3, 10^4, ... up to --max-n from four families (random
+over 4 symbols and period 8 with seeded edits, as bench_ilf.py draws them,
+and Fibonacci and Thue-Morse prefixes) and epsilon in 0.25, 0.5, 0.75 and
+0.99, this prints k, l, the pairing and widened heights, the
+ceil(h/k) + 1 bound, the pairing and widened sizes, the integers the index
+keeps, the median time of one lcp_rmq and one lce_query call over
+--queries seeded calls, and log2 n / log2 log2 n for scale.  Each text is sorted once: its bundle is
+held while the index is built for every epsilon.  The index objects keep
+no counters, so no per-query level count is printed; the widened height
+bounds the levels a descent visits.
+"""
+
+import argparse
+import math
+import random
+import statistics
+import time
+
+from bench_ilf import make_text as bench_text  # scripts/ leads sys.path when a script runs
+from csq.gadgets import TEXT_LENGTH_BUDGET
+from csq.grammar_lcp_rmq import build_lcp_rmq_index, lce_query, lcp_rmq
+from csq.text_core import Text, build_bundle
+
+EPSILONS = (0.25, 0.5, 0.75, 0.99)
+FAMILIES = ("random", "repetitive", "fibonacci", "thue-morse")
+SMALLEST_N = 1000
+# The most seeded calls one cell draws and keeps per query kind.
+QUERIES_MAX = 10**6
+
+
+def make_text(family: str, n: int, rng: random.Random) -> Text:
+    """bench_ilf.py's random (sigma = 4) and repetitive (period 8 with
+    seeded edits) texts, or a Fibonacci or Thue-Morse prefix."""
+    if family in ("random", "repetitive"):
+        return bench_text(family, n, rng)
+    if family == "fibonacci":  # f1 = 0, f2 = 01, fk = f(k-1) f(k-2)
+        shorter, word = [0], [0, 1]
+        while len(word) < n:
+            shorter, word = word, word + shorter
+        return Text.from_symbols(word[:n], 2)
+    return Text.from_symbols([bin(i).count("1") & 1 for i in range(n)], 2)  # Thue-Morse
+
+
+def median_us(call, args: list[tuple[int, int]]) -> float:
+    """Median wall time of one call, in microseconds."""
+    times = []
+    for a, b in args:
+        t0 = time.perf_counter()
+        call(a, b)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times) * 1e6
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--max-n", type=int, default=10**5,
+                        help=f"largest text length ({SMALLEST_N} to {TEXT_LENGTH_BUDGET})")
+    parser.add_argument("--queries", type=int, default=1000,
+                        help=f"timed calls per query kind and cell (1 to {QUERIES_MAX})")
+    args = parser.parse_args()
+    for flag, value, least, most in (("--max-n", args.max_n, SMALLEST_N, TEXT_LENGTH_BUDGET),
+                                     ("--queries", args.queries, 1, QUERIES_MAX)):
+        if value < least:
+            parser.error(f"{flag} must be at least {least}")
+        if value > most:
+            parser.error(f"{flag} must be at most {most}")
+
+    print(
+        f"{'family':>10} {'n':>7} {'eps':>4} {'k':>2} {'l':>3} {'slp_h':>5} {'height':>6} "
+        f"{'bound':>5} {'slp_size':>8} {'size':>7} {'stored':>8} {'rmq_us':>7} {'lce_us':>7} "
+        f"{'lg/lglg':>7}"
+    )
+    for family in FAMILIES:
+        n = SMALLEST_N
+        while n <= args.max_n:
+            rng = random.Random(f"{family}:{n}")
+            text = make_text(family, n, rng)
+            ranges = [(b, rng.randint(b + 1, n)) for b in (rng.randrange(n) for _ in range(args.queries))]
+            pairs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(args.queries)]
+            scale = math.log2(n) / math.log2(math.log2(n))
+            bundle = build_bundle(text)  # held, so every epsilon reads one sort
+            for epsilon in EPSILONS:
+                index = build_lcp_rmq_index(text, epsilon)
+                k, h = index.k_widen, index.slp_height
+                rmq_us = median_us(lambda b, e: lcp_rmq(index, b, e), ranges)
+                lce_us = median_us(lambda i, j: lce_query(index, i, j), pairs)
+                print(
+                    f"{family:>10} {n:>7} {epsilon:>4} {k:>2} {index.ell:>3} {h:>5} "
+                    f"{index.height:>6} {-(-h // k) + 1:>5} {index.slp_size:>8} {index.size:>7} "
+                    f"{index.stored_integers:>8} {rmq_us:>7.2f} {lce_us:>7.2f} {scale:>7.2f}"
+                )
+            del bundle
+            n *= 10
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

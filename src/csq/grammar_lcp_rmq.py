@@ -7,10 +7,10 @@ expansion is the differential LCP array of a text (A[1] = LCP[1] and
 A[i] = LCP[i] - LCP[i-1], so prefix sums of A reconstruct LCP), equips every
 rule with the prefix/suffix/child statistics its queries read, and answers
 
-* prefix_stats_query / suffix_stats_query — sum, minimum, and leftmost
-  argmin of the partial sums of a prefix or suffix of a nonterminal's
-  expansion, by descending O(height) rules with one bisect of the rule's
-  plen row each, and one scan of at most l per-child minima for the argmin;
+* prefix_stats_query — sum, minimum, and leftmost argmin of the partial
+  sums of a prefix of a nonterminal's expansion, by descending O(height)
+  rules with one bisect of the rule's plen row each, and one scan of at
+  most l per-child minima for the argmin;
 * interval_argmin_prefix_sum — leftmost argmin of A[1]+...+A[i] over an
   interval (b..e], by a left-suffix / middle-children / right-prefix
   decomposition at the deepest rule containing the interval, whose middle
@@ -67,7 +67,6 @@ __all__ = [
     "lcp_rmq",
     "make_slg",
     "prefix_stats_query",
-    "suffix_stats_query",
     "widen_slg",
 ]
 
@@ -289,17 +288,6 @@ def prefix_stats_query(stats: RuleStats, x: int, p: int) -> tuple[int, int, int]
     return total, low, _at(stats, where)
 
 
-def suffix_stats_query(stats: RuleStats, x: int, p: int) -> tuple[int, int, int]:
-    """(sum, min, argmin) of the partial sums of C = exp(x)[m-p+1..m]:
-    (C[1]+...+C[p], min over t of C[1]+...+C[t], smallest minimizing t)."""
-    if not 0 <= x < len(stats.exp_len):
-        raise ValueError(f"no rule for nonterminal {x}")
-    if not 1 <= p <= stats.exp_len[x]:
-        raise ValueError(f"suffix length {p} outside [1..{stats.exp_len[x]}]")
-    total, low, where = _suffix_min(stats, x, p)
-    return total, low, _at(stats, where)
-
-
 def _prefix_min(stats: RuleStats, x: int, p: int) -> tuple[int, int, tuple]:
     """prefix_stats_query's sum and min, and its argmin as _at reads it.
 
@@ -333,7 +321,10 @@ def _prefix_min(stats: RuleStats, x: int, p: int) -> tuple[int, int, tuple]:
 
 
 def _suffix_min(stats: RuleStats, x: int, p: int) -> tuple[int, int, tuple]:
-    """suffix_stats_query's sum and min, and its argmin as _at reads it.
+    """(sum, min, where) of the partial sums of C = exp(x)[m-p+1..m]:
+    C[1]+...+C[p], the minimum over t of C[1]+...+C[t], and the smallest
+    minimizing t as _at reads it.  _interval_min runs it in the left child
+    of a split.
 
     One rule descent per level, as in _prefix_min, keeps the best partial
     sum of exp(x) from its start over each level's suffix region.  A deeper

@@ -1,7 +1,6 @@
 """Repetitiveness measures over small texts.
 
-This module provides run-length encoding, the longest previous factor of
-each position with a matching source, greedy LZ77 factorization, a
+This module provides run-length encoding, greedy LZ77 factorization, a
 validator for arbitrary LZ77-like factorizations, the factorization of a
 text spelled as repeated blocks, the BWT run count r, and the substring
 complexity measure delta, with a check of delta's append stability.
@@ -36,7 +35,6 @@ __all__ = [
     "bwt_run_count",
     "delta_append_check",
     "distinct_substring_counts",
-    "lpf_with_sources",
     "lz77_factorize",
     "lz77_from_bundle",
     "repeat_factorization",
@@ -88,25 +86,15 @@ def run_length_encode(text: Text) -> RunLengthEncoding:
 # LPF and LZ77
 
 
-def lpf_with_sources(text: Text) -> tuple[list[int], list[int]]:
-    """Longest previous factor per position, with a witness source.
-
-    Returns (lpf, src), both lists of length n with position j at index j-1.
-    lpf[j-1] is the largest l such that T[j..j+l) also occurs starting at
-    some position j' < j, and src[j-1] is one such j' (0 when lpf is 0).
-    Runs one pass over the suffix array with a stack: each rank is pushed
-    once, and a pop resolves that position against its nearest smaller
-    position on either side in suffix order.  The greedy LZ77 parse takes
-    one step per phrase instead, and falls back to this pass only when its
-    scans exceed a linear budget.
-    """
-    if text.n == 0:
-        raise ValueError("cannot compute LPF of an empty text")
-    bundle = bundle_of(text)
-    return _lpf_from_core(bundle.sa, bundle.lcp)
-
-
 def _lpf_from_core(sa: Sequence[int], lcp: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Longest previous factors (lpf, src) from a text's 1-indexed SA and
+    LCP rows, position j at index j-1: lpf[j-1] is the largest l such that
+    T[j..j+l) also occurs at some j' < j, and src[j-1] is one such j' (0 when
+    lpf is 0).  One stack pass over the suffix array: each rank is pushed
+    once, and a pop resolves its position against the nearest smaller
+    position on either side in suffix order.  lz77_from_bundle falls back
+    to this pass when its per-phrase scans exceed a linear budget.
+    """
     n = len(sa) - 1
     lpf = [0] * (n + 1)
     src = [0] * (n + 1)
@@ -190,7 +178,7 @@ def lz77_from_bundle(bundle: SuffixArrayBundle) -> LZFactorization:
     ranks nearest ISA[j] whose positions lie before j; a bitmap of the
     ranks parsed so far yields both with one C-level scan each.  A tie goes
     to the lower rank, as in the LPF stack pass, so the phrases and their
-    sources equal the parse read off lpf_with_sources.  Pair it with
+    sources equal the parse read off that pass's (lpf, src).  Pair it with
     validate_lz_like to check the parse against the text itself rather
     than trust the bundle.
     """

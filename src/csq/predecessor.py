@@ -71,16 +71,6 @@ class StaticKeySet:
         checked = _checked_keys(keys, u)
         return StaticKeySet(checked, checked[-1] if u is None else u)
 
-    @property
-    def m(self) -> int:
-        return len(self.keys)
-
-    def key_at(self, i: int) -> int:
-        """Value of a_i for i in [1..m] (index 0 has no value)."""
-        if not 1 <= i <= len(self.keys):
-            raise IndexError(f"key index {i} outside [1..{len(self.keys)}]")
-        return self.keys[i - 1]
-
 
 @dataclass(frozen=True)
 class ColoredSet:

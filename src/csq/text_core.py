@@ -81,21 +81,8 @@ class Text:
     def n(self) -> int:
         return len(self.symbols)
 
-    def at(self, j: int) -> int:
-        """T[j], 1-based."""
-        if not 1 <= j <= len(self.symbols):
-            raise IndexError(f"position {j} out of [1..{len(self.symbols)}]")
-        return self.symbols[j - 1]
-
-    def slice(self, i: int, j: int) -> tuple[int, ...]:
-        """T[i..j] inclusive, 1-based; empty when j < i."""
-        return self.symbols[max(i, 1) - 1 : max(j, 0)]
-
     def reverse(self) -> "Text":
         return Text(tuple(reversed(self.symbols)), self.sigma)
-
-    def to_ascii(self) -> str:
-        return "".join(chr(s) for s in self.symbols)
 
 
 PatternLike = Union[str, Sequence[int]]
@@ -362,10 +349,6 @@ class PatternRange:
     @property
     def occ_count(self) -> int:
         return self.range_end - self.range_beg
-
-    @property
-    def is_empty(self) -> bool:
-        return self.range_end == self.range_beg
 
 
 def pattern_range(text: Text, sa: Sequence[int], pattern: PatternLike) -> PatternRange:

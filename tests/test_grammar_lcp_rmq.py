@@ -19,7 +19,6 @@ from csq.grammar_lcp_rmq import (
     lcp_rmq,
     make_slg,
     prefix_stats_query,
-    suffix_stats_query,
     widen_slg,
 )
 from csq.text_core import Text, build_bundle, lce_naive
@@ -46,6 +45,13 @@ def _prefix_oracle(B, p):
 
 def _suffix_oracle(B, p):
     return _prefix_oracle(B[len(B) - p :], p)
+
+
+def _suffix_stats(stats, x, p):
+    """(sum, min, argmin) of the partial sums of exp(x)'s length-p suffix,
+    from the descent _interval_min runs in the left child of a split."""
+    total, low, where = grammar._suffix_min(stats, x, p)
+    return total, low, grammar._at(stats, where)
 
 
 def _random_slg(rng):
@@ -119,15 +125,15 @@ def test_prefix_suffix_trivial_cases():
     g = make_slg([[3, -2], [Nt(0), Nt(0)]], 1)  # expansion [3,-2,3,-2]
     stats = build_rule_stats(g)
     assert prefix_stats_query(stats, 1, 1) == (3, 3, 1)
-    assert suffix_stats_query(stats, 1, 1) == (-2, -2, 1)
+    assert _suffix_stats(stats, 1, 1) == (-2, -2, 1)
     assert prefix_stats_query(stats, 1, 4) == (2, 1, 2)
-    assert suffix_stats_query(stats, 1, 4) == (2, 1, 2)
+    assert _suffix_stats(stats, 1, 4) == (2, 1, 2)
 
 
 def test_suffix_tie_breaks_to_first_position():
     g = make_slg([[0], [Nt(0), Nt(0)]], 1)  # expansion [0, 0]
     stats = build_rule_stats(g)
-    assert suffix_stats_query(stats, 1, 2) == (0, 0, 1)
+    assert _suffix_stats(stats, 1, 2) == (0, 0, 1)
 
 
 def test_stats_queries_match_oracle_on_random_grammars():
@@ -143,7 +149,7 @@ def test_stats_queries_match_oracle_on_random_grammars():
             assert stats.exp_sum[x] == sum(B)
             for p in range(1, len(B) + 1):
                 assert prefix_stats_query(stats, x, p) == _prefix_oracle(B, p)
-                assert suffix_stats_query(stats, x, p) == _suffix_oracle(B, p)
+                assert _suffix_stats(stats, x, p) == _suffix_oracle(B, p)
 
 
 def test_complementary_splits_sum_to_total():
@@ -157,7 +163,7 @@ def test_complementary_splits_sum_to_total():
             continue
         for p in range(1, m):
             s_pre, _, _ = prefix_stats_query(stats, x, p)
-            s_suf, _, _ = suffix_stats_query(stats, x, m - p)
+            s_suf, _, _ = _suffix_stats(stats, x, m - p)
             assert s_pre + s_suf == stats.exp_sum[x]
 
 
@@ -167,8 +173,6 @@ def test_stats_query_range_errors():
     for p in (0, 3):
         with pytest.raises(ValueError):
             prefix_stats_query(stats, 0, p)
-        with pytest.raises(ValueError):
-            suffix_stats_query(stats, 0, p)
 
 
 def test_stats_queries_reject_unknown_nonterminals():
@@ -177,8 +181,6 @@ def test_stats_queries_reject_unknown_nonterminals():
     for x in (-1, -2, 2):
         with pytest.raises(ValueError, match=f"no rule for nonterminal {x}"):
             prefix_stats_query(stats, x, 1)
-        with pytest.raises(ValueError, match=f"no rule for nonterminal {x}"):
-            suffix_stats_query(stats, x, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +248,7 @@ def test_split_parts_that_tie_keep_the_leftmost_minimum(slg):
         B = expand(slg, x)
         for p in range(1, len(B) + 1):
             assert prefix_stats_query(stats, x, p) == _prefix_oracle(B, p)
-            assert suffix_stats_query(stats, x, p) == _suffix_oracle(B, p)
+            assert _suffix_stats(stats, x, p) == _suffix_oracle(B, p)
     A = expand(slg, slg.start)
     n = len(A)
     assert n <= 64 and sum(A) == 0
@@ -545,7 +547,7 @@ def test_queries_read_no_small_sets(family, epsilon):
         p = rng.randint(1, idx.stats.exp_len[x])
         B = expand(idx.slg, x)
         assert prefix_stats_query(idx.stats, x, p) == _prefix_oracle(B, p)
-        assert suffix_stats_query(idx.stats, x, p) == _suffix_oracle(B, p)
+        assert _suffix_stats(idx.stats, x, p) == _suffix_oracle(B, p)
     assert "pred" not in vars(idx.stats)
 
 

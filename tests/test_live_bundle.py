@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 
 from csq.gadgets import build_gadget, random_input
 from csq.grammar_lcp_rmq import (
+    _suffix_min,
     build_lcp_rmq_index,
     lce_query,
     lcp_rmq,
     prefix_stats_query,
-    suffix_stats_query,
 )
 from csq.measures import bwt_run_count, lz77_factorize, substring_complexity
 from csq.rlbwt_ilf import build_ilf_index, ilf_query
@@ -44,7 +44,7 @@ def _naive_rows(text: Text, names: tuple[str, ...] = ("ilf", "lcp")) -> tuple[li
         isa[sa[r]] = r
     lcp = [0, 0] + [lce_naive(text, sa[r - 1], sa[r]) for r in range(2, n + 1)]
     rows = {"sa": sa, "isa": isa, "lcp": lcp}
-    rows["bwt"] = [0] + [text.at(sa[r] - 1 if sa[r] > 1 else n) for r in range(1, n + 1)]
+    rows["bwt"] = [0] + [text.symbols[(sa[r] - 1 if sa[r] > 1 else n) - 1] for r in range(1, n + 1)]
     rows["lf"] = [0] + [isa[sa[r] - 1 if sa[r] > 1 else n] for r in range(1, n + 1)]
     for name in ("plcp", "ilf", "phi", "inv_phi"):
         rows[name] = [0] * (n + 1)
@@ -181,7 +181,7 @@ def test_serving_derives_no_unread_structure():
                 x = rng.randrange(len(grammar.slg.rules))
                 p = rng.randint(1, stats.exp_len[x])
                 prefix_stats_query(stats, x, p)
-                suffix_stats_query(stats, x, p)
+                _suffix_min(stats, x, p)
             assert {"trie", "pred_keys"}.isdisjoint(vars(ilf))
             assert "pred" not in vars(stats)
             del bundle

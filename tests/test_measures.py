@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from csq.measures import (
     bwt_run_count,
     delta_append_check,
     distinct_substring_counts,
-    lpf_with_sources,
     lz77_factorize,
     lz77_from_bundle,
     repeat_factorization,
@@ -37,8 +37,6 @@ def _distinct_counts_naive(symbols):
 
 
 def _delta_naive(symbols) -> tuple[int, int, int]:
-    from fractions import Fraction
-
     counts = _distinct_counts_naive(symbols)
     best, arg = Fraction(counts[0], 1), 1
     for l in range(2, len(symbols) + 1):
@@ -55,6 +53,12 @@ def _lpf_naive(t: Text) -> list[int]:
     ]
 
 
+def _lpf_with_sources(t: Text) -> tuple[list[int], list[int]]:
+    """The LPF stack pass's (lpf, src) over the text's bundle rows."""
+    bundle = build_bundle(t)
+    return measures._lpf_from_core(bundle.sa, bundle.lcp)
+
+
 def _greedy_shape_naive(t: Text) -> list[tuple[int, int]]:
     """Phrase shape (literal symbol, 0) / (None, length) by quadratic rescan."""
     out = []
@@ -62,7 +66,7 @@ def _greedy_shape_naive(t: Text) -> list[tuple[int, int]]:
     while j <= t.n:
         best = max((lce_naive(t, j, jp) for jp in range(1, j)), default=0)
         if best == 0:
-            out.append((t.at(j), 0))
+            out.append((t.symbols[j - 1], 0))
             j += 1
         else:
             out.append((None, best))
@@ -85,7 +89,7 @@ def test_rle_empty_text_errors():
         run_length_encode(Text.from_symbols([]))
 
 
-@pytest.mark.parametrize("measure", [lpf_with_sources, lz77_factorize, bwt_run_count,
+@pytest.mark.parametrize("measure", [lz77_factorize, bwt_run_count,
                                      distinct_substring_counts, substring_complexity])
 def test_measures_of_an_empty_text_error(measure):
     with pytest.raises(ValueError, match="empty text"):
@@ -109,22 +113,22 @@ def test_rle_roundtrip_and_invariants(symbols):
 
 
 def test_lpf_examples():
-    assert lpf_with_sources(Text.from_ascii("aaaa"))[0] == [0, 3, 2, 1]
-    assert lpf_with_sources(Text.from_ascii("ab"))[0] == [0, 0]
+    assert _lpf_with_sources(Text.from_ascii("aaaa"))[0] == [0, 3, 2, 1]
+    assert _lpf_with_sources(Text.from_ascii("ab"))[0] == [0, 0]
 
 
 @given(small_texts)
 @settings(max_examples=60, deadline=None)
 def test_lpf_matches_naive(symbols):
     t = Text.from_symbols(symbols, 4)
-    assert lpf_with_sources(t)[0] == _lpf_naive(t)
+    assert _lpf_with_sources(t)[0] == _lpf_naive(t)
 
 
 @given(small_texts)
 @settings(max_examples=60, deadline=None)
 def test_lpf_sources_are_witnesses(symbols):
     t = Text.from_symbols(symbols, 4)
-    lpf, src = lpf_with_sources(t)
+    lpf, src = _lpf_with_sources(t)
     for j in range(1, t.n + 1):
         if lpf[j - 1] == 0:
             assert src[j - 1] == 0
@@ -185,7 +189,7 @@ def test_lz77_from_bundle_equals_lz77_factorize(symbols):
 
 def _stack_parse(t: Text) -> tuple[tuple[int, int], ...]:
     """The greedy parse walked off the LPF stack pass's lengths and sources."""
-    lpf, src = lpf_with_sources(t)
+    lpf, src = _lpf_with_sources(t)
     phrases = []
     j = 0
     while j < t.n:
@@ -319,7 +323,7 @@ def _random_valid_factorization(rng, t: Text) -> list[tuple[int, int]]:
             phrases.append((jp, length))
             j += length
         else:
-            phrases.append((t.at(j), 0))
+            phrases.append((t.symbols[j - 1], 0))
             j += 1
     return phrases
 
@@ -454,12 +458,72 @@ def test_morphism_multiplies_z_by_at_most_k(symbols, k, rng):
 
 
 # ---------------------------------------------------------------------------
+# Closed forms on Sturmian and Thue-Morse words
+
+
+def _fibonacci_word(n: int) -> list[int]:
+    """The length-n prefix of the Fibonacci word: f1 = 0, f2 = 01 and
+    fk = f(k-1) f(k-2)."""
+    shorter, word = [0], [0, 1]
+    while len(word) < n:
+        shorter, word = word, word + shorter
+    return word[:n]
+
+
+def _thue_morse_word(n: int) -> list[int]:
+    """The length-n prefix of the Thue-Morse word: t_i = popcount(i) mod 2."""
+    return [bin(i).count("1") & 1 for i in range(n)]
+
+
+def _thue_morse_factors(l: int) -> int:
+    """p(l), the number of length-l factors of the infinite Thue-Morse word
+    (Brlek 1989; de Luca & Varricchio 1989): p(1) = 2, p(2) = 4, and for
+    l = 2^a + q + 1 with 0 <= q < 2^a, 6*2^(a-1) + 4q when q <= 2^(a-1),
+    else 8*2^(a-1) + 2q."""
+    if l <= 2:
+        return 2 * l
+    a = (l - 1).bit_length() - 1
+    q, half = l - 1 - (1 << a), 1 << (a - 1)
+    return 6 * half + 4 * q if q <= half else 8 * half + 2 * q
+
+
+def test_fibonacci_prefix_has_delta_two_at_length_one():
+    """A Sturmian word has exactly l + 1 factors of each length l (Morse &
+    Hedlund 1940), so a prefix holding both letters has d_1 = 2 and
+    d_l <= l + 1 after it: delta is 2/1, first reached at length 1."""
+    text = Text.from_symbols(_fibonacci_word(75_025), 2)
+    assert substring_complexity(text) == DeltaValue(2, 1, 1)
+
+
+def test_thue_morse_prefix_delta_is_the_closed_form_maximum():
+    """The prefix of length 2^16 has p(l) factors for every l <= 2^14 + 1,
+    and its delta is the largest p(l)/l over those l: 40960/12289, at
+    l = 3 * 2^12 + 1."""
+    best, arg = Fraction(0), 0
+    for l in range(1, (1 << 14) + 2):
+        if Fraction(_thue_morse_factors(l), l) > best:
+            best, arg = Fraction(_thue_morse_factors(l), l), l
+    got = substring_complexity(Text.from_symbols(_thue_morse_word(1 << 16), 2))
+    assert got == DeltaValue(40960, 12289, 12289)
+    assert got == DeltaValue(best.numerator, best.denominator, arg)
+
+
+def test_thue_morse_prefix_counts_follow_the_closed_form():
+    """The prefix of length 2^13 has p(l) factors for every l <= 2^11 + 1;
+    being finite, it first falls short at l = 2^11 + 2."""
+    counts = distinct_substring_counts(Text.from_symbols(_thue_morse_word(1 << 13), 2))
+    assert counts[: (1 << 11) + 1] == [_thue_morse_factors(l) for l in range(1, (1 << 11) + 2)]
+    assert counts[(1 << 11) + 1] != _thue_morse_factors((1 << 11) + 2)
+
+
+# ---------------------------------------------------------------------------
 # Cross-measure laws
 
 
 def _law_texts() -> dict[str, list[int]]:
     """Seeded random, period-k with point edits, and Fibonacci and
-    Thue-Morse prefixes, at lengths up to 10^4."""
+    Thue-Morse prefixes, at lengths up to 10^4, and the two closed-form
+    texts of about 10^5 symbols above."""
     rng = random.Random(0xDE17A)
     texts = {}
     for n in (10, 300, 10**4):
@@ -472,13 +536,11 @@ def _law_texts() -> dict[str, list[int]]:
             for _ in range(n // 256):
                 symbols[rng.randrange(n)] = rng.randrange(4)
             texts[f"period{k}-edits-n{n}"] = symbols
-    shorter, fibonacci = [0], [0, 1]
-    while len(fibonacci) < 10**4:
-        shorter, fibonacci = fibonacci, fibonacci + shorter
-    thue_morse = [bin(i).count("1") & 1 for i in range(10**4)]
     for n in (2, 33, 1000, 10**4):
-        texts[f"fibonacci-n{n}"] = fibonacci[:n]
-        texts[f"thue-morse-n{n}"] = thue_morse[:n]
+        texts[f"fibonacci-n{n}"] = _fibonacci_word(n)
+        texts[f"thue-morse-n{n}"] = _thue_morse_word(n)
+    texts["fibonacci-n75025"] = _fibonacci_word(75_025)
+    texts["thue-morse-n65536"] = _thue_morse_word(1 << 16)
     return texts
 
 

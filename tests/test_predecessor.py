@@ -34,10 +34,10 @@ def example_set():
 
 def test_pred_worked_example(example_set):
     assert pred(example_set, 9) == 4
-    assert example_set.key_at(pred(example_set, 9)) == 8
-    assert example_set.key_at(pred(example_set, 5)) == 2
+    assert example_set.keys[pred(example_set, 9) - 1] == 8
+    assert example_set.keys[pred(example_set, 5) - 1] == 2
     assert pred(example_set, 2) == 0
-    assert pred(example_set, 100) == example_set.m
+    assert pred(example_set, 100) == len(example_set.keys)
 
 
 def test_pred_color_worked_example(example_set):
@@ -61,8 +61,6 @@ def test_build_validation():
         yfast_build([2, 30], u=20)
     with pytest.raises(ValueError, match="^universe bound must be nonnegative$"):
         yfast_build([0, 3], u=-1)
-    with pytest.raises(IndexError):
-        StaticKeySet.build([1]).key_at(2)
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,10 @@ def test_terminated_text_invariants(symbols):
     tt = append_terminator(t)
     n = t.n
     assert tt.shifted.n == n + 1
-    assert tt.shifted.at(n + 1) == 0
+    assert tt.shifted.symbols[n] == 0
     assert tt.shifted.symbols.count(0) == 1
     for j in range(1, n + 1):
-        assert tt.shifted.at(j) == t.at(j) + 1
+        assert tt.shifted.symbols[j - 1] == t.symbols[j - 1] + 1
     b = build_bundle(t)
     assert tt.i_first == b.isa[1]
     assert tt.i_last == b.isa[n]
@@ -126,7 +126,7 @@ def test_bwt_rule_callers_agree(t):
     text's own rows, symbols past 2**31 included."""
     n = t.n
     bundle = build_bundle(t)
-    bwt = [t.at(bundle.sa[r] - 1 if bundle.sa[r] > 1 else n) for r in range(1, n + 1)]
+    bwt = [t.symbols[(bundle.sa[r] - 1 if bundle.sa[r] > 1 else n) - 1] for r in range(1, n + 1)]
     assert list(bundle.bwt[1:]) == bwt
     r = bwt_run_count(t)
     assert r == 1 + sum(a != b for a, b in zip(bwt, bwt[1:]))

@@ -15,7 +15,6 @@ from csq.grammar_lcp_rmq import build_lcp_rmq_index
 from csq.measures import (
     bwt_run_count,
     distinct_substring_counts,
-    lpf_with_sources,
     lz77_factorize,
     substring_complexity,
     validate_lz_like,
@@ -59,7 +58,6 @@ small_texts = st.lists(st.integers(0, 3), min_size=1, max_size=64)
 def test_text_from_ascii_roundtrip():
     t = Text.from_ascii("abc")
     assert t.symbols == (97, 98, 99)
-    assert t.to_ascii() == "abc"
     assert t.sigma == 256
 
 
@@ -91,24 +89,6 @@ def test_text_from_ascii_takes_8_bit_characters_only():
     assert Text.from_ascii("a\xff") == Text((97, 255), 256)
     with pytest.raises(ValueError, match="^from_ascii accepts 8-bit characters only$"):
         Text.from_ascii("a\u0100")
-
-
-def test_text_at_is_one_based(fig_text):
-    assert fig_text.at(1) == ord("b")
-    assert fig_text.at(19) == ord("a")
-    with pytest.raises(IndexError):
-        fig_text.at(0)
-    with pytest.raises(IndexError):
-        fig_text.at(20)
-
-
-def test_text_slice_is_inclusive_and_clamped():
-    t = Text.from_ascii("abcde")
-    assert t.slice(2, 4) == (98, 99, 100)
-    assert t.slice(-3, 2) == (97, 98)
-    assert t.slice(4, 9) == (100, 101)
-    for i, j in [(1, -1), (3, -2), (3, 2), (4, 0), (6, 9), (-2, 0)]:
-        assert t.slice(i, j) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +175,7 @@ def _check_bundle_invariants(t: Text):
         assert b.lcp[i] == lce_naive(t, b.sa[i], b.sa[i - 1])
     for i in range(1, n + 1):
         j = b.sa[i]
-        assert b.bwt[i] == (t.at(j - 1) if j > 1 else t.at(n))
+        assert b.bwt[i] == (t.symbols[j - 2] if j > 1 else t.symbols[n - 1])
         assert b.lf[i] == (b.isa[j - 1] if j > 1 else b.isa[n])
     assert b.phi[b.sa[1]] == b.sa[n]
     for i in range(2, n + 1):
@@ -389,8 +369,7 @@ def test_one_suffix_sort_per_entry_point(counts, tmp_path, fig_text):
         gc.collect()
         assert sort_count(lambda: builder(text)) == 1, builder.__name__
         assert live_bundle(text) is None, builder.__name__
-    measures = (lpf_with_sources, lz77_factorize, bwt_run_count,
-                distinct_substring_counts, substring_complexity)
+    measures = (lz77_factorize, bwt_run_count, distinct_substring_counts, substring_complexity)
     bundle = build_bundle(text)
     for measure in measures:
         assert sort_count(lambda: measure(text)) == 0, measure.__name__
@@ -436,7 +415,7 @@ def test_isa_counts_smaller_suffixes(fig_text, fig_bundle):
     """ISA[j] - 1 suffixes sort strictly before T[j..n]."""
     t, b = fig_text, fig_bundle
     for j in range(1, t.n + 1):
-        rng = pattern_range(t, b.sa, t.slice(j, t.n))
+        rng = pattern_range(t, b.sa, t.symbols[j - 1 :])
         assert b.isa[j] == 1 + rng.range_beg
 
 
@@ -459,7 +438,7 @@ def test_symbol_zero_iff_isa_small(symbols):
     b = build_bundle(t)
     n0 = symbols.count(0)
     for j in range(1, t.n + 1):
-        assert (t.at(j) == 0) == (b.isa[j] <= n0)
+        assert (t.symbols[j - 1] == 0) == (b.isa[j] <= n0)
 
 
 @given(binary_texts)
@@ -469,7 +448,7 @@ def test_lce_after_prepending_zero(symbols):
     t = Text.from_symbols(symbols, 2)
     tp = Text.from_symbols([0] + symbols, 2)
     for j in range(1, t.n + 1):
-        assert (lce_naive(tp, 1, j + 1) >= 1) == (t.at(j) == 0)
+        assert (lce_naive(tp, 1, j + 1) >= 1) == (t.symbols[j - 1] == 0)
 
 
 @given(small_texts)
@@ -500,7 +479,8 @@ def test_pattern_range_empty_pattern(fig_text, fig_bundle):
 
 def test_pattern_range_no_match(fig_text, fig_bundle):
     assert pattern_range(fig_text, fig_bundle.sa, "aaa") == PatternRange(1, 1)
-    assert pattern_range(fig_text, fig_bundle.sa, "bbb").is_empty
+    absent = pattern_range(fig_text, fig_bundle.sa, "bbb")
+    assert absent.range_end == absent.range_beg
 
 
 def _pattern_range_naive(t: Text, pat: tuple[int, ...]) -> PatternRange:
@@ -598,7 +578,7 @@ def test_pattern_range_sa_reads(family):
         got = pattern_range(t, sa, pat)
         assert got == pattern_range(t, b.sa, pat)
         assert sa.reads <= 2 * bound
-        if got.is_empty:
+        if got.range_end == got.range_beg:
             absent += 1
             assert sa.reads <= bound
     assert absent >= 100
@@ -635,5 +615,5 @@ def test_lce_out_of_range(fig_text):
 
 
 def test_figure_text_is_the_expected_string(fig_text):
-    assert fig_text.to_ascii() == FIG_ASCII
+    assert "".join(map(chr, fig_text.symbols)) == FIG_ASCII
     assert fig_text.n == 19
