@@ -17,7 +17,9 @@ no query reads), and its certificate's phrase count.
 """
 
 import argparse
+import os
 import random
+import sys
 
 from csq.gadgets import (
     KINDS,
@@ -80,4 +82,14 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (say, `| head -1`): stop quietly, and point
+        # stdout at the null device so that the flush at exit does not fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 0
+    raise SystemExit(code)

@@ -19,8 +19,10 @@ bounds the levels a descent visits.
 
 import argparse
 import math
+import os
 import random
 import statistics
+import sys
 import time
 
 from bench_ilf import make_text as bench_text  # scripts/ leads sys.path when a script runs
@@ -102,4 +104,14 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (say, `| head -1`): stop quietly, and point
+        # stdout at the null device so that the flush at exit does not fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 0
+    raise SystemExit(code)

@@ -21,18 +21,19 @@ rule with the prefix/suffix/child statistics its queries read, and answers
   lookups and one grammar descent that yields the LCP minimum over the
   rank interval along with its argmin.
 
-The grammar is built by deterministic round-based pairing of adjacent
-symbols (memoizing distinct pairs, keyed by terminals in the first round
-and by rule ids after it), then widened by cutting, from the
-start symbol down, each reachable rule's parse tree at depth k, which caps
-right-hand sides at l = 2*2^k symbols and divides the height by k.
+The grammar comes from one builder over the integer row: round-based
+pairing of adjacent symbols on integer ids (memoizing distinct pairs, keyed
+by terminals in the first round and by rule ids after it), then widening,
+which cuts each rule reached from the start symbol at depth k, caps
+right-hand sides at l = 2*2^k symbols and divides the height by k.  Only
+the rules widening keeps are made; the pairing grammar is never built.
 Terminal values may be any integers; all sums use exact integer arithmetic.
 
 Rules are numbered children first, so a rule refers only to earlier rules
 (the textbook straight-line program); pairing makes its rules bottom-up and
 widening keeps its survivors in order.  make_slg, the one grammar
 constructor, checks that numbering and derives every expansion length and
-height in one forward pass, so each grammar is derived once, and the
+height in one forward pass, so the widened grammar is derived once, and the
 statistics and the builder read lengths and heights off it.  The builder's
 contracts raise AssertionError explicitly, so they hold under ``python
 -O``: the widened height is at most ceil(h/k) + 1 for a pairing grammar
@@ -46,6 +47,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain
 from math import ceil, log2
 from operator import sub
 from typing import Sequence, Union
@@ -67,7 +69,6 @@ __all__ = [
     "lcp_rmq",
     "make_slg",
     "prefix_stats_query",
-    "widen_slg",
 ]
 
 
@@ -429,67 +430,59 @@ def interval_argmin_prefix_sum(stats: RuleStats, b: int, e: int) -> int:
 # Differential LCP grammar
 
 
-def _pairing_slp(values: Sequence[int]) -> tuple[list[tuple[Atom, ...]], int]:
-    """Round-based pairing: each round replaces adjacent pairs by memoized
-    nonterminals, carrying an odd element; height is logarithmic.
+def _widened_pairing(values: Sequence[int], k: int) -> tuple[Slg, int, int]:
+    """The pairing grammar of a nonempty row widened by depth k, and the
+    pairing grammar's size and height, counted without building it.
 
-    A round of m > 1 symbols leaves ceil(m/2), so the last round pairs
-    exactly two symbols and the last pair made is the root.
-
-    Round 1 pairs terminals.  Later rounds pair rule ids under one memo of
-    their own, since an id pair and a terminal pair may hold the same two
-    integers; a rule is built from one shared Nt per id.  A terminal left
-    over by round 1 rides along as id -1, which no rule has, until it is
-    paired once; nts[-1] is that terminal."""
+    Each pairing round pairs adjacent symbols into memoized two-symbol rules,
+    carrying an odd last one, so the last pair made is the root and the
+    height is the number of rounds.  Round 1 pairs terminals; later rounds
+    pair rule ids under a memo of their own, since an id pair and a terminal
+    pair may hold the same two integers.  Widening cuts each rule reached
+    from the root k + 1 levels down, one wave of newly reached rules at a
+    time, over one child table of integer ids: terminal t is ~t, which
+    indexes kids from its end, where kids[~t] = (~t,); terminal 0 is the
+    row's last value, so a terminal round 1 carries is id -1.  Nt objects
+    are made only for the kept rules, which keep their relative order.
+    """
     if len(values) == 1:
-        return [(values[0],)], 0
+        return make_slg([(values[0],)], 0), 1, 1
     memo: dict[tuple[int, int], int] = {}
     seq = [memo.setdefault(pair, len(memo)) for pair in zip(values[::2], values[1::2])]
-    rules: list[tuple[Atom, ...]] = list(memo)
-    base = len(rules)
+    terminals = {values[-1]: 0}
+    for v in chain.from_iterable(memo):
+        terminals.setdefault(v, len(terminals))
+    kids: list[tuple[int, ...]] = [(~terminals[a], ~terminals[b]) for a, b in memo]
+    base, rounds = len(kids), 1
     if len(values) % 2:
         seq.append(-1)
     memo = {}
     while len(seq) > 1:
         odd = seq[-1:] if len(seq) % 2 else []
         seq = [memo.setdefault(pair, base + len(memo)) for pair in zip(seq[::2], seq[1::2])] + odd
-    nts: list[Atom] = [Nt(x) for x in range(base + len(memo))]
-    nts.append(values[-1])  # id -1, the carried terminal
-    rules += [(nts[a], nts[b]) for a, b in memo]
-    return rules, seq[0]
-
-
-def _depth_cut(rules: Sequence[tuple[Atom, ...]], rhs: tuple[Atom, ...], depth: int) -> tuple[Atom, ...]:
-    """The parse-tree cut at the given depth below a right-hand side,
-    expanded one level per pass."""
-    cut = rhs
-    for _ in range(depth):
-        cut = [b for a in cut for b in (rules[a.id] if isinstance(a, Nt) else (a,))]
-    return tuple(cut)
-
-
-def widen_slg(slg: Slg, k: int) -> Slg:
-    """Replace every reachable rule by its depth-k parse-tree cut.
-
-    Rules are cut as they are reached from the start symbol, so rules that
-    only the cuts bypass are never cut; the survivors keep their relative
-    order, so a children-first grammar widens to a children-first grammar.
-    Right-hand sides grow by at most 2^k symbols each while the height
-    drops to about height/k; the expansion is unchanged.
-    """
-    if k < 1:
-        raise ValueError("widening depth must be at least 1")
-    cut: dict[int, tuple[Atom, ...]] = {}
-    pending = [slg.start]
-    while pending:
-        x = pending.pop()
-        if x not in cut:
-            cut[x] = rhs = _depth_cut(slg.rules, slg.rules[x], k)
-            pending.extend(a.id for a in rhs if isinstance(a, Nt) and a.id not in cut)
-    keep = sorted(cut)
-    nts = {old: Nt(new) for new, old in enumerate(keep)}
-    rules = [tuple(nts[a.id] if isinstance(a, Nt) else a for a in cut[old]) for old in keep]
-    return make_slg(rules, nts[slg.start].id)
+        rounds += 1
+    kids += memo
+    n_rules = len(kids)
+    kids += [(~t,) for t in reversed(range(len(terminals)))]
+    cuts: dict[int, list[int]] = {}
+    wave = [seq[0]]  # rules reached by the last cuts and not yet cut
+    while wave:
+        # Cut the whole wave level by level; bounds[i] is where rule
+        # wave[i]'s descendants start in the current level.
+        level, bounds = wave, range(len(wave) + 1)
+        for _ in range(k + 1):
+            groups = list(map(kids.__getitem__, level))
+            ends = [0, *accumulate(map(len, groups))]
+            bounds = list(map(ends.__getitem__, bounds))
+            level = list(chain.from_iterable(groups))
+        cuts.update(zip(wave, map(level.__getitem__, map(slice, bounds, bounds[1:]))))
+        wave = list({y for y in level if y >= 0}.difference(cuts))
+    keep = sorted(cuts)
+    atoms: list[Atom | None] = [None] * n_rules + list(reversed(terminals))
+    for new, old in enumerate(keep):
+        atoms[old] = Nt(new)
+    rules = [tuple(map(atoms.__getitem__, cuts[old])) for old in keep]
+    return make_slg(rules, len(keep) - 1), 2 * n_rules, rounds
 
 
 def check_epsilon(epsilon: float) -> None:
@@ -548,10 +541,12 @@ def build_lcp_rmq_index(text: Text, epsilon: float = 0.5) -> LcpRmqIndex:
     """Grammar (with statistics) expanding to the text's differential LCP
     array, plus the text's ISA for LCE queries.
 
-    The pairing construction is widened by k = ceil(epsilon * log2 log2 n)
-    levels, so every right-hand side has at most l = 2*2^k symbols.  LCP and
-    ISA come from text_core.bundle_of: a live bundle's rows with no sort,
-    else one sort's; the index is equal either way.
+    _widened_pairing builds the pairing grammar of the differential row
+    widened by k = ceil(epsilon * log2 log2 n) levels, so every right-hand
+    side has at most l = 2*2^k symbols, and reports the pairing grammar's
+    size and height without building it.  LCP and ISA come from
+    text_core.bundle_of: a live bundle's rows with no sort, else one sort's;
+    the index is equal either way.
     """
     n = text.n
     if n == 0:
@@ -561,9 +556,7 @@ def build_lcp_rmq_index(text: Text, epsilon: float = 0.5) -> LcpRmqIndex:
     isa, lcp = bundle.isa, bundle.lcp
     del bundle  # a cold call frees its SA here, before the grammar is built
     diff = list(map(sub, lcp[1:], lcp))  # LCP[i] - LCP[i-1]; the pad LCP[0] is 0
-    slp = make_slg(*_pairing_slp(diff))
-    widened = widen_slg(slp, k)
-    slp_height = slp.heights[slp.start]
+    widened, slp_size, slp_height = _widened_pairing(diff, k)
     height = widened.heights[widened.start]
     if height > -(-slp_height // k) + 1:
         raise AssertionError(f"widened height {height} exceeds ceil({slp_height}/{k}) + 1")
@@ -583,7 +576,7 @@ def build_lcp_rmq_index(text: Text, epsilon: float = 0.5) -> LcpRmqIndex:
         n=n,
         k_widen=k,
         ell=ell,
-        slp_size=_size(slp),
+        slp_size=slp_size,
         slp_height=slp_height,
         size=_size(widened),
         height=height,

@@ -19,7 +19,6 @@ from csq.grammar_lcp_rmq import (
     lcp_rmq,
     make_slg,
     prefix_stats_query,
-    widen_slg,
 )
 from csq.text_core import Text, build_bundle, lce_naive
 
@@ -335,10 +334,41 @@ _pairing_inputs = st.one_of(
 )
 
 
-@given(_pairing_inputs)
+def _depth_cut(rules, rhs, depth):
+    """The parse-tree cut at the given depth below a right-hand side,
+    expanded one level per pass."""
+    cut = rhs
+    for _ in range(depth):
+        cut = [b for a in cut for b in (rules[a.id] if isinstance(a, Nt) else (a,))]
+    return tuple(cut)
+
+
+def widen_slg(slg, k):
+    """Reference widening: replace every rule reached from the start symbol
+    by its depth-k parse-tree cut, keeping the survivors in order."""
+    if k < 1:
+        raise ValueError("widening depth must be at least 1")
+    cut = {}
+    pending = [slg.start]
+    while pending:
+        x = pending.pop()
+        if x not in cut:
+            cut[x] = rhs = _depth_cut(slg.rules, slg.rules[x], k)
+            pending.extend(a.id for a in rhs if isinstance(a, Nt) and a.id not in cut)
+    keep = sorted(cut)
+    nts = {old: Nt(new) for new, old in enumerate(keep)}
+    rules = [tuple(nts[a.id] if isinstance(a, Nt) else a for a in cut[old]) for old in keep]
+    return make_slg(rules, nts[slg.start].id)
+
+
+@given(_pairing_inputs, st.integers(1, 4))
 @settings(max_examples=300, deadline=None)
-def test_pairing_matches_atom_keyed_reference(values):
-    assert grammar._pairing_slp(values) == _atom_keyed_pairing(values)
+def test_widened_pairing_matches_reference(values, k):
+    """The builder returns the reference pairing grammar widened by the
+    reference widening, and that pairing grammar's size and height."""
+    slp = make_slg(*_atom_keyed_pairing(values))
+    want = (widen_slg(slp, k), grammar._size(slp), slp.heights[slp.start])
+    assert grammar._widened_pairing(values, k) == want
 
 
 def test_widening_preserves_expansion_and_caps_rhs():
@@ -361,27 +391,39 @@ def test_widen_slg_direct():
 
 
 def test_one_derivation_per_grammar(monkeypatch):
-    """A build derives each grammar once: one forward pass each for the
-    pairing grammar and the widened grammar, none for the statistics, and
-    one cut per rule the widened grammar keeps."""
-    counts = {"derivations": 0, "cuts": 0}
-    real_derive, real_cut = grammar._derive, grammar._depth_cut
+    """A build derives one grammar, the widened one, once, and none for the
+    statistics: the pairing grammar is never built."""
+    derived = []
+    real_derive = grammar._derive
 
     def derive(rules, start):
-        counts["derivations"] += 1
+        derived.append(len(rules))
         return real_derive(rules, start)
 
-    def cut(rules, rhs, d):
-        counts["cuts"] += 1
-        return real_cut(rules, rhs, d)
-
     monkeypatch.setattr(grammar, "_derive", derive)
-    monkeypatch.setattr(grammar, "_depth_cut", cut)
     rng = random.Random(0xC07)
     for symbols in ([rng.randrange(4) for _ in range(3000)], [0, 1, 2, 1] * 700 + [3]):
-        counts.update(derivations=0, cuts=0)
+        derived.clear()
         index = build_lcp_rmq_index(Text.from_symbols(symbols, 4))
-        assert counts == {"derivations": 2, "cuts": len(index.slg.rules)}
+        assert derived == [len(index.slg.rules)]
+
+
+def test_build_makes_nt_only_for_kept_rules(monkeypatch):
+    """A build makes one Nt per rule of the widened grammar and none for
+    the pairing rules that widening drops."""
+    made = []
+
+    class CountingNt(Nt):
+        def __init__(self, id):
+            made.append(id)
+            super().__init__(id)
+
+    monkeypatch.setattr(grammar, "Nt", CountingNt)
+    rng = random.Random(0x17)
+    for symbols in ([rng.randrange(4) for _ in range(3000)], [0, 1, 2, 1] * 700 + [3]):
+        made.clear()
+        index = build_lcp_rmq_index(Text.from_symbols(symbols, 4))
+        assert len(made) == len(index.slg.rules) < index.slp_size // 2
 
 
 def _shape_text(family: str) -> Text:
@@ -414,12 +456,18 @@ def test_grammar_shape_is_pinned(family, shape):
 def test_build_contracts_raise(monkeypatch):
     """The builder's contracts are explicit raises, so they hold under -O."""
     t = Text.from_symbols([random.Random(0xB0).randrange(4) for _ in range(3000)], 4)
-    for widen, message in [
-        (lambda slp, k: slp, "widened height"),
-        (lambda slp, k: make_slg([expand(slp, slp.start)], 0), "over the bound"),
-        (lambda slp, k: make_slg([expand(slp, slp.start)[:3]], 0), "to 3 symbols, not 3000"),
+    real = grammar._widened_pairing
+    for fault, message in [
+        (lambda g: make_slg(*_atom_keyed_pairing(expand(g, g.start))), "widened height"),
+        (lambda g: make_slg([expand(g, g.start)], 0), "over the bound"),
+        (lambda g: make_slg([expand(g, g.start)[:3]], 0), "to 3 symbols, not 3000"),
     ]:
-        monkeypatch.setattr(grammar, "widen_slg", widen)
+
+        def faulty(values, k, fault=fault):
+            widened, slp_size, slp_height = real(values, k)
+            return fault(widened), slp_size, slp_height
+
+        monkeypatch.setattr(grammar, "_widened_pairing", faulty)
         with pytest.raises(AssertionError, match=message):
             build_lcp_rmq_index(t, epsilon=0.9)
 

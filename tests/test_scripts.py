@@ -2,6 +2,7 @@
 
 Each refusal exits 2 with argparse's message on stderr, before the
 script prints a row or builds a text, and never ends in a traceback.
+A script whose reader leaves early stops quietly, as csq does.
 gadget_report.py also prints each kind's index sizes.
 """
 
@@ -15,13 +16,15 @@ import pytest
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
+ENV = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+
+
 def _run(script: str, *args: str) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     return subprocess.run(
         [sys.executable, str(REPO / "scripts" / script), *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=ENV,
         timeout=60,
     )
 
@@ -66,3 +69,31 @@ def test_gadget_report_prints_index_sizes_per_kind():
         assert len(cells) == len(columns), row
         for name in columns[-4:]:
             assert cells[name].isdigit() and int(cells[name]) > 0, (row, name)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gadget_report.py", "--size", "3", "--trials", "2"],
+        ["bench_ilf.py", "--max-n", "4096", "--repeat", "1", "--batch", "10"],
+        ["tradeoff.py", "--max-n", "10000", "--queries", "20"],
+    ],
+    ids=" ".join,
+)
+def test_script_stops_quietly_when_its_reader_leaves(argv):
+    """Piped into a reader that closes after the header, each script stops
+    with status 0 and no traceback.  Unbuffered (-u), every row after the
+    header is written after the reader has gone."""
+    proc = subprocess.Popen(
+        [sys.executable, "-u", str(REPO / "scripts" / argv[0]), *argv[1:]],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=ENV,
+    )
+    header = proc.stdout.readline()
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert header.split()[0] in ("kind", "family")
+    assert "Traceback" not in stderr, stderr
+    assert proc.returncode == 0, stderr
