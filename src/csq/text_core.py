@@ -14,8 +14,9 @@ BWT off SA, for the bundle, r and the inverse-LF index.  bundle_of(text)
 hands every structure and measure the text's rows: live_bundle(text), the
 bundle last built for that very Text object while a caller still holds it
 (the registry holds it weakly), else a new one from build_bundle.
-build_bundle sorts the text once, by SA-IS induced sorting in linear time,
-and stores two rows:
+build_bundle sorts the text once, by SA-IS induced sorting (linear-time
+induce passes plus one comparison sort of the LMS spans per recursion level,
+O(n log n) in the worst case; see _SPAN), and stores two rows:
 
     SA       suffix array: SA[i] = start of the i-th suffix in sorted order
     ISA      inverse permutation of SA
@@ -39,12 +40,14 @@ own symbol objects, since a symbol may exceed 32 bits.
 
 from __future__ import annotations
 
+import sys
 import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from operator import ne
 from typing import Sequence, Union
 
 
@@ -97,7 +100,9 @@ def _coerce_pattern(pattern: PatternLike) -> tuple[int, ...]:
 def suffix_array(symbols: Sequence[int]) -> list[int]:
     """0-based suffix array by SA-IS induced sorting (Nong, Zhang & Chan,
     "Linear suffix array construction by almost pure induced-sorting",
-    DCC 2009), in O(n) time.
+    DCC 2009), with the LMS suffixes named by one comparison sort of their
+    spans (see _sais).  Each recursion level costs linear-time induce
+    passes plus that sort, O(n log n) in the worst case.
 
     The alphabet is first rank-reduced to 1..sigma' and a unique smallest 0
     is appended, so the buckets depend only on the distinct symbols present,
@@ -106,11 +111,18 @@ def suffix_array(symbols: Sequence[int]) -> list[int]:
     if not symbols:
         return []
     code = {c: r for r, c in enumerate(sorted(set(symbols)), 1)}
-    s = [code[c] for c in symbols]
+    s = list(map(code.__getitem__, symbols))
     s.append(0)
     sa = _sais(s, len(code) + 1)
     del sa[0]  # the sentinel suffix
     return sa
+
+
+# How many LMS substrings make up the span that names an LMS position.  Any
+# value of at least 1 sorts correctly; longer spans leave fewer equal names,
+# so the recursion ends sooner.  8 was measured fastest: shorter spans recurse
+# more on random texts, and longer ones gained nothing.
+_SPAN = 8
 
 
 def _sais(s: list[int], k: int) -> list[int]:
@@ -119,76 +131,86 @@ def _sais(s: list[int], k: int) -> list[int]:
 
     A suffix is S-type when it is smaller than the next one, else L-type;
     an LMS position is an S-type one right after an L-type one.  Sorting the
-    LMS suffixes induces the order of all others, and the LMS suffixes are
-    sorted by recursing on the names of their LMS substrings.  There are at
-    most n/2 LMS positions, so the recursion is at most log2 n levels deep.
+    LMS suffixes induces the order of all others in one pass.
+
+    The LMS suffixes are sorted by their spans: the text from an LMS
+    position through the _SPAN-th next one (or the sentinel), each symbol c
+    of type t encoded as 2c + t.  A span ends at an LMS position, so no span
+    is a proper prefix of another, and two spans that differ order their
+    suffixes as they order themselves.  One sort of the spans as ``bytes``
+    keys is therefore the LMS order when they are all distinct; otherwise
+    equal spans get one name, and the suffix array of the names in text
+    order is the LMS order.  There are at most n/2 LMS positions, so the
+    recursion is at most log2 n levels deep.
     """
     n = len(s)
     stype = [False] * n
     stype[-1] = True
+    lms = []
     nxt, nxt_stype = 0, True
     for i in range(n - 2, -1, -1):
         c = s[i]
-        nxt_stype = stype[i] = c < nxt or (c == nxt and nxt_stype)
+        cur = c < nxt if c != nxt else nxt_stype
+        if nxt_stype and not cur:
+            lms.append(i + 1)
+        stype[i] = nxt_stype = cur
         nxt = c
-    lms = [i for i in range(1, n) if stype[i] and not stype[i - 1]]
+    lms.reverse()
+
+    # One byte per encoded symbol when 2k - 1 fits, else a fixed-width
+    # big-endian integer, so that bytes order is numeric order.
+    enc = [c + c + t for c, t in zip(s, stype)]
+    if 2 * k <= 256:
+        enc, width = bytes(enc), 1
+    else:
+        enc = array("I", enc)
+        if sys.byteorder == "little":
+            enc.byteswap()
+        enc, width = enc.tobytes(), enc.itemsize
+    m = len(lms)
+    starts = list(map(width.__mul__, lms))
+    ends = list(map(width.__add__, starts[_SPAN:]))
+    ends += [width * n] * (m - len(ends))
+    keys = list(map(enc.__getitem__, map(slice, starts, ends)))
+    del enc, starts, ends
+    order = sorted(range(m), key=keys.__getitem__)
+    spans = list(map(keys.__getitem__, order))
+    del keys
+    fresh = list(map(ne, spans, spans[1:]))  # differs from the span before
+    del spans
+    if not all(fresh):
+        names = [0] * m
+        for j, name in zip(order, accumulate(fresh, initial=0)):
+            names[j] = name
+        del fresh, order
+        order = _sais(names, name + 1)
 
     counts = [0] * k
     for c in s:
         counts[c] += 1
     tails = list(accumulate(counts))
-    heads = [t - c for t, c in zip(tails, counts)]
-
-    def induce(sorted_lms: list[int]) -> list[int]:
-        # LMS suffixes at their bucket tails, then L-types left to right
-        # from the bucket heads, then S-types right to left from the tails.
-        # Both scans read entries the same scan has just written.
-        sa = [-1] * n
-        bkt = tails[:]
-        for p in reversed(sorted_lms):
-            c = s[p]
-            bkt[c] -= 1
-            sa[bkt[c]] = p
-        bkt = heads[:]
-        for p in sa:
-            if p > 0 and not stype[p - 1]:
-                c = s[p - 1]
-                sa[bkt[c]] = p - 1
-                bkt[c] += 1
-        bkt = tails[:]
-        for p in reversed(sa):
-            if p > 0 and stype[p - 1]:
-                c = s[p - 1]
-                bkt[c] -= 1
-                sa[bkt[c]] = p - 1
-        return sa
-
-    # Inducing from the LMS positions in text order sorts the LMS
-    # substrings; equal substrings are adjacent and get one name.  ``end``
-    # holds each LMS substring's end and is then overwritten with its name.
-    sa = induce(lms)
-    end = [-1] * n
-    for a, b in zip(lms, lms[1:]):
-        end[a] = b + 1
-    end[n - 1] = n
-    name = -1
-    prev = None
+    # LMS suffixes at their bucket tails, then L-types left to right from
+    # the bucket heads, then S-types right to left from the tails.  Both
+    # scans read entries the same scan has just written.
+    sa = [-1] * n
+    bkt = tails[:]
+    for p in reversed(list(map(lms.__getitem__, order))):
+        c = s[p]
+        bkt[c] -= 1
+        sa[bkt[c]] = p
+    bkt = [t - c for t, c in zip(tails, counts)]
     for p in sa:
-        e = end[p]
-        if e >= 0:
-            cur = s[p:e]
-            if cur != prev:
-                name += 1
-                prev = cur
-            end[p] = name
-    del sa
-    reduced = [end[p] for p in lms]
-    del end
-    if name + 1 == len(lms):  # all names distinct: they are the ranks
-        order = sorted(range(len(reduced)), key=reduced.__getitem__)
-    else:
-        order = _sais(reduced, name + 1)
-    return induce([lms[i] for i in order])
+        if p > 0 and not stype[p - 1]:
+            c = s[p - 1]
+            sa[bkt[c]] = p - 1
+            bkt[c] += 1
+    bkt = tails
+    for p in reversed(sa):
+        if p > 0 and stype[p - 1]:
+            c = s[p - 1]
+            bkt[c] -= 1
+            sa[bkt[c]] = p - 1
+    return sa
 
 
 # perfbench's traced standalone-sort span imports this name; the alias goes

@@ -230,6 +230,23 @@ def _de_bruijn_binary(k: int) -> list[int]:
     return seq
 
 
+def _shuffled_alphabet(d: int) -> list[int]:
+    """A seeded shuffle of 0..d-1, 3d random symbols below d, and the shuffle
+    again: exactly d distinct symbols, LMS spans that repeat, so the sort
+    recurses, and many LMS suffixes that share a first symbol."""
+    rng = random.Random(d)
+    block = list(range(d))
+    rng.shuffle(block)
+    return block + [rng.randrange(d) for _ in range(3 * d)] + block
+
+
+def _period_with_edits(period: int, n: int, edits: list[tuple[int, int]]) -> list[int]:
+    syms = [(i % period) % 4 for i in range(n)]
+    for pos, c in edits:
+        syms[pos % n] = c
+    return syms
+
+
 ADVERSARIAL_TEXTS = {
     "n=1": [5],
     "n=2 equal": [3, 3],
@@ -237,12 +254,17 @@ ADVERSARIAL_TEXTS = {
     "unary": [0] * 300,
     "(ab)^k": [0, 1] * 150,
     "(ab)^k a": [0, 1] * 150 + [0],
+    "(ba)^k": [1, 0] * 150,
+    "period 5, edited": _period_with_edits(5, 400, [(17, 3), (101, 1), (250, 0), (333, 2)]),
     "fibonacci": _fibonacci_word(400),
     "thue-morse": [bin(i).count("1") & 1 for i in range(512)],
     "de bruijn": _de_bruijn_binary(8),
     "ascending": list(range(300)),
     "descending": list(range(300, 0, -1)),
     "wide alphabet": [2**31 + 7, 2**40, 2**31, 2**40, 2**31 + 7, 0] * 40,
+    # With the sentinel, 127 symbols make 2k = 256, the last alphabet whose
+    # spans take one byte per symbol; from 128 on they take four.
+    **{f"{d} symbols": _shuffled_alphabet(d) for d in (127, 128, 129, 300)},
 }
 
 
@@ -258,6 +280,40 @@ def test_suffix_array_adversarial_corpus(name):
 @settings(max_examples=200, deadline=None)
 def test_suffix_array_matches_naive(symbols):
     assert suffix_array(symbols) == suffix_array_naive(symbols)
+
+
+def test_suffix_array_recursion_with_wide_names(monkeypatch):
+    """Recursion levels with more than 128 names, whose spans take four bytes
+    per name.  The text is 120 x1 120 x2 ..., so every x is an LMS position,
+    and the x's are 25 phrases drawn from four random ones: the spans inside
+    a phrase repeat, and those that run into the next phrase differ, so
+    spans that agree for long stretches are sorted at every level."""
+    levels = []
+    real = text_core._sais
+
+    def counted(s, k):
+        levels.append(k)
+        return real(s, k)
+
+    monkeypatch.setattr(text_core, "_sais", counted)
+    rng = random.Random(0)
+    phrases = [[rng.randrange(1, 101) for _ in range(60)] for _ in range(4)]
+    syms = [c for _ in range(25) for x in rng.choice(phrases) for c in (120, x)]
+    assert suffix_array(syms) == suffix_array_naive(syms)
+    assert sum(k > 128 for k in levels[1:]) >= 2
+
+
+@given(
+    st.integers(1, 9),
+    st.integers(1, 3000),
+    st.lists(st.tuples(st.integers(0, 2999), st.integers(0, 3)), max_size=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_suffix_array_periodic_with_edits(period, n, edits):
+    """Period-k texts with a few point edits: deep recursion, and many equal
+    LMS spans that share one name."""
+    syms = _period_with_edits(period, n, edits)
+    assert suffix_array(syms) == suffix_array_naive(syms)
 
 
 def _naive_core(symbols: list[int]) -> tuple[tuple[int, ...], ...]:
