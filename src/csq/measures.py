@@ -11,14 +11,14 @@ reduced integer fraction, never a float).  Every measure reads the text's
 rows from text_core.bundle_of, so it sorts nothing while the text's bundle
 is held and sorts once otherwise, and runs Kasai's LCP pass only where it
 reads LCP and the bundle has not derived it yet.  r reads the BWT off SA by
-text_core.bwt_row and caches no BWT row.  A caller that wants
+text_core.bwt_row and caches no BWT row.  delta counts the LCP values in
+one list indexed by value, n + 1 slots whatever the text.  A caller that wants
 several measures from one sort holds build_bundle(text) while it calls
 them, as ``csq measures`` does for z, r and delta.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
@@ -350,12 +350,17 @@ def distinct_substring_counts(text: Text) -> list[int]:
 def _distinct_counts(lcp: Sequence[int]) -> Iterator[int]:
     # d_l = (n - l + 1) - #{r : LCP[r] >= l} for l = 1, 2, ..., n, from one
     # histogram of the 1-indexed row; its placeholder LCP[0] = 0 counts
-    # below every l, as LCP[1] = 0 does.
+    # below every l, as LCP[1] = 0 does.  The histogram is a list indexed
+    # by LCP value (every value is below n).  On a periodic text nearly
+    # every value is distinct, so a dict of counts would hold about n keys
+    # with their entries; this list holds n + 1 pointer slots.
     n = len(lcp) - 1
-    hist = Counter(lcp)
+    hist = [0] * (n + 1)
+    for value in lcp:
+        hist[value] += 1
     ge = n + 1
     for length in range(1, n + 1):
-        ge -= hist.get(length - 1, 0)
+        ge -= hist[length - 1]
         yield (n - length + 1) - ge
 
 

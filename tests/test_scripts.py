@@ -3,13 +3,17 @@
 Each refusal exits 2 with argparse's message on stderr, before the
 script prints a row or builds a text, and never ends in a traceback.
 A script whose reader leaves early stops quietly, as csq does.
-gadget_report.py also prints each kind's index sizes.
+gadget_report.py also prints each kind's index sizes, bench_ilf.py and
+tradeoff.py run through, and large_text_checks.py's checkers count
+wrong answers.
 """
 
+import importlib.util
 import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -97,3 +101,66 @@ def test_script_stops_quietly_when_its_reader_leaves(argv):
     assert header.split()[0] in ("kind", "family")
     assert "Traceback" not in stderr, stderr
     assert proc.returncode == 0, stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench_ilf.py", "--max-n", "1024", "--repeat", "1", "--batch", "10"],
+        ["tradeoff.py", "--max-n", "1000", "--queries", "20"],
+    ],
+    ids=" ".join,
+)
+def test_script_runs_through(argv):
+    result = _run(*argv)
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    assert len(result.stdout.splitlines()) > 1
+
+
+def _large_text_checks():
+    spec = importlib.util.spec_from_file_location("large_text_checks", REPO / "scripts" / "large_text_checks.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_large_text_checkers_count_only_wrong_answers(capsys):
+    """Each checker of large_text_checks.py passes a tiny right input and
+    counts the same input with one answer wrong."""
+    checks = _large_text_checks()
+    # argmin(1..5] over LCP[2..5] = 2 1 3 1: 3 and 5 hold the minimum, 3 first
+    lcp = [0, 0, 2, 1, 3, 1]
+    argmin = checks.leftmost_minimum(lcp)
+    assert checks.check_answers("rmq", [["n", 5], ["argmin(1..5]", 3]], argmin, 1) == 0
+    assert checks.check_answers("rmq", [["argmin(1..5]", 5]], argmin, 1) == 1
+    # a missing answer counts too
+    assert checks.check_answers("rmq", [], argmin, 1) == 1
+    s = [0, 1, 0, 0, 1, 0]
+    lce = checks.suffix_lce(s)
+    assert checks.check_answers("lce", [["lce(1,4)", 3], ["lce(2,5)", 2], ["lce(6,6)", 1]], lce, 3) == 0
+    assert checks.check_answers("lce", [["lce(1,4)", 4], ["lce(2,5)", 2], ["lce(6,6)", 1]], lce, 3) == 1
+    # least_long: none of the answers reaches 50
+    assert checks.check_answers("lce", [["lce(1,4)", 3]], lce, 1, least_long=1) == 1
+    sa = [6, 3, 4, 1, 5, 2]  # suffixes 0 < 0 0 1 0 < 0 1 0 < 0 1 0 0 1 0 < 1 0 < 1 0 0 1 0
+    assert checks.check_suffix_array("sa", s, sa) == 0
+    assert checks.check_suffix_array("sa", s, [6, 3, 1, 4, 5, 2]) == 1
+    assert checks.check_suffix_array("sa", s, [6, 3, 4, 1, 5, 5]) == 7
+    report = [["n", 8], ["z", 4], ["bwt_runs", 2], ["delta", "2/1"], ["delta_arg_len", 1]]
+    assert not checks.check_delta("fib", report, 8, Fraction(2), 1)
+    report[3][1] = "4/2"
+    assert checks.check_delta("fib", report, 8, Fraction(2), 1)
+    report[3:] = [["delta", "3/2"], ["delta_arg_len", 2]]
+    assert checks.check_delta("fib", report, 8, Fraction(2), 1)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "rmq: 1 answers, 0 wrong" and lines[1] == "rmq: 1 answers, 1 wrong"
+    assert lines[5] == "lce: 1 answers, 0 wrong, 0 of 50 or more"
+
+
+def test_thue_morse_factor_counts_match_the_word():
+    """The closed form that large_text_checks.py reads Thue-Morse delta
+    from counts the distinct factors of a 2^10 prefix for l up to 2^8 + 1."""
+    checks = _large_text_checks()
+    word = "".join(str(bin(i).count("1") & 1) for i in range(1 << 10))
+    for length in range(1, (1 << 8) + 2):
+        assert checks.thue_morse_factors(length) == len({word[i : i + length] for i in range(len(word) - length + 1)})

@@ -445,6 +445,34 @@ def test_one_suffix_sort_per_entry_point(counts, tmp_path, fig_text):
         assert sort_count(lambda: build_gadget(kind, gadget.input)) == 1, kind
 
 
+@pytest.mark.parametrize("name", ["unary", "period8"])
+def test_one_sort_per_serve_setup_at_n_200000(counts, name):
+    """While the bundle is held, the inverse-LF and LCP-RMQ builders and the
+    measures z, r and delta read its rows and sort nothing, and give the
+    same results as cold calls, which sort once each.  Kasai's LCP pass
+    runs once per set-up (for the LCP-RMQ build), not again for the
+    measures, never for a cold inverse-LF build, and no cold build leaves
+    its bundle behind."""
+    n = 200_000
+    text = Text.from_symbols([0] * n if name == "unary" else [int(i % 8 == 7) for i in range(n)])
+    held, cold = [], []
+
+    def measures():
+        return lz77_factorize(text), bwt_run_count(text), substring_complexity(text)
+
+    setup = counts(lambda: held.extend((build_bundle(text), build_ilf_index(text), build_lcp_rmq_index(text))))
+    measured = counts(lambda: held.append(measures()))
+    warm, warm_measures = held[1:3], held[3]
+    del held[:]
+    gc.collect()
+    ilf = counts(lambda: cold.append(build_ilf_index(text)))
+    rmq = counts(lambda: cold.append(build_lcp_rmq_index(text)))
+    left_behind = live_bundle(text) is not None
+    same_measures = warm_measures == measures()
+    assert (setup[0], measured[0], ilf[0] + rmq[0], warm == cold, same_measures) == (1, 0, 2, True, True)
+    assert (setup[1], measured[1], ilf[1], rmq[1], left_behind) == (1, 0, 0, 1, False)
+
+
 def test_bad_query_files_are_refused_before_any_sort(counts, monkeypatch, tmp_path, capsys):
     """A --queries file over the query budget, malformed, of odd length or
     out of range exits 2 with its message before any sort or Kasai pass."""
