@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from array import array
 from dataclasses import dataclass, field
 from functools import cache, partial, reduce
 from itertools import chain, islice
@@ -69,12 +70,13 @@ class Report:
                 "subcommand": self.subcommand,
                 "report": self.items,
             }
-            return json.dumps(document, separators=(",", ":"))
+            # a row array becomes a list only while it is encoded
+            return json.dumps(document, separators=(",", ":"), default=list)
         return "\n".join(f"{key}: {_human(value)}" for key, value in self.items)
 
 
 def _human(value: object) -> str:
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, array)):
         return " ".join(str(v) for v in value)
     return str(value)
 
@@ -209,7 +211,7 @@ def _cmd_arrays(args: argparse.Namespace, report: Report) -> int:
     bundle = build_bundle(text)
     report.add("n", text.n)
     for row in ("sa", "isa", "lcp", "plcp", "bwt", "lf", "ilf", "phi", "inv_phi"):
-        values = list(getattr(bundle, row)[1:])
+        values = getattr(bundle, row)[1:]
         # as characters only while they cannot break the line-oriented output
         if row == "bwt" and args.format == "ascii" and all(0x20 <= c <= 0x7E for c in values):
             values = "".join(map(chr, values))

@@ -855,7 +855,7 @@ def test_every_subcommand_has_a_recorded_document():
     ["lcp-rmq", "--input", "{fig}", "--batch", "10"],
 ], ids=["ilf-bench", "bench", "repeat", "batch"])
 def test_timing_commands_are_usage_errors(capsys, fig_file, argv):
-    """csq times nothing: timing lives in perfbench and scripts/bench_ilf.py."""
+    """csq times nothing: timing lives in perfbench and scripts/tradeoff.py."""
     with pytest.raises(SystemExit) as info:
         main([arg.format(fig=fig_file) for arg in argv])
     assert info.value.code == 2

@@ -3,19 +3,22 @@
 Each refusal exits 2 with argparse's message on stderr, before the
 script prints a row or builds a text, and never ends in a traceback.
 A script whose reader leaves early stops quietly, as csq does.
-gadget_report.py also prints each kind's index sizes, bench_ilf.py and
-tradeoff.py run through, and large_text_checks.py's checkers count
-wrong answers.
+gadget_report.py also prints each kind's index sizes, tradeoff.py runs
+through and prints both indexes' sizes and timings on every row, and
+large_text_checks.py's checkers count wrong answers.
 """
 
 import importlib.util
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+
+from csq.measures import bwt_run_count
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -39,9 +42,6 @@ def _run(script: str, *args: str) -> subprocess.CompletedProcess:
         ["gadget_report.py", "--trials", "0"],
         ["gadget_report.py", "--size", "8", "--exhaustive"],
         ["gadget_report.py", "--size", "0"],
-        ["bench_ilf.py", "--max-n", "2000000"],
-        ["bench_ilf.py", "--batch", "2000000"],
-        ["bench_ilf.py", "--repeat", "0"],
         ["tradeoff.py", "--max-n", "2000000"],
         ["tradeoff.py", "--max-n", "999"],
         ["tradeoff.py", "--queries", "0"],
@@ -79,7 +79,6 @@ def test_gadget_report_prints_index_sizes_per_kind():
     "argv",
     [
         ["gadget_report.py", "--size", "3", "--trials", "2"],
-        ["bench_ilf.py", "--max-n", "4096", "--repeat", "1", "--batch", "10"],
         ["tradeoff.py", "--max-n", "10000", "--queries", "20"],
     ],
     ids=" ".join,
@@ -106,7 +105,6 @@ def test_script_stops_quietly_when_its_reader_leaves(argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["bench_ilf.py", "--max-n", "1024", "--repeat", "1", "--batch", "10"],
         ["tradeoff.py", "--max-n", "1000", "--queries", "20"],
     ],
     ids=" ".join,
@@ -118,17 +116,43 @@ def test_script_runs_through(argv):
     assert len(result.stdout.splitlines()) > 1
 
 
-def _large_text_checks():
-    spec = importlib.util.spec_from_file_location("large_text_checks", REPO / "scripts" / "large_text_checks.py")
+def _script(name: str):
+    """A script under scripts/, loaded by path as a module."""
+    spec = importlib.util.spec_from_file_location(name, REPO / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def test_tradeoff_rows_give_both_indexes_sizes_and_timings():
+    """Every row's r is the BWT run count of the text the script draws for
+    its family and n, the inverse-LF index keeps two integers per run of
+    the terminated text (so an even count, at least 2r), and every timing
+    cell is a positive number."""
+    result = _run("tradeoff.py", "--max-n", "1000", "--queries", "20")
+    assert result.returncode == 0, result.stderr
+    header, *rows = result.stdout.splitlines()
+    columns = header.split()
+    timings = ["build_ms", "rmq_us", "lce_us", "ilf_ms", "ilf_us"]
+    assert set(timings + ["r", "ilf_ints"]) <= set(columns)
+    tradeoff = _script("tradeoff")
+    assert len(rows) == len(tradeoff.FAMILIES) * len(tradeoff.EPSILONS)
+    for row in rows:
+        cells = dict(zip(columns, row.split()))
+        assert len(cells) == len(columns), row
+        family, n = cells["family"], int(cells["n"])
+        r = int(cells["r"])
+        assert r == bwt_run_count(tradeoff.make_text(family, n, random.Random(f"{family}:{n}"))), row
+        ilf_ints = int(cells["ilf_ints"])
+        assert ilf_ints % 2 == 0 and ilf_ints >= 2 * r, row
+        for name in timings:
+            assert float(cells[name]) > 0, (row, name)
+
+
 def test_large_text_checkers_count_only_wrong_answers(capsys):
     """Each checker of large_text_checks.py passes a tiny right input and
     counts the same input with one answer wrong."""
-    checks = _large_text_checks()
+    checks = _script("large_text_checks")
     # argmin(1..5] over LCP[2..5] = 2 1 3 1: 3 and 5 hold the minimum, 3 first
     lcp = [0, 0, 2, 1, 3, 1]
     argmin = checks.leftmost_minimum(lcp)
@@ -160,7 +184,7 @@ def test_large_text_checkers_count_only_wrong_answers(capsys):
 def test_thue_morse_factor_counts_match_the_word():
     """The closed form that large_text_checks.py reads Thue-Morse delta
     from counts the distinct factors of a 2^10 prefix for l up to 2^8 + 1."""
-    checks = _large_text_checks()
+    checks = _script("large_text_checks")
     word = "".join(str(bin(i).count("1") & 1) for i in range(1 << 10))
     for length in range(1, (1 << 8) + 2):
         assert checks.thue_morse_factors(length) == len({word[i : i + length] for i in range(len(word) - length + 1)})
