@@ -12,8 +12,7 @@ the size or trial count.
 Four more columns give the index sizes of one instance per kind, drawn
 by random_input(kind, size, random.Random(seed)): its BWT run count r,
 the integers the inverse-LF index keeps, the integers the LCP-RMQ index
-keeps less the n ISA entries (this still counts the pred view, which
-no query reads), and its certificate's phrase count.
+keeps less the n ISA entries, and its certificate's phrase count.
 """
 
 import argparse

@@ -29,6 +29,10 @@ MEASURES_MAX_MIB = {"period8_1m": 115, "random4_1m": 135}
 # csq arrays on random300 read 55.2 MiB max RSS when each row renders from
 # its own array, and 96.9 MiB when each was first copied into a list.
 ARRAYS_MAX_MIB = 70
+# csq lce with 10^6 queries on random4 read 252.0 MiB max RSS when every
+# answer was held until the report printed, and 113.1 MiB when each batch
+# of answers is written as it is made.
+LCE_MAX_MIB = 150
 # Linux counts a process's RSS at fork in its child's max RSS, so csq runs
 # forked from this small program, not from the script, which holds every
 # text.  It prints csq's output, then csq's max RSS and exit status.
@@ -111,6 +115,8 @@ def draw():
     texts["period8_1m"] = [int(i % 8 == 7) for i in range(10**6)]
     rng = random.Random(1000)
     texts["random4_1m"] = [rng.randrange(4) for _ in range(10**6)]
+    rng = random.Random(1001)
+    queries["lce_r4_1m"] = uniform_pairs(rng, n, 10**6)
     return texts, queries
 
 
@@ -271,6 +277,13 @@ def main():
         for text, name in (("random4", "lce_r4"), ("period50e", "lce_p50e"), ("period50e", "lce_p50m")):
             report = csq("lce", path[text], "--epsilon", "0.99", "--queries", path[name])
             bad += check_answers(name, report, suffix_lce(texts[text]), 2000, 1000 * (name == "lce_p50m"))
+        # A full query budget of uniform pairs: answers are written as they
+        # are made, so csq's peak stays under LCE_MAX_MIB.
+        report = csq("lce", path["random4"], "--queries", path["lce_r4_1m"], max_mib=LCE_MAX_MIB)
+        signal.alarm(LIMIT_S)
+        bad += check_answers("lce_r4_1m", report, suffix_lce(texts["random4"]), 10**6)
+        signal.alarm(0)
+        del report
         csq("ilf", path["random4"])
         # The sa row of csq arrays on a random sigma = 300 text, whose LMS
         # spans take four bytes per symbol, and on the period-50 text, whose

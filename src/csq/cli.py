@@ -5,7 +5,9 @@ run-boundary inverse-LF index, the grammar LCP-RMQ/LCE structures and
 gadget verification.  Reports are line-oriented ``key: value`` text or,
 with ``--output structured``, a single schema-versioned JSON document;
 identical configurations (including seeds and worker counts) render
-byte-identical structured reports.
+byte-identical structured reports.  Each subcommand checks its input and
+builds its structures first; query answers are then made as the report is
+written, so no report is held whole.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or input error.
 
@@ -22,10 +24,9 @@ import math
 import os
 import sys
 from array import array
-from dataclasses import dataclass, field
 from functools import cache, partial, reduce
 from itertools import chain, islice
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import gadgets
 from .grammar_lcp_rmq import build_lcp_rmq_index, check_epsilon, lce_query, lcp_rmq
@@ -39,8 +40,12 @@ _POOL_WINDOW = 4096
 """The most gadget inputs ``gadget-verify --workers`` hands the pool at once."""
 
 _QUERY_BUDGET = 10**6
-"""The most queries a ``--queries`` file may hold; every answer is kept in
-the report until it is printed (about 210 bytes per query)."""
+"""The most queries a ``--queries`` file may hold.  Answers are written as
+they are made, but the file is read whole, so that a bad query is refused
+before the sort; the budget bounds that list."""
+
+_WRITE_BATCH = 4096
+"""Report items per write to stdout; one write per item is half again slower."""
 
 _READ_CHUNK = 2**16
 """Bytes per read of an input file."""
@@ -53,26 +58,8 @@ class CliError(Exception):
     """Unusable input or configuration; rendered as an error and exit 2."""
 
 
-@dataclass
-class Report:
-    """Ordered key/value pairs with two deterministic renderings."""
-
-    subcommand: str
-    items: list[tuple[str, object]] = field(default_factory=list)
-
-    def add(self, key: str, value: object) -> None:
-        self.items.append((key, value))
-
-    def render(self, output: str) -> str:
-        if output == "structured":
-            document = {
-                "schema": _SCHEMA_VERSION,
-                "subcommand": self.subcommand,
-                "report": self.items,
-            }
-            # a row array becomes a list only while it is encoded
-            return json.dumps(document, separators=(",", ":"), default=list)
-        return "\n".join(f"{key}: {_human(value)}" for key, value in self.items)
+Items = Iterable[tuple[str, object]]
+"""A report: its (key, value) pairs in order, written as they come."""
 
 
 def _human(value: object) -> str:
@@ -195,31 +182,32 @@ def _groups(values: list[int], arity: int):
     return zip(*[iter(values)] * arity)
 
 
-def _answer_queries(args: argparse.Namespace, report: Report, index, values: list[int]) -> None:
-    """Answer the queries _read_queries checked: one report item each."""
+def _answer_queries(args: argparse.Namespace, index, values: list[int]) -> Items:
+    """The answers to the queries _read_queries checked, made as they are written."""
     query, arity, _, _, key = _QUERIES[args.subcommand]
     for q in _groups(values, arity):
-        report.add(key.format(*q), query(index, *q))
+        yield key.format(*q), query(index, *q)
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each does all its fallible work, then returns its exit
+# code and its report items, which may end in a lazy stream of answers.
 
 
-def _cmd_arrays(args: argparse.Namespace, report: Report) -> int:
+def _cmd_arrays(args: argparse.Namespace) -> tuple[int, Items]:
     text = _load_text(args)
     bundle = build_bundle(text)
-    report.add("n", text.n)
+    items: list[tuple[str, object]] = [("n", text.n)]
     for row in ("sa", "isa", "lcp", "plcp", "bwt", "lf", "ilf", "phi", "inv_phi"):
         values = getattr(bundle, row)[1:]
         # as characters only while they cannot break the line-oriented output
         if row == "bwt" and args.format == "ascii" and all(0x20 <= c <= 0x7E for c in values):
             values = "".join(map(chr, values))
-        report.add(row, values)
-    return 0
+        items.append((row, values))
+    return 0, items
 
 
-def _cmd_measures(args: argparse.Namespace, report: Report) -> int:
+def _cmd_measures(args: argparse.Namespace) -> tuple[int, Items]:
     text = _load_text(args)
     bundle = build_bundle(text)  # held, so each measure reads its rows: one sort
     n = text.n
@@ -228,24 +216,20 @@ def _cmd_measures(args: argparse.Namespace, report: Report) -> int:
     r = bwt_run_count(text)
     delta = substring_complexity(text)
     value = delta.numerator / delta.denominator
-    report.add("n", n)
-    report.add("sigma", len(set(text.symbols)))
-    report.add("rl_runs", runs)
-    report.add("z", z)
-    report.add("bwt_runs", r)
-    report.add("delta", f"{delta.numerator}/{delta.denominator}")
-    report.add("delta_decimal", f"{value:.6f}")
-    report.add("delta_arg_len", delta.arg_len)
+    items = [
+        ("n", n), ("sigma", len(set(text.symbols))), ("rl_runs", runs), ("z", z),
+        ("bwt_runs", r), ("delta", f"{delta.numerator}/{delta.denominator}"),
+        ("delta_decimal", f"{value:.6f}"), ("delta_arg_len", delta.arg_len),
+    ]
     if n >= 2:
         log = math.log2(n)
-        report.add("z/(delta log n)", f"{z / (value * log):.6f}")
-        report.add("r/(delta log^2 n)", f"{r / (value * log * log):.6f}")
-    report.add("delta/z", f"{value / z:.6f}")
-    report.add("delta/r", f"{value / r:.6f}")
-    return 0
+        items += [("z/(delta log n)", f"{z / (value * log):.6f}"),
+                  ("r/(delta log^2 n)", f"{r / (value * log * log):.6f}")]
+    items += [("delta/z", f"{value / z:.6f}"), ("delta/r", f"{value / r:.6f}")]
+    return 0, items
 
 
-def _cmd_ilf(args: argparse.Namespace, report: Report) -> int:
+def _cmd_ilf(args: argparse.Namespace) -> tuple[int, Items]:
     text = _load_text(args)
     queries = _read_queries(args, text.n)
     bundle = build_bundle(text)  # held, so the index reads its rows: one sort
@@ -254,15 +238,13 @@ def _cmd_ilf(args: argparse.Namespace, report: Report) -> int:
     mismatches = sum(
         1 for i in range(1, text.n + 1) if ilf_query(index, i) != oracle[i]
     )
-    report.add("n", text.n)
-    for key in ("boundary_count", "r_original", "r_shifted", "stored_integers"):
-        report.add(key, getattr(index, key))
-    report.add("oracle_mismatches", mismatches)
-    _answer_queries(args, report, index, queries)
-    return 1 if mismatches else 0
+    keys = ("boundary_count", "r_original", "r_shifted", "stored_integers")
+    items = [("n", text.n), *((key, getattr(index, key)) for key in keys),
+             ("oracle_mismatches", mismatches)]
+    return 1 if mismatches else 0, chain(items, _answer_queries(args, index, queries))
 
 
-def _cmd_grammar(args: argparse.Namespace, report: Report) -> int:
+def _cmd_grammar(args: argparse.Namespace) -> tuple[int, Items]:
     """``lcp-rmq`` and ``lce``: one grammar index, its shape, its queries."""
     text = _load_text(args)
     try:
@@ -273,24 +255,20 @@ def _cmd_grammar(args: argparse.Namespace, report: Report) -> int:
     bundle = build_bundle(text)  # held, so the index and r read its rows: one sort
     index = build_lcp_rmq_index(text, epsilon=args.epsilon)
     r = bwt_run_count(text)
-    del bundle
-    report.add("n", text.n)
-    report.add("epsilon", f"{args.epsilon:g}")
-    for key in ("k_widen", "ell", "slp_size", "slp_height", "size", "height"):
-        report.add(key, getattr(index, key))
-    report.add("bwt_runs", r)
+    keys = ("k_widen", "ell", "slp_size", "slp_height", "size", "height")
+    items = [("n", text.n), ("epsilon", f"{args.epsilon:g}"),
+             *((key, getattr(index, key)) for key in keys), ("bwt_runs", r)]
     if text.n >= 2:
         log = math.log2(text.n)
-        report.add("size/(r log^2 n)", f"{index.size / (r * log * log):.6f}")
-    _answer_queries(args, report, index, queries)
-    return 0
+        items.append(("size/(r log^2 n)", f"{index.size / (r * log * log):.6f}"))
+    return 0, chain(items, _answer_queries(args, index, queries))
 
 
 def _verify_one(kind: str, data: tuple[int, ...]) -> gadgets.ReductionReport:
     return gadgets.verify_reduction(kind, gadgets.build_gadget(kind, data))
 
 
-def _cmd_gadget_verify(args: argparse.Namespace, report: Report) -> int:
+def _cmd_gadget_verify(args: argparse.Namespace) -> tuple[int, Items]:
     if args.workers < 1:
         raise CliError("--workers must be at least 1")
     try:
@@ -315,24 +293,22 @@ def _cmd_gadget_verify(args: argparse.Namespace, report: Report) -> int:
             merged = reduce(gadgets.merge_reports, reports)
     else:
         merged = reduce(gadgets.merge_reports, map(verify, inputs))
-    report.add("kind", args.kind)
-    report.add("size", args.size)
-    report.add("mode", "exhaustive" if args.exhaustive else "trials")
+    items = [("kind", args.kind), ("size", args.size),
+             ("mode", "exhaustive" if args.exhaustive else "trials")]
     if not args.exhaustive:
-        report.add("seed", args.seed)
-    report.add("instances", merged.instances)
-    report.add("queries", merged.query_count)
-    report.add("mismatches", merged.mismatch_count)
+        items.append(("seed", args.seed))
+    items += [("instances", merged.instances), ("queries", merged.query_count),
+              ("mismatches", merged.mismatch_count)]
     for key in ("text_length", "rl_runs", "lz_phrases", "cert_phrases", "cert_bound",
                 "anchors_consistent"):
-        report.add(key, getattr(merged, key))
+        items.append((key, getattr(merged, key)))
     if merged.first_mismatch is not None:
-        report.add("first_mismatch", repr(merged.first_mismatch))
-    report.add("ok", merged.ok)
-    return 0 if merged.ok else 1
+        items.append(("first_mismatch", repr(merged.first_mismatch)))
+    items.append(("ok", merged.ok))
+    return 0 if merged.ok else 1, items
 
 
-_HANDLERS: dict[str, Callable[[argparse.Namespace, Report], int]] = {
+_HANDLERS: dict[str, Callable[[argparse.Namespace], tuple[int, Items]]] = {
     "arrays": _cmd_arrays,
     "measures": _cmd_measures,
     "ilf": _cmd_ilf,
@@ -406,16 +382,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(subcommand: str, output: str, items: Items) -> None:
+    """Write a report's items as they come, _WRITE_BATCH to a write: as
+    ``key: value`` lines, or as the very JSON document that one
+    ``json.dumps`` of the whole report would make."""
+    items = iter(items)
+    batches = iter(lambda: list(islice(items, _WRITE_BATCH)), [])
+    write = sys.stdout.write
+    if output == "structured":
+        document = {"schema": _SCHEMA_VERSION, "subcommand": subcommand, "report": []}
+        shell = json.dumps(document, separators=(",", ":"))
+        write(shell[:-2])  # up to the report's opening bracket
+        for k, batch in enumerate(batches):
+            # a row array becomes a list only while it is encoded
+            write("," * (k > 0) + json.dumps(batch, separators=(",", ":"), default=list)[1:-1])
+        write(shell[-2:] + "\n")
+    else:
+        for batch in batches:
+            write("".join(f"{key}: {_human(value)}\n" for key, value in batch))
+    sys.stdout.flush()
+
+
 def run(args: argparse.Namespace) -> int:
-    """Run one parsed command line; print its report; return the exit code."""
-    report = Report(args.subcommand)
+    """Run one parsed command line, write its report as it is made, and
+    return the exit code."""
     try:
-        code = _HANDLERS[args.subcommand](args, report)
+        code, items = _HANDLERS[args.subcommand](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        print(report.render(args.output), flush=True)
+        _write(args.subcommand, args.output, items)
     except BrokenPipeError:
         # The reader left early (say, `csq ... | head -1`).  Point stdout at
         # the null device so that the flush at exit does not fail again.

@@ -523,17 +523,18 @@ class LcpRmqIndex:
 
     @property
     def stored_integers(self) -> int:
-        """Slots the index keeps: the grammar's symbols and caches, the five
-        plen, psum, pmin, smin and mmin rows of RuleStats (placeholders
-        included), the ISA, and the blocks and minima of the pred view,
-        which this count derives.  The ISA has an entry per text position,
-        so the index is O(n) however small the grammar is."""
+        """Slots the index keeps: the grammar's symbols, expansion lengths
+        and heights, the exp_sum, nt_min and nt_pos caches (exp_len is the
+        grammar's own exp_lens, counted once), the five plen, psum, pmin,
+        smin and mmin rows of RuleStats (placeholders included) and the
+        ISA.  The pred view, which no query reads, is neither counted nor
+        derived.  The ISA has an entry per text position, so the index is
+        O(n) however small the grammar is."""
         slg, stats = self.slg, self.stats
         stored = sum(map(len, slg.rules)) + len(slg.exp_lens) + len(slg.heights)
-        stored += 4 * len(stats.exp_len)  # exp_len, exp_sum, nt_min, nt_pos
+        stored += 3 * len(stats.exp_sum)  # exp_sum, nt_min, nt_pos
         rows = (stats.plen, stats.psum, stats.pmin, stats.smin, stats.mmin)
         stored += sum(len(row) for per_rule in rows for row in per_rule)
-        stored += sum(len(s.minima) + sum(map(len, s.blocks)) for s in stats.pred)
         return stored + len(self.isa)
 
 

@@ -25,7 +25,7 @@ from csq import cli, rlbwt_ilf
 from csq.cli import main
 from csq.gadgets import build_gadget, verify_reduction
 from csq.predecessor import yfast_build, yfast_pred
-from csq.text_core import Text, build_bundle
+from csq.text_core import Text, build_bundle, lce_naive
 
 from conftest import (
     FIG_ASCII,
@@ -260,6 +260,38 @@ def test_lce_position_out_of_range_rejected(capsys, tmp_path, fig_file):
     assert "outside" in err
 
 
+@pytest.mark.parametrize("output", ["human", "structured"])
+def test_answers_are_written_before_the_last_query_is_answered(monkeypatch, tmp_path, output):
+    """csq holds no report: of 10^4 lce queries on a text of 3,000 symbols,
+    some answers are on stdout by the time the last query is answered, the
+    count written only grows, and every answer is lce_naive's."""
+    rng = random.Random(0x57EA)
+    text = Text.from_symbols([rng.randrange(4) for _ in range(3000)], 4)
+    pairs = [(rng.randint(1, text.n), rng.randint(1, text.n)) for _ in range(10**4)]
+    text_path, queries = tmp_path / "t.txt", tmp_path / "q.txt"
+    text_path.write_text(" ".join(map(str, text.symbols)))
+    queries.write_text("\n".join(f"{i} {j}" for i, j in pairs))
+    out, written = io.StringIO(), []
+    query, *rest = cli._QUERIES["lce"]
+
+    def watched(index, i, j):
+        written.append(out.getvalue().count("lce("))
+        return query(index, i, j)
+
+    monkeypatch.setitem(cli._QUERIES, "lce", (watched, *rest))
+    argv = ["lce", "--input", str(text_path), "--format", "ints", "--queries", str(queries)]
+    with contextlib.redirect_stdout(out):
+        assert main([*argv, "--output", output]) == 0
+    assert len(written) == len(pairs)
+    assert written == sorted(written) and 0 < written[-1] < len(pairs)
+    if output == "structured":
+        report = json.loads(out.getvalue())["report"]
+    else:
+        report = [line.split(": ") for line in out.getvalue().splitlines()]
+    answers = [(key, int(value)) for key, value in report if key.startswith("lce(")]
+    assert answers == [(f"lce({i},{j})", lce_naive(text, i, j)) for i, j in pairs]
+
+
 def test_queries_over_the_query_budget_exit_two(capsys, monkeypatch, tmp_path, fig_file):
     """A --queries file of more queries than the budget is refused with
     exit 2 and no report; one within it is answered as before."""
@@ -275,37 +307,6 @@ def test_queries_over_the_query_budget_exit_two(capsys, monkeypatch, tmp_path, f
     report = parse_human(out)
     assert report["lce(3,12)"] == "8"
     assert report["lce(7,7)"] == "13"
-
-
-def test_queries_from_a_pipe_are_refused_before_they_are_drained(capsys, monkeypatch, tmp_path, fig_file):
-    """Queries are counted as they are read, so a writer offering 3 MiB of
-    ``1 `` against a budget of 1000 queries cannot get them all out."""
-    monkeypatch.setattr(cli, "_QUERY_BUDGET", 1000)
-    fifo = tmp_path / "queries.fifo"
-    os.mkfifo(fifo)
-    offered = 3 * 2**20
-    written = []
-
-    def writer():
-        fd = os.open(fifo, os.O_WRONLY)
-        sent = 0
-        try:
-            while sent < offered:
-                sent += os.write(fd, b"1 " * (min(2**16, offered - sent) // 2))
-        except BrokenPipeError:
-            pass
-        finally:
-            os.close(fd)
-            written.append(sent)
-
-    thread = threading.Thread(target=writer, daemon=True)
-    thread.start()
-    code, out, err = run_cli(capsys, ["lce", "--input", fig_file, "--queries", str(fifo)])
-    thread.join(timeout=60)
-    assert not thread.is_alive()
-    assert (code, out) == (2, "")
-    assert err == f"error: {fifo} holds more than 1000 queries, over the query budget of 1000\n"
-    assert written and written[0] < offered
 
 
 # ---------------------------------------------------------------------------
@@ -484,22 +485,45 @@ def test_raw_text_over_the_budget_is_read_one_chunk_past_it_at_most(tmp_path, ca
         assert reads == {str(path): min(budget + len(tail), past)}
 
 
-def test_raw_text_from_a_pipe_is_refused_before_it_is_drained(tmp_path, capsys):
-    """A raw text is read in chunks and counted as it comes: once more than
-    the budget are counted with input left, the text is refused, so a
-    writer offering 3 MiB cannot get them all out."""
-    budget = csq.gadgets.TEXT_LENGTH_BUDGET
-    fifo = tmp_path / "text.fifo"
+_OFFERED = 3 * 2**20
+_TEXT_BUDGET = csq.gadgets.TEXT_LENGTH_BUDGET
+_OVER_TEXT_BUDGET = "{fifo} holds more than {budget} symbols, over the text-length budget of {budget}"
+
+
+@pytest.mark.parametrize(
+    "flag, fmt, unit, budget, message, most_written",
+    [
+        ("--queries", "ascii", b"1 ", 1000,
+         "{fifo} holds more than {budget} queries, over the query budget of {budget}", _OFFERED),
+        ("--input", "ascii", b"a", _TEXT_BUDGET, _OVER_TEXT_BUDGET, 2 * _TEXT_BUDGET),
+        ("--input", "ints", b"0 ", _TEXT_BUDGET, _OVER_TEXT_BUDGET, _OFFERED),
+        ("--input", "ints", b"7", _TEXT_BUDGET,
+         "malformed integer '" + "7" * 20 + "'... in {fifo}: over {limit} characters", _OFFERED),
+    ],
+    ids=["queries", "raw-text", "integer-text", "endless-token"],
+)
+def test_input_from_a_pipe_is_refused_before_it_is_drained(
+    capsys, monkeypatch, tmp_path, fig_file, flag, fmt, unit, budget, message, most_written
+):
+    """Every input file is read in chunks and counted as it comes, so a
+    writer offering 3 MiB of one repeated unit cannot get them all out.  A
+    --queries file (against a budget of 1000 queries), a raw text and an
+    integer text are refused once their count passes the budget with input
+    left.  Every token of a chunk, a carried one too, is checked against
+    _TOKEN_MAX, so an endless token is refused too, and the message shows
+    only its start."""
+    if flag == "--queries":
+        monkeypatch.setattr(cli, "_QUERY_BUDGET", budget)
+    fifo = tmp_path / "input.fifo"
     os.mkfifo(fifo)
-    offered = 3 * 2**20
     written = []
 
     def writer():
         fd = os.open(fifo, os.O_WRONLY)
         sent = 0
         try:
-            while sent < offered:
-                sent += os.write(fd, b"a" * min(2**16, offered - sent))
+            while sent < _OFFERED:
+                sent += os.write(fd, unit * (min(2**16, _OFFERED - sent) // len(unit)))
         except BrokenPipeError:
             pass
         finally:
@@ -508,50 +532,13 @@ def test_raw_text_from_a_pipe_is_refused_before_it_is_drained(tmp_path, capsys):
 
     thread = threading.Thread(target=writer, daemon=True)
     thread.start()
-    code, out, err = run_cli(capsys, ["measures", "--input", str(fifo)])
+    command = ["lce", "--input", fig_file] if flag == "--queries" else ["measures"]
+    code, out, err = run_cli(capsys, [*command, flag, str(fifo), "--format", fmt])
     thread.join(timeout=60)
     assert not thread.is_alive()
-    assert code == 2
-    assert out == ""
-    assert err == (
-        f"error: {fifo} holds more than {budget} symbols, over the text-length budget of {budget}\n"
-    )
-    assert written and written[0] < 2 * budget
-
-
-def test_integer_text_from_a_pipe_is_refused_before_it_is_drained(tmp_path, capsys):
-    """Integers are read in chunks and counted as they come: once more than
-    the budget are counted with input left, the text is refused, so a
-    writer offering 3 MiB of ``0 `` cannot get them all out."""
-    budget = csq.gadgets.TEXT_LENGTH_BUDGET
-    fifo = tmp_path / "ints.fifo"
-    os.mkfifo(fifo)
-    offered = 3 * 2**20
-    written = []
-
-    def writer():
-        fd = os.open(fifo, os.O_WRONLY)
-        sent = 0
-        try:
-            while sent < offered:
-                sent += os.write(fd, b"0 " * (min(2**16, offered - sent) // 2))
-        except BrokenPipeError:
-            pass
-        finally:
-            os.close(fd)
-            written.append(sent)
-
-    thread = threading.Thread(target=writer, daemon=True)
-    thread.start()
-    code, out, err = run_cli(capsys, ["measures", "--input", str(fifo), "--format", "ints"])
-    thread.join(timeout=60)
-    assert not thread.is_alive()
-    assert code == 2
-    assert out == ""
-    assert err == (
-        f"error: {fifo} holds more than {budget} symbols, over the text-length budget of {budget}\n"
-    )
-    assert written and written[0] < offered
+    assert (code, out) == (2, "")
+    assert err == f"error: {message.format(fifo=fifo, budget=budget, limit=cli._TOKEN_MAX)}\n"
+    assert written and written[0] < most_written
 
 
 def test_integer_reads_split_tokens_across_chunks_as_one_read_would(tmp_path, monkeypatch):
@@ -573,39 +560,6 @@ def test_integer_reads_split_tokens_across_chunks_as_one_read_would(tmp_path, mo
     with pytest.raises(cli.CliError) as info:
         cli._read_ints(str(path), csq.gadgets.TEXT_LENGTH_BUDGET)
     assert str(info.value) == f"malformed integer '12x4' in {path}"
-
-
-def test_endless_integer_token_from_a_pipe_is_refused_before_it_is_drained(tmp_path, capsys):
-    """Every token of a chunk, a carried one too, is checked against
-    _TOKEN_MAX, so a writer offering 3 MiB of ``7`` with no whitespace
-    cannot get them all out, and the message shows only the token's start."""
-    fifo = tmp_path / "ints.fifo"
-    os.mkfifo(fifo)
-    offered = 3 * 2**20
-    written = []
-
-    def writer():
-        fd = os.open(fifo, os.O_WRONLY)
-        sent = 0
-        try:
-            while sent < offered:
-                sent += os.write(fd, b"7" * min(2**16, offered - sent))
-        except BrokenPipeError:
-            pass
-        finally:
-            os.close(fd)
-            written.append(sent)
-
-    thread = threading.Thread(target=writer, daemon=True)
-    thread.start()
-    code, out, err = run_cli(capsys, ["measures", "--input", str(fifo), "--format", "ints"])
-    thread.join(timeout=60)
-    assert not thread.is_alive()
-    assert code == 2
-    assert out == ""
-    limit = cli._TOKEN_MAX
-    assert err == f"error: malformed integer '{'7' * 20}'... in {fifo}: over {limit} characters\n"
-    assert written and written[0] < offered
 
 
 def test_integer_tokens_of_one_chunk_keep_their_messages(tmp_path):

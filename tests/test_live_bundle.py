@@ -162,7 +162,8 @@ def test_serving_derives_no_unread_structure():
     """Queries bisect boundary_keys and the rules' plen rows, so answering
     every inverse-LF position and a sample of each grammar query, with the
     text's bundle held or not, derives none of the predecessor views that
-    only perfbench reads (IlfIndex.trie and pred_keys, RuleStats.pred)."""
+    only perfbench reads (IlfIndex.trie and pred_keys, RuleStats.pred);
+    nor does reading the grammar index's stored_integers."""
     rng = random.Random(0x5E2F)
     for symbols, sigma in [([rng.randrange(4) for _ in range(400)], 4), ([0, 1, 1] * 50, 2)]:
         text = Text.from_symbols(symbols, sigma)
@@ -183,6 +184,8 @@ def test_serving_derives_no_unread_structure():
                 prefix_stats_query(stats, x, p)
                 _suffix_min(stats, x, p)
             assert {"trie", "pred_keys"}.isdisjoint(vars(ilf))
+            assert "pred" not in vars(stats)
+            assert grammar.stored_integers > n
             assert "pred" not in vars(stats)
             del bundle
             gc.collect()
