@@ -5,23 +5,27 @@ LCP and LCE queries need Omega(log n / log log n) time in O(delta polylog n)
 space, and widening a pairing grammar of height h by k = ceil(epsilon *
 log2 log2 n) levels is where csq meets that bound: the widened height is
 at most ceil(h/k) + 1, and each rule has at most l = 2 * 2^k symbols.  The
-inverse-LF index keeps two integers per BWT run.  For texts of n = 10^3,
-10^4, ... up to --max-n from four families (random over 4 symbols, period 8
-with n // 1024 seeded edits, Fibonacci and Thue-Morse prefixes) and epsilon
-in 0.25, 0.5, 0.75 and 0.99, each row prints k, l, the pairing and widened
-heights, the ceil(h/k) + 1 bound, the pairing and widened sizes, the
-integers the grammar index keeps, its build ms and the median time of one
-lcp_rmq and one lce_query call over --queries seeded calls; then the
+inverse-LF index keeps two integers per BWT run.  At each ladder step
+N = 10^3, 10^4, ... up to --max-n, each family gives one text: random
+(sigma = 4), period 8 with N // 1024 seeded edits, a Fibonacci or
+Thue-Morse prefix, all of n = N, or a gadget kind's text from one seeded
+input of the largest size whose longest text fits in N.  For each text
+and epsilon in 0.25, 0.5, 0.75 and 0.99, a row prints n, k, l, the
+pairing and widened heights, the ceil(h/k) + 1 bound, both grammar
+sizes, the integers the grammar index keeps, its build ms and the median
+time of one lcp_rmq and one lce_query over --queries seeded calls; the
 text's r, the integers its inverse-LF index keeps, that index's build ms
-and the median time of one ilf_query over --queries seeded positions
-(repeated on each epsilon row); and log2 n / log2 log2 n for scale.  Each
-text is sorted once, and its bundle, LCP row included, is held while the
-indexes are built, so the build ms come from the held bundle's rows, with
-no sort.  The index objects keep no counters, so no per-query level count
-is printed; the widened height bounds the levels a descent visits.
+and the median time of one ilf_query over --queries seeded positions;
+log2 n / log2 log2 n; and the paper's space yardstick: the substring
+complexity delta, dlog = delta * log2(n / delta), and each index's
+integers per dlog.  Each text's bundle is held while delta is read (which
+derives its LCP row) and both indexes are built, so none of them sorts.
+The index objects keep no counters, so no per-query level count is
+printed; the widened height bounds the levels a descent visits.
 """
 
 import argparse
+import bisect
 import math
 import os
 import random
@@ -29,21 +33,34 @@ import statistics
 import sys
 import time
 
-from csq.gadgets import TEXT_LENGTH_BUDGET
+from csq.gadgets import KINDS, TEXT_LENGTH_BUDGET, build_gadget, longest_text, random_input
 from csq.grammar_lcp_rmq import build_lcp_rmq_index, lce_query, lcp_rmq
+from csq.measures import substring_complexity
 from csq.rlbwt_ilf import build_ilf_index, ilf_query
 from csq.text_core import Text, build_bundle
 
 EPSILONS = (0.25, 0.5, 0.75, 0.99)
-FAMILIES = ("random", "repetitive", "fibonacci", "thue-morse")
+FAMILIES = ("random", "repetitive", "fibonacci", "thue-morse", *KINDS)
 SMALLEST_N = 1000
 # The most seeded calls one cell draws and keeps per query kind.
 QUERIES_MAX = 10**6
 
 
+def gadget_size(kind: str, n: int) -> int:
+    """The largest size whose longest gadget text of the kind fits in n
+    symbols, found by doubling and then bisecting."""
+    top = 1
+    while longest_text(kind, top) <= n:
+        top *= 2
+    return bisect.bisect_right(range(1, top), n, key=lambda size: longest_text(kind, size))
+
+
 def make_text(family: str, n: int, rng: random.Random) -> Text:
     """A random (sigma = 4) or repetitive (period 8 with seeded edits) text,
-    or a Fibonacci or Thue-Morse prefix."""
+    a Fibonacci or Thue-Morse prefix, or the text of a gadget kind's seeded
+    input of size gadget_size(kind, n), so at most n symbols."""
+    if family in KINDS:
+        return build_gadget(family, random_input(family, gadget_size(family, n), rng)).text
     if family == "random":
         return Text.from_symbols([rng.randrange(4) for _ in range(n)], 4)
     if family == "repetitive":  # runs stay near-constant in n
@@ -86,21 +103,24 @@ def main() -> int:
             parser.error(f"{flag} must be at most {most}")
 
     print(
-        f"{'family':>10} {'n':>7} {'eps':>4} {'k':>2} {'l':>3} {'slp_h':>5} {'height':>6} "
+        f"{'family':>11} {'n':>7} {'eps':>4} {'k':>2} {'l':>3} {'slp_h':>5} {'height':>6} "
         f"{'bound':>5} {'slp_size':>8} {'size':>7} {'stored':>8} {'build_ms':>8} {'rmq_us':>7} "
-        f"{'lce_us':>7} {'r':>6} {'ilf_ints':>8} {'ilf_ms':>7} {'ilf_us':>6} {'lg/lglg':>7}"
+        f"{'lce_us':>7} {'r':>6} {'ilf_ints':>8} {'ilf_ms':>7} {'ilf_us':>6} {'lg/lglg':>7} "
+        f"{'delta':>9} {'dlog':>9} {'ilf/dl':>7} {'lcp/dl':>8}"
     )
     for family in FAMILIES:
-        n = SMALLEST_N
-        while n <= args.max_n:
-            rng = random.Random(f"{family}:{n}")
-            text = make_text(family, n, rng)
+        step = SMALLEST_N
+        while step <= args.max_n:
+            rng = random.Random(f"{family}:{step}")
+            text = make_text(family, step, rng)
+            n = text.n
             ranges = [(b, rng.randint(b + 1, n)) for b in (rng.randrange(n) for _ in range(args.queries))]
             pairs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(args.queries)]
             positions = [(rng.randint(1, n),) for _ in range(args.queries)]
             scale = math.log2(n) / math.log2(math.log2(n))
-            bundle = build_bundle(text)  # held, so every index reads one sort
-            bundle.lcp  # derived here, so no epsilon's build ms times Kasai's pass
+            bundle = build_bundle(text)  # held, so delta and every index read one sort
+            delta = substring_complexity(text).value  # derives LCP, so no build ms times Kasai's pass
+            dlog = delta * math.log2(n / delta)
             t0 = time.perf_counter()
             ilf = build_ilf_index(text)
             ilf_ms = (time.perf_counter() - t0) * 1e3
@@ -113,14 +133,15 @@ def main() -> int:
                 rmq_us = median_us(lambda b, e: lcp_rmq(index, b, e), ranges)
                 lce_us = median_us(lambda i, j: lce_query(index, i, j), pairs)
                 print(
-                    f"{family:>10} {n:>7} {epsilon:>4} {k:>2} {index.ell:>3} {h:>5} "
+                    f"{family:>11} {n:>7} {epsilon:>4} {k:>2} {index.ell:>3} {h:>5} "
                     f"{index.height:>6} {-(-h // k) + 1:>5} {index.slp_size:>8} {index.size:>7} "
                     f"{index.stored_integers:>8} {build_ms:>8.2f} {rmq_us:>7.2f} {lce_us:>7.2f} "
                     f"{ilf.r_original:>6} {ilf.stored_integers:>8} {ilf_ms:>7.2f} {ilf_us:>6.2f} "
-                    f"{scale:>7.2f}"
+                    f"{scale:>7.2f} {float(delta):>9.2f} {dlog:>9.1f} "
+                    f"{ilf.stored_integers / dlog:>7.1f} {index.stored_integers / dlog:>8.1f}"
                 )
             del bundle
-            n *= 10
+            step *= 10
     return 0
 
 

@@ -851,6 +851,12 @@ def random_input(kind: str, size: int, rng: random.Random) -> tuple[int, ...]:
     return _family(kind, size).draw(size, rng)
 
 
+def longest_text(kind: str, size: int) -> int:
+    """The length of the longest gadget text of one kind and size, read off
+    the kind's closed-form length at its family's longest input."""
+    return _spec(kind).length(_family(kind, size).longest(size))
+
+
 def instance_inputs(
     kind: str,
     size: int,
@@ -871,7 +877,7 @@ def instance_inputs(
     family = _family(kind, size)
     # Every gadget text is longer than its input, so a size over the budget
     # is refused before an input of that size is made.
-    length = _spec(kind).length(family.longest(size)) if size <= TEXT_LENGTH_BUDGET else None
+    length = longest_text(kind, size) if size <= TEXT_LENGTH_BUDGET else None
     if length is None or length > TEXT_LENGTH_BUDGET:
         shown = length if length is not None else f"more than {size}"
         raise ValueError(

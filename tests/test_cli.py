@@ -406,6 +406,16 @@ def test_gadget_verify_trials_over_budget_exits_two(capsys):
         assert err == f"error: {trials} trials are over the exhaustive budget of 1000000\n"
 
 
+def test_gadget_verify_too_few_trials_exits_two(capsys):
+    """Fewer than one trial is refused with the library's message."""
+    for trials in ("0", "-3"):
+        code, out, err = run_cli(
+            capsys, ["gadget-verify", "--kind", "lcp-select", "--size", "3", "--trials", trials]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: trials must be at least 1\n"
+
+
 def test_load_text_accepts_exactly_the_text_length_budget(tmp_path):
     """Both formats load a text of exactly the budget; nothing is built."""
     n = csq.gadgets.TEXT_LENGTH_BUDGET

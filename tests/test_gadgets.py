@@ -15,6 +15,7 @@ from csq.gadgets import (
     count_via_isa,
     instance_inputs,
     invphi_via_phi,
+    longest_text,
     merge_reports,
     phi_via_invphi,
     pred_via_ilf,
@@ -499,6 +500,16 @@ def test_instance_inputs_are_counted_before_enumeration():
     for trials in (EXHAUSTIVE_BUDGET + 1, 10**12):
         with pytest.raises(ValueError, match=f"{trials} trials are over the exhaustive budget"):
             instance_inputs("lcp-select", 3, trials=trials)
+
+
+def test_longest_text_is_the_longest_gadget_text_of_its_size():
+    """The closed-form length at each family's longest input, which the
+    text-length budget refusal reads, is the longest text any input of the
+    size builds."""
+    for kind in KINDS:
+        for size in (1, 2, 3):
+            longest = max(build_gadget(kind, data).text.n for data in all_inputs(kind, size))
+            assert longest_text(kind, size) == longest, (kind, size)
 
 
 def test_seeded_random_instances_all_kinds():

@@ -3,12 +3,16 @@
 Each refusal exits 2 with argparse's message on stderr, before the
 script prints a row or builds a text, and never ends in a traceback.
 A script whose reader leaves early stops quietly, as csq does.
-gadget_report.py also prints each kind's index sizes, tradeoff.py runs
-through and prints both indexes' sizes and timings on every row, and
-large_text_checks.py's checkers count wrong answers.
+tradeoff.py runs through and prints both indexes' sizes and timings and
+the delta csq measures reads on every row, a row per ladder step and
+epsilon for every gadget kind with a text of at most that step, and its
+gadget size search brackets each step; large_text_checks.py's checkers
+count wrong answers.
 """
 
 import importlib.util
+import json
+import math
 import os
 import pathlib
 import random
@@ -18,6 +22,8 @@ from fractions import Fraction
 
 import pytest
 
+from csq.cli import main
+from csq.gadgets import KINDS, longest_text
 from csq.measures import bwt_run_count
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -39,9 +45,6 @@ def _run(script: str, *args: str) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["gadget_report.py", "--trials", "0"],
-        ["gadget_report.py", "--size", "8", "--exhaustive"],
-        ["gadget_report.py", "--size", "0"],
         ["tradeoff.py", "--max-n", "2000000"],
         ["tradeoff.py", "--max-n", "999"],
         ["tradeoff.py", "--queries", "0"],
@@ -58,27 +61,9 @@ def test_bad_command_line_is_usage_error(argv):
     assert f"{script}: error:" in result.stderr
 
 
-def test_gadget_report_prints_index_sizes_per_kind():
-    """Each kind's row ends with one instance's BWT run count, the integers
-    its inverse-LF and LCP-RMQ indexes keep, and its certificate's phrase
-    count, each a positive integer."""
-    result = _run("gadget_report.py", "--size", "3", "--trials", "2")
-    assert result.returncode == 0, result.stderr
-    header, *rows = result.stdout.splitlines()
-    columns = header.split()
-    assert columns[-4:] == ["r", "ilf_ints", "lcp_ints", "cert1"]
-    assert len(rows) == 7
-    for row in rows:
-        cells = dict(zip(columns, row.split()))
-        assert len(cells) == len(columns), row
-        for name in columns[-4:]:
-            assert cells[name].isdigit() and int(cells[name]) > 0, (row, name)
-
-
 @pytest.mark.parametrize(
     "argv",
     [
-        ["gadget_report.py", "--size", "3", "--trials", "2"],
         ["tradeoff.py", "--max-n", "10000", "--queries", "20"],
     ],
     ids=" ".join,
@@ -124,29 +109,87 @@ def _script(name: str):
     return module
 
 
-def test_tradeoff_rows_give_both_indexes_sizes_and_timings():
-    """Every row's r is the BWT run count of the text the script draws for
-    its family and n, the inverse-LF index keeps two integers per run of
-    the terminated text (so an even count, at least 2r), and every timing
-    cell is a positive number."""
-    result = _run("tradeoff.py", "--max-n", "1000", "--queries", "20")
+def _tradeoff_rows(max_n: int) -> list[dict[str, str]]:
+    """tradeoff.py's rows at --max-n max_n and 20 queries, each as a dict
+    keyed by the header's column names."""
+    result = _run("tradeoff.py", "--max-n", str(max_n), "--queries", "20")
     assert result.returncode == 0, result.stderr
     header, *rows = result.stdout.splitlines()
     columns = header.split()
+    cells = [dict(zip(columns, row.split())) for row in rows]
+    assert all(len(c) == len(columns) for c in cells), rows
+    return cells
+
+
+@pytest.fixture(scope="module")
+def first_step_rows() -> list[dict[str, str]]:
+    """tradeoff.py's rows at the smallest --max-n: one ladder step, 10^3."""
+    return _tradeoff_rows(1000)
+
+
+def _first_step_text(tradeoff, cells: dict[str, str]):
+    """The text tradeoff.py draws for a row's family at the 10^3 step."""
+    family, step = cells["family"], tradeoff.SMALLEST_N
+    return tradeoff.make_text(family, step, random.Random(f"{family}:{step}"))
+
+
+def test_tradeoff_rows_give_both_indexes_sizes_and_timings(first_step_rows):
+    """Every row's r is the BWT run count of the text the script draws for
+    its family at the ladder step, the inverse-LF index keeps two integers
+    per run of the terminated text (so an even count, at least 2r), and
+    every timing cell is a positive number."""
     timings = ["build_ms", "rmq_us", "lce_us", "ilf_ms", "ilf_us"]
-    assert set(timings + ["r", "ilf_ints"]) <= set(columns)
+    assert set(timings + ["r", "ilf_ints"]) <= set(first_step_rows[0])
     tradeoff = _script("tradeoff")
-    assert len(rows) == len(tradeoff.FAMILIES) * len(tradeoff.EPSILONS)
-    for row in rows:
-        cells = dict(zip(columns, row.split()))
-        assert len(cells) == len(columns), row
-        family, n = cells["family"], int(cells["n"])
+    assert len(first_step_rows) == len(tradeoff.FAMILIES) * len(tradeoff.EPSILONS)
+    for cells in first_step_rows:
         r = int(cells["r"])
-        assert r == bwt_run_count(tradeoff.make_text(family, n, random.Random(f"{family}:{n}"))), row
+        assert r == bwt_run_count(_first_step_text(tradeoff, cells)), cells
         ilf_ints = int(cells["ilf_ints"])
-        assert ilf_ints % 2 == 0 and ilf_ints >= 2 * r, row
+        assert ilf_ints % 2 == 0 and ilf_ints >= 2 * r, cells
         for name in timings:
-            assert float(cells[name]) > 0, (row, name)
+            assert float(cells[name]) > 0, (cells, name)
+
+
+def test_tradeoff_delta_matches_csq_measures(first_step_rows, capsys, tmp_path):
+    """Each row's delta is the one csq measures reports for the same text,
+    and dlog is delta * log2(n / delta), each to the decimals printed."""
+    tradeoff = _script("tradeoff")
+    path = tmp_path / "text.txt"
+    for cells in first_step_rows:
+        text = _first_step_text(tradeoff, cells)
+        assert text.n == int(cells["n"]), cells
+        path.write_text(" ".join(map(str, text.symbols)))
+        assert main(["measures", "--input", str(path), "--format", "ints", "--output", "structured"]) == 0
+        delta = Fraction(dict(json.loads(capsys.readouterr().out)["report"])["delta"])
+        assert cells["delta"] == f"{float(delta):.2f}", cells
+        assert cells["dlog"] == f"{float(delta) * math.log2(text.n / delta):.1f}", cells
+
+
+def test_tradeoff_prints_index_sizes_per_gadget_kind():
+    """Every gadget kind has one row per ladder step and epsilon, in ladder
+    order, with a text of at most the ladder step, and its r and both
+    indexes' integer counts are positive integers."""
+    epsilons = len(_script("tradeoff").EPSILONS)
+    steps = (1000, 10000)
+    rows = _tradeoff_rows(steps[-1])
+    for kind in KINDS:
+        kind_rows = [cells for cells in rows if cells["family"] == kind]
+        assert len(kind_rows) == len(steps) * epsilons, kind
+        for i, cells in enumerate(kind_rows):
+            assert 0 < int(cells["n"]) <= steps[i // epsilons], cells
+            for name in ("r", "ilf_ints", "stored"):
+                assert cells[name].isdigit() and int(cells[name]) > 0, (cells, name)
+
+
+def test_gadget_size_is_the_largest_whose_longest_text_fits():
+    """tradeoff.py's size search brackets every ladder step up to the text
+    budget between the longest texts of two consecutive sizes."""
+    tradeoff = _script("tradeoff")
+    for kind in KINDS:
+        for n in (10**3, 10**4, 10**5, 10**6):
+            size = tradeoff.gadget_size(kind, n)
+            assert longest_text(kind, size) <= n < longest_text(kind, size + 1), (kind, n)
 
 
 def test_large_text_checkers_count_only_wrong_answers(capsys):
