@@ -18,8 +18,8 @@ text's r, the integers its inverse-LF index keeps, that index's build ms
 and the median time of one ilf_query over --queries seeded positions;
 log2 n / log2 log2 n; and the paper's space yardstick: the substring
 complexity delta, dlog = delta * log2(n / delta), and each index's
-integers per dlog.  Each text's bundle is held while delta is read (which
-derives its LCP row) and both indexes are built, so none of them sorts.
+integers per dlog.  Each text is sorted once: delta and both indexes read
+its held bundle, which for a gadget kind is the one build_gadget sorted.
 The index objects keep no counters, so no per-query level count is
 printed; the widened height bounds the levels a descent visits.
 """
@@ -37,7 +37,7 @@ from csq.gadgets import KINDS, TEXT_LENGTH_BUDGET, build_gadget, longest_text, r
 from csq.grammar_lcp_rmq import build_lcp_rmq_index, lce_query, lcp_rmq
 from csq.measures import substring_complexity
 from csq.rlbwt_ilf import build_ilf_index, ilf_query
-from csq.text_core import Text, build_bundle
+from csq.text_core import SuffixArrayBundle, Text, build_bundle
 
 EPSILONS = (0.25, 0.5, 0.75, 0.99)
 FAMILIES = ("random", "repetitive", "fibonacci", "thue-morse", *KINDS)
@@ -55,27 +55,27 @@ def gadget_size(kind: str, n: int) -> int:
     return bisect.bisect_right(range(1, top), n, key=lambda size: longest_text(kind, size))
 
 
-def make_text(family: str, n: int, rng: random.Random) -> Text:
-    """A random (sigma = 4) or repetitive (period 8 with seeded edits) text,
-    a Fibonacci or Thue-Morse prefix, or the text of a gadget kind's seeded
-    input of size gadget_size(kind, n), so at most n symbols."""
+def make_bundle(family: str, n: int, rng: random.Random) -> SuffixArrayBundle:
+    """The sorted bundle of a random (sigma = 4) or repetitive (period 8 with
+    seeded edits) text, a Fibonacci or Thue-Morse prefix, or the one that
+    build_gadget sorts for a gadget kind's seeded input of gadget_size(kind, n)."""
     if family in KINDS:
-        return build_gadget(family, random_input(family, gadget_size(family, n), rng)).text
+        return build_gadget(family, random_input(family, gadget_size(family, n), rng)).bundle
     if family == "random":
-        return Text.from_symbols([rng.randrange(4) for _ in range(n)], 4)
+        return build_bundle(Text.from_symbols([rng.randrange(4) for _ in range(n)], 4))
     if family == "repetitive":  # runs stay near-constant in n
         symbols = [0] * n
         for i in range(7, n, 8):
             symbols[i] = 1
         for _ in range(max(1, n // 1024)):
             symbols[rng.randrange(n)] = rng.randrange(4)
-        return Text.from_symbols(symbols, 4)
+        return build_bundle(Text.from_symbols(symbols, 4))
     if family == "fibonacci":  # f1 = 0, f2 = 01, fk = f(k-1) f(k-2)
         shorter, word = [0], [0, 1]
         while len(word) < n:
             shorter, word = word, word + shorter
-        return Text.from_symbols(word[:n], 2)
-    return Text.from_symbols([bin(i).count("1") & 1 for i in range(n)], 2)  # Thue-Morse
+        return build_bundle(Text.from_symbols(word[:n], 2))
+    return build_bundle(Text.from_symbols([bin(i).count("1") & 1 for i in range(n)], 2))  # Thue-Morse
 
 
 def median_us(call, args: list[tuple[int, ...]]) -> float:
@@ -112,13 +112,13 @@ def main() -> int:
         step = SMALLEST_N
         while step <= args.max_n:
             rng = random.Random(f"{family}:{step}")
-            text = make_text(family, step, rng)
+            bundle = make_bundle(family, step, rng)  # held, so delta and every index read one sort
+            text = bundle.text
             n = text.n
             ranges = [(b, rng.randint(b + 1, n)) for b in (rng.randrange(n) for _ in range(args.queries))]
             pairs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(args.queries)]
             positions = [(rng.randint(1, n),) for _ in range(args.queries)]
             scale = math.log2(n) / math.log2(math.log2(n))
-            bundle = build_bundle(text)  # held, so delta and every index read one sort
             delta = substring_complexity(text).value  # derives LCP, so no build ms times Kasai's pass
             dlog = delta * math.log2(n / delta)
             t0 = time.perf_counter()

@@ -3,11 +3,11 @@
 Each refusal exits 2 with argparse's message on stderr, before the
 script prints a row or builds a text, and never ends in a traceback.
 A script whose reader leaves early stops quietly, as csq does.
-tradeoff.py runs through and prints both indexes' sizes and timings and
-the delta csq measures reads on every row, a row per ladder step and
-epsilon for every gadget kind with a text of at most that step, and its
-gadget size search brackets each step; large_text_checks.py's checkers
-count wrong answers.
+One run of tradeoff.py's table gives every row check: both indexes'
+sizes and timings and the delta csq measures reads, checked once per
+text, and a row per ladder step and epsilon for every gadget kind.  The
+table sorts each text once, and its gadget size search brackets each
+step; large_text_checks.py's checkers count wrong answers.
 """
 
 import importlib.util
@@ -19,15 +19,16 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from csq.cli import main
 from csq.gadgets import KINDS, longest_text
 from csq.measures import bwt_run_count
+from csq.text_core import Text, suffix_array
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
-
 
 ENV = {**os.environ, "PYTHONPATH": str(REPO / "src")}
 
@@ -53,52 +54,25 @@ def _run(script: str, *args: str) -> subprocess.CompletedProcess:
     ids=" ".join,
 )
 def test_bad_command_line_is_usage_error(argv):
-    script = argv[0]
     result = _run(*argv)
     assert result.returncode == 2, result.stderr
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
-    assert f"{script}: error:" in result.stderr
+    assert f"{argv[0]}: error:" in result.stderr
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["tradeoff.py", "--max-n", "10000", "--queries", "20"],
-    ],
-    ids=" ".join,
-)
-def test_script_stops_quietly_when_its_reader_leaves(argv):
-    """Piped into a reader that closes after the header, each script stops
+def test_script_stops_quietly_when_its_reader_leaves():
+    """Piped into a reader that closes after the header, tradeoff.py stops
     with status 0 and no traceback.  Unbuffered (-u), every row after the
     header is written after the reader has gone."""
-    proc = subprocess.Popen(
-        [sys.executable, "-u", str(REPO / "scripts" / argv[0]), *argv[1:]],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        env=ENV,
-    )
+    argv = [sys.executable, "-u", str(REPO / "scripts" / "tradeoff.py"), "--max-n", "10000", "--queries", "20"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=ENV)
     header = proc.stdout.readline()
     proc.stdout.close()
     _, stderr = proc.communicate(timeout=60)
-    assert header.split()[0] in ("kind", "family")
+    assert header.split()[0] == "family"
     assert "Traceback" not in stderr, stderr
     assert proc.returncode == 0, stderr
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["tradeoff.py", "--max-n", "1000", "--queries", "20"],
-    ],
-    ids=" ".join,
-)
-def test_script_runs_through(argv):
-    result = _run(*argv)
-    assert result.returncode == 0, result.stderr
-    assert "Traceback" not in result.stderr
-    assert len(result.stdout.splitlines()) > 1
 
 
 def _script(name: str):
@@ -109,12 +83,16 @@ def _script(name: str):
     return module
 
 
-def _tradeoff_rows(max_n: int) -> list[dict[str, str]]:
-    """tradeoff.py's rows at --max-n max_n and 20 queries, each as a dict
-    keyed by the header's column names."""
-    result = _run("tradeoff.py", "--max-n", str(max_n), "--queries", "20")
+@pytest.fixture(scope="module")
+def table() -> list[dict[str, str]]:
+    """tradeoff.py's rows at --max-n 10^4 and 20 queries, each as a dict
+    keyed by the header's column names.  The run exits 0 with no traceback
+    and prints rows under its header."""
+    result = _run("tradeoff.py", "--max-n", "10000", "--queries", "20")
     assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
     header, *rows = result.stdout.splitlines()
+    assert rows, result.stdout
     columns = header.split()
     cells = [dict(zip(columns, row.split())) for row in rows]
     assert all(len(c) == len(columns) for c in cells), rows
@@ -122,64 +100,85 @@ def _tradeoff_rows(max_n: int) -> list[dict[str, str]]:
 
 
 @pytest.fixture(scope="module")
-def first_step_rows() -> list[dict[str, str]]:
-    """tradeoff.py's rows at the smallest --max-n: one ladder step, 10^3."""
-    return _tradeoff_rows(1000)
+def first_step_texts(table) -> list[tuple[Text, list[dict[str, str]]]]:
+    """Each family's text at the 10^3 step, drawn again as tradeoff.py draws
+    it, with the family's first rows of the table: one per epsilon, the rows
+    that a --max-n 1000 run prints, since each step seeds its own draws."""
+    tradeoff = _script("tradeoff")
+    step = tradeoff.SMALLEST_N
+    texts = []
+    for family in tradeoff.FAMILIES:
+        rows = [cells for cells in table if cells["family"] == family][: len(tradeoff.EPSILONS)]
+        assert [float(cells["eps"]) for cells in rows] == list(tradeoff.EPSILONS), family
+        texts.append((tradeoff.make_bundle(family, step, random.Random(f"{family}:{step}")).text, rows))
+    return texts
 
 
-def _first_step_text(tradeoff, cells: dict[str, str]):
-    """The text tradeoff.py draws for a row's family at the 10^3 step."""
-    family, step = cells["family"], tradeoff.SMALLEST_N
-    return tradeoff.make_text(family, step, random.Random(f"{family}:{step}"))
-
-
-def test_tradeoff_rows_give_both_indexes_sizes_and_timings(first_step_rows):
+def test_tradeoff_rows_give_both_indexes_sizes_and_timings(first_step_texts):
     """Every row's r is the BWT run count of the text the script draws for
     its family at the ladder step, the inverse-LF index keeps two integers
     per run of the terminated text (so an even count, at least 2r), and
-    every timing cell is a positive number."""
+    every timing cell is a positive number.  The rows of one text print
+    the same n, r, ilf_ints, delta and dlog."""
     timings = ["build_ms", "rmq_us", "lce_us", "ilf_ms", "ilf_us"]
-    assert set(timings + ["r", "ilf_ints"]) <= set(first_step_rows[0])
+    assert set(timings + ["r", "ilf_ints"]) <= set(first_step_texts[0][1][0])
     tradeoff = _script("tradeoff")
-    assert len(first_step_rows) == len(tradeoff.FAMILIES) * len(tradeoff.EPSILONS)
-    for cells in first_step_rows:
-        r = int(cells["r"])
-        assert r == bwt_run_count(_first_step_text(tradeoff, cells)), cells
-        ilf_ints = int(cells["ilf_ints"])
-        assert ilf_ints % 2 == 0 and ilf_ints >= 2 * r, cells
-        for name in timings:
-            assert float(cells[name]) > 0, (cells, name)
+    assert sum(len(rows) for _, rows in first_step_texts) == len(tradeoff.FAMILIES) * len(tradeoff.EPSILONS)
+    for text, rows in first_step_texts:
+        for name in ("n", "r", "ilf_ints", "delta", "dlog"):
+            assert len({cells[name] for cells in rows}) == 1, (rows, name)
+        r = bwt_run_count(text)
+        for cells in rows:
+            assert int(cells["r"]) == r, cells
+            ilf_ints = int(cells["ilf_ints"])
+            assert ilf_ints % 2 == 0 and ilf_ints >= 2 * r, cells
+            for name in timings:
+                assert float(cells[name]) > 0, (cells, name)
 
 
-def test_tradeoff_delta_matches_csq_measures(first_step_rows, capsys, tmp_path):
+def test_tradeoff_delta_matches_csq_measures(first_step_texts, capsys, tmp_path):
     """Each row's delta is the one csq measures reports for the same text,
     and dlog is delta * log2(n / delta), each to the decimals printed."""
-    tradeoff = _script("tradeoff")
     path = tmp_path / "text.txt"
-    for cells in first_step_rows:
-        text = _first_step_text(tradeoff, cells)
-        assert text.n == int(cells["n"]), cells
+    for text, rows in first_step_texts:
         path.write_text(" ".join(map(str, text.symbols)))
         assert main(["measures", "--input", str(path), "--format", "ints", "--output", "structured"]) == 0
         delta = Fraction(dict(json.loads(capsys.readouterr().out)["report"])["delta"])
-        assert cells["delta"] == f"{float(delta):.2f}", cells
-        assert cells["dlog"] == f"{float(delta) * math.log2(text.n / delta):.1f}", cells
+        for cells in rows:
+            assert text.n == int(cells["n"]), cells
+            assert cells["delta"] == f"{float(delta):.2f}", cells
+            assert cells["dlog"] == f"{float(delta) * math.log2(text.n / delta):.1f}", cells
 
 
-def test_tradeoff_prints_index_sizes_per_gadget_kind():
+def test_tradeoff_prints_index_sizes_per_gadget_kind(table):
     """Every gadget kind has one row per ladder step and epsilon, in ladder
     order, with a text of at most the ladder step, and its r and both
     indexes' integer counts are positive integers."""
     epsilons = len(_script("tradeoff").EPSILONS)
     steps = (1000, 10000)
-    rows = _tradeoff_rows(steps[-1])
     for kind in KINDS:
-        kind_rows = [cells for cells in rows if cells["family"] == kind]
+        kind_rows = [cells for cells in table if cells["family"] == kind]
         assert len(kind_rows) == len(steps) * epsilons, kind
         for i, cells in enumerate(kind_rows):
             assert 0 < int(cells["n"]) <= steps[i // epsilons], cells
             for name in ("r", "ilf_ints", "stored"):
                 assert cells[name].isdigit() and int(cells[name]) > 0, (cells, name)
+
+
+def test_tradeoff_sorts_each_text_once(monkeypatch, capsys):
+    """tradeoff.py sorts each text it prints once, a gadget text included:
+    at --max-n 10^3, one sort per family, of the text's n symbols behind
+    the sort's sentinel."""
+    tradeoff = _script("tradeoff")
+    counted = mock.Mock(wraps=suffix_array)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "csq" and hasattr(module, "suffix_array"):
+            monkeypatch.setattr(module, "suffix_array", counted)
+    monkeypatch.setattr(sys, "argv", ["tradeoff.py", "--max-n", "1000", "--queries", "1"])
+    assert tradeoff.main() == 0
+    rows = capsys.readouterr().out.splitlines()[1 :: len(tradeoff.EPSILONS)]
+    assert len(rows) == len(tradeoff.FAMILIES)
+    assert [len(call.args[0]) for call in counted.call_args_list] == [int(row.split()[1]) + 1 for row in rows]
 
 
 def test_gadget_size_is_the_largest_whose_longest_text_fits():
